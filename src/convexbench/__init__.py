@@ -23,6 +23,7 @@ from .errors import (
     DataError,
     DomainError,
     DomainMismatchError,
+    FieldError,
     ScheduleError,
     SlopeRangeError,
     UnsupportedSpecError,

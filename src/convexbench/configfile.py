@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import FieldError
 from .experiments import (
     BinarySearchSpec,
     ExperimentConfig,
@@ -95,7 +96,8 @@ _REQUIRED_SECTIONS = ("function", "oracle", "algorithms", "grid", "run")
 
 
 def default_t_grid(lo: int = 100, hi: int = 10000, count: int = 7) -> tuple[int, ...]:
-    """Log-spaced integer budgets, floored, strictly increasing."""
+    """``count`` log-spaced integer budgets from lo to hi, floored, strictly
+    increasing; ValueError when flooring leaves fewer than ``count``."""
     if lo < 1 or hi <= lo or count < 2:
         raise ValueError("need 1 <= lo < hi and count >= 2")
     ratio = (hi / lo) ** (1.0 / (count - 1))
@@ -104,6 +106,9 @@ def default_t_grid(lo: int = 100, hi: int = 10000, count: int = 7) -> tuple[int,
         t = int(lo * ratio**i)
         if not out or t > out[-1]:
             out.append(t)
+    if len(out) < count:
+        raise ValueError(
+            f"{count} floored log-spaced budgets from {lo} to {hi} are not distinct")
     out[-1] = hi
     return tuple(out)
 
@@ -233,6 +238,8 @@ def _parse_algorithm(ln: int, value: str):
         if "=" not in p:
             raise ConfigError(ln, f"algorithm parameter {p!r} is not key=value")
         k, _, v = p.partition("=")
+        if k in params:
+            raise ConfigError(ln, f"repeated algorithm parameter {k!r}")
         params[k] = v
     try:
         if name == "binary-search":
@@ -327,26 +334,20 @@ def parse_config(text: str) -> RunSettings:
         raise ConfigError(grid_entries["T_log_range"][0],
                           "give either T or T_log_range, not both")
     if "T" in grid_entries:
-        ln, value = grid_entries["T"]
-        try:
-            t_grid = tuple(_to_int(ln, "T", p) for p in value.split())
-        except ConfigError:
-            raise
+        ln_grid, value = grid_entries["T"]
+        t_grid = tuple(_to_int(ln_grid, "T", p) for p in value.split())
         if not t_grid:
-            raise ConfigError(ln, "T list is empty")
+            raise ConfigError(ln_grid, "T list is empty")
     elif "T_log_range" in grid_entries:
-        ln, value = grid_entries["T_log_range"]
+        ln_grid, value = grid_entries["T_log_range"]
         parts = value.split()
         if len(parts) != 3:
-            raise ConfigError(ln, "T_log_range must be '<lo> <hi> <count>'")
+            raise ConfigError(ln_grid, "T_log_range must be '<lo> <hi> <count>'")
+        lo, hi, count = (_to_int(ln_grid, "T_log_range", p) for p in parts)
         try:
-            t_grid = default_t_grid(
-                _to_int(ln, "T_log_range", parts[0]),
-                _to_int(ln, "T_log_range", parts[1]),
-                _to_int(ln, "T_log_range", parts[2]),
-            )
+            t_grid = default_t_grid(lo, hi, count)
         except ValueError as e:
-            raise ConfigError(ln, str(e)) from None
+            raise ConfigError(ln_grid, str(e)) from None
     else:
         raise ConfigError(0, "section [grid] needs T or T_log_range")
 
@@ -373,8 +374,10 @@ def parse_config(text: str) -> RunSettings:
             master_seed=seed,
             initial_interval=interval,
         )
-    except ValueError as e:
-        raise ConfigError(0, str(e)) from None
+    except FieldError as e:
+        field_lines = {"T_grid": ln_grid, "replicates": run_lines["replicates"],
+                       "sigma": oracle_lines["sigma"]}
+        raise ConfigError(field_lines.get(e.field, 0), str(e)) from None
     return RunSettings(config=config, output_dir=output_dir)
 
 

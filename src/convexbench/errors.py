@@ -31,3 +31,11 @@ class ScheduleError(ValueError):
 
 class DataError(ValueError):
     """Not enough usable data points for a fit."""
+
+
+class FieldError(ValueError):
+    """A config field holds an invalid value; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)

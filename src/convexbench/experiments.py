@@ -3,7 +3,9 @@
 The harness is deterministic given the master seed: replicate r of cell
 (algorithm a, budget index i) owns the seed stream
 ``SeedSequence(master_seed, spawn_key=(a, i, r))``, split once into an
-environment stream (minimizer draw, SGD start) and an oracle noise stream.
+environment stream (minimizer draw, SGD start) and an oracle noise stream,
+its ``.spawn(2)`` children ``SeedSequence(master_seed, spawn_key=(a, i, r, 0))``
+and ``(a, i, r, 1)``, which the harness builds directly.
 Cells are therefore independent of execution order and worker count, and
 replicate reductions use numpy's pairwise summation in canonical replicate
 order.
@@ -22,18 +24,18 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .algorithms import UNIFORM_START, epochs_schedule
-from .errors import DataError, ScheduleError
+from .errors import DataError, FieldError, ScheduleError
 from .functions import (
     ConvexFunction1D,
     FunctionSpec,
     Tilt,
     build_function,
+    minimizer_interval,
     pair_distance_d,
     spec_id,
-    with_x_star,
 )
 from .modulus import modulus_numeric
-from .oracle import OracleBatch, replicate_seed
+from .oracle import OracleBatch
 
 __all__ = [
     "UniformDist",
@@ -132,15 +134,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise FieldError("replicates", "replicates must be >= 1")
         if any(t2 <= t1 for t1, t2 in zip(self.T_grid, self.T_grid[1:])):
-            raise ValueError("T_grid must be strictly increasing")
+            raise FieldError("T_grid", "T_grid must be strictly increasing")
         if len(self.T_grid) == 0:
-            raise ValueError("T_grid must be nonempty")
+            raise FieldError("T_grid", "T_grid must be nonempty")
+        if self.T_grid[0] < 1:
+            raise FieldError("T_grid", f"budgets must be >= 1, got {self.T_grid[0]}")
         if len(self.algorithms) == 0:
-            raise ValueError("need at least one algorithm")
+            raise FieldError("algorithms", "need at least one algorithm")
         if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+            raise FieldError("sigma", "sigma must be >= 0")
 
 
 def function_id(function: FunctionSpec | FunctionFamily) -> str:
@@ -225,14 +229,8 @@ def _minimizer_intervals(
 ):
     """Per-replicate minimizer intervals as (lo, hi) arrays."""
     if isinstance(function, FunctionFamily):
-        lo = np.empty(R)
-        hi = np.empty(R)
-        for i in range(R):
-            f = build_function(with_x_star(function.template, xstar[i]), initial_interval)
-            lo[i], hi[i] = f.minimizer_set
-        return lo, hi
-    f = build_function(function, initial_interval)
-    ml, mr = f.minimizer_set
+        return minimizer_interval(function.template, initial_interval, xstar)
+    ml, mr = minimizer_interval(function, initial_interval)
     return np.full(R, ml), np.full(R, mr)
 
 
@@ -263,8 +261,9 @@ def _run_sgd_batch(batch: OracleBatch, alg: SgdSpec, x0: np.ndarray,
     for t in range(1, T + 1):
         v = batch.query_all(x)
         total += x
-        eta = c / t if inv_t else c / math.sqrt(t)
-        x = np.clip(x - eta * v, lo, hi)
+        v *= c / t if inv_t else c / math.sqrt(t)
+        x -= v
+        np.minimum(np.maximum(x, lo, out=x), hi, out=x)  # np.clip, less overhead
     return total / T if alg.iterate == "average" else x
 
 
@@ -286,10 +285,10 @@ def replicate_runs(
     """
     if isinstance(alg, BinarySearchSpec):
         epochs_schedule(T, alg.r)  # fail fast before drawing anything
-    streams = [replicate_seed(master_seed, *key, rep).spawn(2)
-               for rep in range(replicates)]
-    env_seeds = [s[0] for s in streams]
-    noise_seeds = [s[1] for s in streams]
+    env_seeds = [np.random.SeedSequence(master_seed, spawn_key=(*key, rep, 0))
+                 for rep in range(replicates)]
+    noise_seeds = [np.random.SeedSequence(master_seed, spawn_key=(*key, rep, 1))
+                   for rep in range(replicates)]
     xstar, x0 = _draw_environment(function, alg, initial_interval, env_seeds)
     template = function.template if isinstance(function, FunctionFamily) else function
     batch = OracleBatch(

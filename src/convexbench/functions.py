@@ -9,7 +9,9 @@ hashable, picklable.
 
 Formulas are written once, on numpy arrays, and shared by the scalar and the
 vectorized (many replicates at once) code paths, so both produce bitwise
-identical values.
+identical values.  Powers are ``np.power`` ufunc calls, not ``**``: on a
+numpy scalar ``**`` takes the C library's ``pow``, which can differ from the
+array loop in the last bit.
 """
 from __future__ import annotations
 
@@ -155,11 +157,12 @@ def eval_spec(spec: FunctionSpec, x, x_star=None):
     """
     if isinstance(spec, SymmetricPower):
         u = np.asarray(x) - _resolve_x_star(spec, x_star)
-        return np.abs(u) ** spec.k / spec.k
+        return np.power(np.abs(u), spec.k) / spec.k
     if isinstance(spec, AsymmetricPower):
         u = np.asarray(x) - _resolve_x_star(spec, x_star)
         au = np.abs(u)
-        return np.where(u < 0, au**spec.k_l / spec.k_l, au**spec.k_r / spec.k_r)
+        return np.where(u < 0, np.power(au, spec.k_l) / spec.k_l,
+                        np.power(au, spec.k_r) / spec.k_r)
     if isinstance(spec, Absolute):
         u = np.asarray(x) - _resolve_x_star(spec, x_star)
         return np.abs(u)
@@ -183,12 +186,12 @@ def subdiff_interval(spec: FunctionSpec, x, x_star=None):
     """Subdifferential [lo, hi] of the defining formula at ``x`` (array-safe)."""
     if isinstance(spec, SymmetricPower):
         u = np.asarray(x) - _resolve_x_star(spec, x_star)
-        v = np.sign(u) * np.abs(u) ** (spec.k - 1.0)
+        v = np.sign(u) * np.power(np.abs(u), spec.k - 1.0)
         return v, v
     if isinstance(spec, AsymmetricPower):
         u = np.asarray(x) - _resolve_x_star(spec, x_star)
         au = np.abs(u)
-        v = np.where(u < 0, -(au ** (spec.k_l - 1.0)), au ** (spec.k_r - 1.0))
+        v = np.where(u < 0, -np.power(au, spec.k_l - 1.0), np.power(au, spec.k_r - 1.0))
         return v, v
     if isinstance(spec, Absolute):
         u = np.asarray(x) - _resolve_x_star(spec, x_star)
@@ -209,12 +212,21 @@ def subdiff_interval(spec: FunctionSpec, x, x_star=None):
         return lo, hi
     if isinstance(spec, Tilt):
         lo, hi = subdiff_interval(spec.base, x, x_star)
+        if lo is hi:  # keep a point interval a point, for min_norm_from_interval
+            v = lo + spec.eps
+            return v, v
         return lo + spec.eps, hi + spec.eps
     raise TypeError(f"unknown spec type {type(spec)!r}")
 
 
 def min_norm_from_interval(lo, hi):
-    """Element of [lo, hi] closest to zero (array-safe)."""
+    """Element of [lo, hi] closest to zero (array-safe).
+
+    A point interval (``lo is hi``, as power specs and their tilts return)
+    is its own element; ``+ 0.0`` maps -0.0 to 0.0 as the general rule does.
+    """
+    if lo is hi:
+        return lo + 0.0
     return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
 
 
@@ -275,20 +287,26 @@ def level_set(spec: FunctionSpec, s: float):
     raise TypeError(f"unknown spec type {type(spec)!r}")
 
 
-def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float]):
-    """Argmin of the spec over the domain, as a closed interval."""
+def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float], x_star=None):
+    """Argmin of the spec over the domain, as a closed interval.
+
+    ``x_star`` optionally moves the spec's minimizer to each entry of an
+    array, giving the intervals of a whole family of shifted copies at once
+    as (lo, hi) arrays: a shifted copy's slope-0 level set is the template's
+    level set at x_star = 0, shifted.
+    """
     a, b = domain
-    lvl = level_set(spec, 0.0)
+    shifted = x_star is not None
+    lvl = level_set(with_x_star(spec, 0.0) if shifted else spec, 0.0)
     if lvl is None:
         # subgradient never touches 0: the function is strictly monotone
-        g_a = float(subgrad_spec(spec, a))
-        return (a, a) if g_a > 0 else (b, b)
+        end = np.where(subgrad_spec(spec, a, x_star) > 0, a, b)
+        return (end, end) if shifted else (float(end), float(end))
     lo, hi = lvl
-    if hi < a:
-        return (a, a)
-    if lo > b:
-        return (b, b)
-    return (max(lo, a), min(hi, b))
+    # a level set wholly outside the domain collapses onto the nearer end
+    if shifted:
+        return np.clip(x_star + lo, a, b), np.clip(x_star + hi, a, b)
+    return min(max(lo, a), b), min(max(hi, a), b)
 
 
 def kinks_of(spec: FunctionSpec) -> tuple[float, ...]:

@@ -9,18 +9,28 @@ Sessions are single-owner: parallel experiments use one session per
 replicate, each seeded by a pure function of (master_seed, replicate index)
 via ``numpy.random.SeedSequence`` spawn keys.  ``OracleBatch`` advances many
 such per-replicate streams in lockstep and produces bitwise identical values
-to the equivalent scalar sessions.
+to the equivalent scalar sessions.  Step noise (``begin_steps``) is drawn
+ahead in chunks of at most ``STEP_CHUNK`` steps, so a batch holds
+O(R * STEP_CHUNK) noise values whatever the budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, DomainError
 from .functions import ConvexFunction1D, FunctionSpec, subgrad_spec
 
-__all__ = ["OracleConfig", "OracleSession", "OracleBatch", "replicate_seed"]
+__all__ = ["OracleConfig", "OracleSession", "OracleBatch", "replicate_seed",
+           "STEP_CHUNK"]
+
+# steps of noise that OracleBatch draws at once for begin_steps
+STEP_CHUNK = 1024
+
+# replicates whose chunk rows are transposed together into step-major order
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -113,8 +123,10 @@ class OracleBatch:
         self.queries_used = 0
         self._gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         self.n_replicates = len(seeds)
-        self._buf = None  # prefetched noise, shape (R, chunk)
-        self._buf_pos = 0
+        self._subgrad = partial(subgrad_spec, spec, x_star=self.x_star)
+        self._steps = np.empty((0, self.n_replicates))  # drawn step noise, (chunk, R)
+        self._step_pos = 0  # next unread row of _steps
+        self._steps_ahead = 0  # reserved steps whose noise is not drawn yet
 
     def _take(self, n: int):
         if self.queries_used + n > self.budget:
@@ -125,42 +137,65 @@ class OracleBatch:
 
     def _check_domain(self, x: np.ndarray):
         a, b = self.domain
-        if np.any(x < a) or np.any(x > b):
-            bad = x[(x < a) | (x > b)][0]
-            from .errors import DomainError
-
+        if not (x.min() >= a and x.max() <= b):  # also false on NaN
+            bad = x[~((x >= a) & (x <= b))][0]
             raise DomainError(f"x={bad} outside domain [{a}, {b}]")
 
-    def _noise_columns(self, n: int) -> np.ndarray:
-        """Next n noise values per replicate, in per-replicate stream order."""
-        return np.stack([g.standard_normal(n) for g in self._gens], axis=0)
+    def _noise_rows(self, n: int, gens: list[np.random.Generator]) -> np.ndarray:
+        """Next n noise values of each generator, one row per generator."""
+        z = np.empty((len(gens), n))
+        for row, g in zip(z, gens):
+            g.standard_normal(out=row)
+        return z
+
+    def _step_chunk(self, n: int) -> np.ndarray:
+        """Next n step noises per replicate, step-major: row j is step j's."""
+        z = np.empty((n, self.n_replicates))
+        for i in range(0, self.n_replicates, _TILE):
+            z[:, i:i + _TILE] = self._noise_rows(n, self._gens[i:i + _TILE]).T
+        return z
 
     def query_block_all(self, x: np.ndarray, n: int) -> np.ndarray:
         """n queries at per-replicate points x (shape (R,)); returns (R, n)."""
         self._take(n)
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
-        g = subgrad_spec(self.spec, x, self.x_star)
-        z = self._noise_columns(n)
+        g = self._subgrad(x)
+        z = self._noise_rows(n, self._gens)
         self.queries_used += n
-        return g[:, None] + self.sigma * z
+        z *= self.sigma
+        z += g[:, None]
+        return z
 
     def begin_steps(self, n: int):
-        """Prefetch noise for the next n single-point queries per replicate."""
+        """Reserve the next n single-point queries per replicate.
+
+        Their noise is drawn ahead as ``query_all`` consumes it, in chunks of
+        at most STEP_CHUNK steps, so memory is O(R * STEP_CHUNK), not O(R * n).
+        """
         self._take(n)  # reserve-check only; queries still counted one by one
-        self._buf = self._noise_columns(n)
-        self._buf_pos = 0
+        self._steps = np.empty((0, self.n_replicates))
+        self._step_pos = 0
+        self._steps_ahead = n
 
     def query_all(self, x: np.ndarray) -> np.ndarray:
-        """One query per replicate at points x (shape (R,)); returns (R,)."""
+        """One query per replicate at points x (shape (R,)); returns (R,).
+
+        The result is the caller's own array, free to update in place.
+        """
         self._take(1)
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
-        g = subgrad_spec(self.spec, x, self.x_star)
-        if self._buf is not None and self._buf_pos < self._buf.shape[1]:
-            z = self._buf[:, self._buf_pos]
-            self._buf_pos += 1
-        else:
-            z = self._noise_columns(1)[:, 0]
+        g = self._subgrad(x)
+        if self._step_pos == len(self._steps):
+            # a query beyond the reserved steps draws for itself alone
+            n = min(max(self._steps_ahead, 1), STEP_CHUNK)
+            self._steps = self._step_chunk(n)
+            self._step_pos = 0
+            self._steps_ahead = max(self._steps_ahead - n, 0)
+        z = self._steps[self._step_pos]
+        self._step_pos += 1
         self.queries_used += 1
-        return g + self.sigma * z
+        z *= self.sigma
+        z += g
+        return z

@@ -19,7 +19,18 @@ from convexbench import (
     spec_id,
     with_x_star,
 )
-from convexbench.functions import eval_spec, subgrad_spec
+from convexbench.functions import eval_spec, minimizer_interval, subgrad_spec
+
+SHIFTABLE_SPECS = [
+    SymmetricPower(1.5),
+    SymmetricPower(3.0),
+    AsymmetricPower(1.5, 3.0),
+    Absolute(),
+    Tilt(AsymmetricPower(1.5, 3.0), -0.05),
+    Tilt(SymmetricPower(1.5), 5.0),  # level set left of the domain
+    Tilt(Absolute(), 1.0),  # half-infinite level set
+    Tilt(Absolute(), -1.5),  # monotone: no level set at slope 0
+]
 
 
 class TestMinNormSubgradient:
@@ -60,6 +71,18 @@ class TestMinNormSubgradient:
         f = build_function(AsymmetricPower(1.5, 3.0, x_star=0.1), (-2.0, 2.0))
         for x in (-1.3, 0.1, 0.7):
             assert f.subgrad(x) == f.subgrad(x)
+
+
+class TestScalarArrayAgreement:
+    @pytest.mark.parametrize(
+        "spec", SHIFTABLE_SPECS[:5] + [PiecewiseLinear((-0.5, 0.5), (-1.0, 0.0, 2.0))],
+        ids=spec_id)
+    def test_scalar_and_array_formulas_agree_bitwise(self, spec):
+        x = np.random.default_rng(5).uniform(-2.0, 2.0, 5_000)
+        for formula in (subgrad_spec, eval_spec):
+            want = formula(spec, x)
+            got = np.array([float(formula(spec, float(v))) for v in x])
+            assert np.array_equal(got, want)
 
 
 class TestErr:
@@ -303,3 +326,14 @@ class TestMinimizerSets:
             (-2.0, 2.0),
         )
         assert f.minimizer_set == (-1.0, 1.0)
+
+    @pytest.mark.parametrize("spec", SHIFTABLE_SPECS, ids=spec_id)
+    def test_family_intervals_match_shifted_copies(self, spec):
+        domain = (-2.0, 2.0)
+        x_star = np.concatenate([np.random.default_rng(6).uniform(-1.9, 1.9, 200),
+                                 [-2.0, 2.0, 0.0]])
+        lo, hi = minimizer_interval(spec, domain, x_star)
+        want = [build_function(with_x_star(spec, v), domain).minimizer_set
+                for v in x_star]
+        assert np.array_equal(lo, [w[0] for w in want])
+        assert np.array_equal(hi, [w[1] for w in want])

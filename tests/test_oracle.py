@@ -1,4 +1,6 @@
 """Oracle tests: exactness at zero noise, replay, budget, statistics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,13 +8,18 @@ from scipy import stats
 from convexbench import (
     BudgetError,
     DomainError,
+    FunctionFamily,
     OracleBatch,
     OracleConfig,
     OracleSession,
+    SgdSpec,
     SymmetricPower,
+    UniformDist,
     build_function,
     replicate_seed,
 )
+from convexbench.experiments import replicate_runs
+from convexbench.oracle import _TILE, STEP_CHUNK
 
 F = build_function(SymmetricPower(k=2.0, x_star=0.0), (-2.0, 2.0))
 
@@ -169,3 +176,43 @@ class TestOracleBatch:
         batch = OracleBatch(F.spec, None, F.domain, 0.1, 5, seeds)
         with pytest.raises(DomainError):
             batch.query_all(np.array([0.0, 3.0]))
+
+    @pytest.mark.parametrize("query", ["query_all", "query_block_all"])
+    def test_nan_point_raises_without_using_budget(self, query):
+        seeds = [replicate_seed(8, r) for r in range(3)]
+        batch = OracleBatch(F.spec, None, F.domain, 0.1, 5, seeds)
+        ask = getattr(batch, query)
+        args = () if query == "query_all" else (2,)
+        with pytest.raises(DomainError):
+            ask(np.array([0.0, np.nan, 0.5]), *args)
+        assert batch.queries_used == 0
+        fresh = OracleBatch(F.spec, None, F.domain, 0.1, 5, seeds)
+        x = np.array([0.0, 0.25, 0.5])
+        assert np.array_equal(ask(x, *args), getattr(fresh, query)(x, *args))
+
+    def test_step_noise_follows_each_stream_across_chunks(self):
+        # more replicates than one transpose tile, more steps than one chunk,
+        # then one step beyond the reservation; at x = x* the answer is z
+        R, n = _TILE + 3, STEP_CHUNK + 2
+        seeds = [replicate_seed(9, r) for r in range(R)]
+        batch = OracleBatch(F.spec, None, F.domain, 1.0, n + 1, seeds)
+        batch.begin_steps(n)
+        got = np.array([batch.query_all(np.zeros(R)) for _ in range(n + 1)])
+        for r, seed in enumerate(seeds):
+            want = np.random.Generator(np.random.PCG64(seed)).standard_normal(n + 1)
+            assert np.array_equal(got[:, r], want)
+
+
+def test_sgd_cell_memory_does_not_grow_with_budget():
+    # prefetching all step noise at once would add R * dT * 8 bytes (79 MB);
+    # chunked, at most two chunks of R * STEP_CHUNK values are alive at once
+    R, family = 100, FunctionFamily(SymmetricPower(2.0), UniformDist(-1.0, 1.0))
+    peaks = []
+    for T in (10**3, 10**5):
+        tracemalloc.start()
+        try:
+            replicate_runs(family, (-2.0, 2.0), 0.1, T, SgdSpec("1/t"), R, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * R * STEP_CHUNK * 8
