@@ -5,16 +5,23 @@ subgradient oracle, difficulty moduli (analytic and numeric), a sign-testing
 binary search with flat-set diagnostics, projected SGD baselines, and a
 deterministic Monte-Carlo risk harness with risk-floor and superefficiency
 experiments.
+
+Each algorithm has one implementation, over a batch of replicates
+(``run_binary_search``, ``run_sgd``), and one parameter type
+(``BinarySearchSpec``, ``SgdSpec``); there is one oracle, ``OracleBatch``,
+of which ``OracleSession`` is the one-replicate case.
 """
 
 from .algorithms import (
-    BinarySearchParams,
+    BinarySearchSpec,
     RoundRecord,
     RunResult,
-    SgdParams,
+    SgdSpec,
     UNIFORM_START,
     epochs_schedule,
     flat_set_diagnostics,
+    run_binary_search,
+    run_sgd,
     sgd,
     sign_test_binary_search,
 )
@@ -29,14 +36,12 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .experiments import (
-    BinarySearchSpec,
     ConstantEstimator,
     DELTA_MAX,
     ExperimentConfig,
     FunctionFamily,
     RiskRow,
     RiskTable,
-    SgdSpec,
     SlopeFit,
     SuperefficiencyReport,
     UniformDist,

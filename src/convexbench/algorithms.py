@@ -4,6 +4,14 @@ Two algorithms: a sign-testing binary search that averages a block of noisy
 derivative readings at the interval midpoint each round, and projected
 stochastic gradient descent with 1/t or 1/sqrt(t) step sizes.
 
+Each is written once, as ``run_binary_search`` and ``run_sgd``, over an
+``OracleBatch`` of R independent replicates advanced in lockstep.  The
+experiment harness calls them with R replicates; ``sign_test_binary_search``
+and ``sgd`` run them on an ``OracleSession`` (the R = 1 batch) and turn the
+optional trace into ``RoundRecord``s.  ``BinarySearchSpec`` and ``SgdSpec``
+are the only parameter types; the search or projection interval is an
+argument of the run.
+
 The binary search stores its interval as (left endpoint, width) and halves
 the width each round with an exact multiply by 0.5, so the width after round
 e equals 2^-e times the initial width bit for bit.
@@ -11,21 +19,23 @@ e equals 2^-e times the initial width bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScheduleError
 from .functions import ConvexFunction1D
 from .modulus import DEFAULT_BISECTION_TOL, flat_set
-from .oracle import OracleSession
+from .oracle import OracleBatch, OracleSession
 
 __all__ = [
-    "BinarySearchParams",
-    "SgdParams",
+    "BinarySearchSpec",
+    "SgdSpec",
     "RoundRecord",
     "RunResult",
     "epochs_schedule",
+    "run_binary_search",
+    "run_sgd",
     "sign_test_binary_search",
     "flat_set_diagnostics",
     "sgd",
@@ -33,47 +43,52 @@ __all__ = [
 ]
 
 # sentinel for "draw the SGD starting point uniformly over the projection
-# interval"; resolved by the experiment harness, never inside sgd() itself
+# interval"; resolved by the experiment harness, never inside run_sgd() itself
 UNIFORM_START = "uniform"
 
 
 @dataclass(frozen=True)
-class BinarySearchParams:
-    r: float
-    initial_interval: tuple[float, float]
+class BinarySearchSpec:
+    r: float  # round-count coefficient: E = floor(r ln T) rounds
     delta: float = 0.05  # failure probability used by the diagnostics
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError(f"r must be positive, got {self.r}")
-        a0, b0 = self.initial_interval
-        if not a0 < b0:
-            raise ValueError(f"need a0 < b0, got ({a0}, {b0})")
+        if not (self.r > 0 and math.isfinite(self.r)):
+            raise ValueError(f"r must be positive and finite, got {self.r}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0,1), got {self.delta}")
 
+    @property
+    def algorithm_id(self) -> str:
+        return f"binary-search(r={self.r:g})"
+
 
 @dataclass(frozen=True)
-class SgdParams:
+class SgdSpec:
     schedule: str  # "1/t" or "1/sqrt(t)"
-    projection_interval: tuple[float, float]
     scale: float = 1.0
-    x0: float | str = UNIFORM_START
     iterate: str = "last"  # "last" or "average"
+    x0: float | str = UNIFORM_START
 
     def __post_init__(self):
         if self.schedule not in ("1/t", "1/sqrt(t)"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.iterate not in ("last", "average"):
             raise ValueError(f"iterate must be 'last' or 'average', got {self.iterate!r}")
-        a, b = self.projection_interval
-        if not a < b:
-            raise ValueError(f"need a < b in projection interval, got ({a}, {b})")
+        if isinstance(self.x0, str) and self.x0 != UNIFORM_START:
+            raise ValueError(f"x0 must be a number or {UNIFORM_START!r}, got {self.x0!r}")
 
-    def with_x0(self, x0: float) -> "SgdParams":
-        return replace(self, x0=float(x0))
+    @property
+    def algorithm_id(self) -> str:
+        extras = []
+        if self.scale != 1.0:
+            extras.append(f"scale={self.scale:g}")
+        if self.iterate != "last":
+            extras.append("avg")
+        tail = (";" + ";".join(extras)) if extras else ""
+        return f"sgd({self.schedule}{tail})"
 
 
 @dataclass(frozen=True)
@@ -111,40 +126,89 @@ def epochs_schedule(T: int, r: float) -> tuple[int, int]:
     return E, T0
 
 
-def sign_test_binary_search(
-    session: OracleSession, params: BinarySearchParams
-) -> RunResult:
+def _checked_interval(interval: tuple[float, float]) -> tuple[float, float]:
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise ValueError(f"need a < b in the interval, got ({a}, {b})")
+    return a, b
+
+
+def run_binary_search(
+    batch: OracleBatch,
+    spec: BinarySearchSpec,
+    interval: tuple[float, float],
+    trace: list | None = None,
+) -> np.ndarray:
     """E rounds of bisection steered by the sign of an averaged derivative.
 
-    Each round queries the midpoint of the current interval T0 times, keeps
-    the left half when the average reading is positive and the right half
-    otherwise (ties go right).  Returns the midpoint of the final interval;
-    the trace records one entry per round.
+    Each round queries the midpoint of every replicate's current interval
+    T0 times, keeps the left half where the average reading is positive and
+    the right half otherwise (ties go right).  The schedule (E, T0) comes
+    from the batch's budget.  Returns the midpoints of the final intervals,
+    shape (R,).  When ``trace`` is a list, each round appends
+    (query points, mean readings, left ends after the update, width).
     """
-    T = session.config.budget
-    E, T0 = epochs_schedule(T, params.r)
-    a, b0 = params.initial_interval
-    width = b0 - a
-    trace = []
-    for e in range(1, E + 1):
-        x_e = a + 0.5 * width
-        block = session.query_block(x_e, T0)
-        z_bar = float(np.mean(block))
+    a0, b0 = _checked_interval(interval)
+    E, T0 = epochs_schedule(batch.budget, spec.r)
+    a = np.full(batch.n_replicates, a0)
+    width = b0 - a0
+    for _ in range(E):
+        x = a + 0.5 * width
+        z_bar = batch.query_block_all(x, T0).mean(axis=1)
         width = width * 0.5  # exact
-        if z_bar > 0:
-            pass  # keep left half: a unchanged
-        else:
-            a = x_e  # keep right half
-        trace.append(
-            RoundRecord(
-                round=e,
-                query_point=x_e,
-                mean_gradient=z_bar,
-                interval=(a, a + width),
-                width=width,
-            )
-        )
-    return RunResult(estimate=a + 0.5 * width, queries_used=E * T0, trace=tuple(trace))
+        a = np.where(z_bar > 0, a, x)
+        if trace is not None:
+            trace.append((x, z_bar, a, width))
+    return a + 0.5 * width
+
+
+def run_sgd(
+    batch: OracleBatch,
+    spec: SgdSpec,
+    x0: np.ndarray,
+    interval: tuple[float, float],
+    trace: list | None = None,
+) -> np.ndarray:
+    """Projected stochastic gradient descent using the whole oracle budget.
+
+    Step t (starting at 1) queries each replicate's current iterate and moves
+    against the returned noisy subgradient with step size scale/t or
+    scale/sqrt(t).  Starts ``x0`` (shape (R,)) and iterates are projected
+    onto the interval before every query.  Returns the last iterates, or the
+    running averages of the query points when spec.iterate == "average".
+    When ``trace`` is a list, each step appends (query points, readings).
+    """
+    lo, hi = _checked_interval(interval)
+    T = batch.budget
+    c = spec.scale
+    inv_t = spec.schedule == "1/t"
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    total = np.zeros_like(x)
+    batch.begin_steps(T)
+    for t in range(1, T + 1):
+        v = batch.query_all(x)
+        if trace is not None:
+            trace.append((x.copy(), v.copy()))
+        total += x
+        v *= c / t if inv_t else c / math.sqrt(t)
+        x -= v
+        np.minimum(np.maximum(x, lo, out=x), hi, out=x)  # np.clip, less overhead
+    return total / T if spec.iterate == "average" else x
+
+
+def sign_test_binary_search(
+    session: OracleSession, spec: BinarySearchSpec, interval: tuple[float, float]
+) -> RunResult:
+    """``run_binary_search`` on one session; the trace has one entry per round."""
+    used = session.queries_used
+    rounds = []
+    estimate = run_binary_search(session.batch, spec, interval, trace=rounds)
+    records = tuple(
+        RoundRecord(round=e, query_point=float(x[0]), mean_gradient=float(z_bar[0]),
+                    interval=(float(a[0]), float(a[0]) + width), width=width)
+        for e, (x, z_bar, a, width) in enumerate(rounds, start=1)
+    )
+    return RunResult(float(estimate[0]), session.queries_used - used, records)
 
 
 def flat_set_diagnostics(
@@ -184,42 +248,25 @@ def flat_set_diagnostics(
 
 def sgd(
     session: OracleSession,
-    params: SgdParams,
+    spec: SgdSpec,
+    interval: tuple[float, float],
     record_trace: bool = False,
 ) -> RunResult:
-    """Projected stochastic gradient descent using the whole oracle budget.
-
-    Step t (starting at 1) queries the current iterate and moves against the
-    returned noisy subgradient with step size scale/t or scale/sqrt(t).
-    Iterates are projected onto the projection interval before every query.
-    Returns the last iterate, or the running average of the query points
-    when params.iterate == "average".
-    """
-    if not isinstance(params.x0, (int, float)):
+    """``run_sgd`` on one session from the numeric start ``spec.x0``; with
+    ``record_trace`` the trace has one entry per step."""
+    if isinstance(spec.x0, str):
         raise ValueError(
-            "params.x0 must be a number before calling sgd(); draw the uniform "
-            "start in the harness and use params.with_x0(...)"
+            "spec.x0 must be a number before calling sgd(); draw the uniform "
+            "start in the harness"
         )
-    T = session.config.budget
-    lo, hi = params.projection_interval
-    c = params.scale
-    inv_t = params.schedule == "1/t"
-    x = min(max(float(params.x0), lo), hi)
-    total = 0.0
-    trace = []
-    for t in range(1, T + 1):
-        x_query = x
-        v = session.query(x_query)
-        total += x_query
-        eta = c / t if inv_t else c / math.sqrt(t)
-        x = x_query - eta * v
-        x = min(max(x, lo), hi)
-        if record_trace:
-            trace.append(
-                RoundRecord(
-                    round=t, query_point=x_query, mean_gradient=v,
-                    interval=(lo, hi), width=hi - lo,
-                )
-            )
-    estimate = total / T if params.iterate == "average" else x
-    return RunResult(estimate=estimate, queries_used=T, trace=tuple(trace))
+    used = session.queries_used
+    steps = [] if record_trace else None
+    estimate = run_sgd(session.batch, spec, np.array([float(spec.x0)]), interval,
+                       trace=steps)
+    lo, hi = interval
+    records = tuple(
+        RoundRecord(round=t, query_point=float(x[0]), mean_gradient=float(v[0]),
+                    interval=(lo, hi), width=hi - lo)
+        for t, (x, v) in enumerate(steps or (), start=1)
+    )
+    return RunResult(float(estimate[0]), session.queries_used - used, records)

@@ -44,6 +44,7 @@ from .experiments import (
     FunctionFamily,
     RiskTable,
     SgdSpec,
+    SuperefficiencyReport,
     UniformDist,
     estimate_risk,
     fit_loglog_slope,
@@ -384,22 +385,38 @@ def cmd_reproduce_fig2(args) -> int:
     return status
 
 
+def superefficiency_csv_text(report: SuperefficiencyReport) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["target", "epsilon_T", "risk_f", "risk_g_plus", "risk_g_minus",
+                "d_fg", "omega_ref"])
+    w.writerow([
+        report.function,
+        repr(report.epsilon_T),
+        repr(report.risk_f),
+        repr(report.risk_g_plus),
+        repr(report.risk_g_minus),
+        repr(max(report.d_f_g_plus, report.d_f_g_minus)),
+        repr(max(report.omega_ref_plus, report.omega_ref_minus)),
+    ])
+    return buf.getvalue()
+
+
 def cmd_superefficiency(parser, args) -> int:
     spec = _spec_from_args(parser, args)
     domain = _parse_domain(parser, args.domain)
-    if args.estimator == "constant":
-        if args.x_hat is None:
-            f = build_function(spec, domain)
-            xl, xr = f.minimizer_set
-            x_hat = 0.5 * (xl + xr)
-        else:
-            x_hat = args.x_hat
-        estimator = ConstantEstimator(x_hat)
-    elif args.estimator == "binary-search":
-        estimator = BinarySearchSpec(r=args.r)
-    else:
-        estimator = SgdSpec(schedule=args.schedule)
     try:
+        if args.estimator == "constant":
+            if args.x_hat is None:
+                xl, xr = build_function(spec, domain).minimizer_set
+                x_hat = 0.5 * (xl + xr)
+            else:
+                x_hat = args.x_hat
+            estimator = ConstantEstimator(x_hat)
+        elif args.estimator == "binary-search":
+            estimator = BinarySearchSpec(r=args.r)
+        else:
+            estimator = SgdSpec(schedule=args.schedule)
         report = superefficiency_experiment(
             spec,
             estimator,
@@ -414,18 +431,8 @@ def cmd_superefficiency(parser, args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(["target", "epsilon_T", "risk_f", "risk_g_plus", "risk_g_minus",
-                "d_fg", "omega_ref"])
-    w.writerow([
-        report.function,
-        repr(report.epsilon_T),
-        repr(report.risk_f),
-        repr(report.risk_g_plus),
-        repr(report.risk_g_minus),
-        repr(max(report.d_f_g_plus, report.d_f_g_minus)),
-        repr(max(report.omega_ref_plus, report.omega_ref_minus)),
-    ])
+    text = superefficiency_csv_text(report)
+    sys.stdout.write(text)
     print(
         f"# estimator={report.estimator} delta={report.delta:g} T={report.T} "
         f"sigma={report.sigma:g}\n"
@@ -440,17 +447,7 @@ def cmd_superefficiency(parser, args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        buf = io.StringIO()
-        ww = csv.writer(buf, lineterminator="\n")
-        ww.writerow(["target", "epsilon_T", "risk_f", "risk_g_plus",
-                     "risk_g_minus", "d_fg", "omega_ref"])
-        ww.writerow([
-            report.function, repr(report.epsilon_T), repr(report.risk_f),
-            repr(report.risk_g_plus), repr(report.risk_g_minus),
-            repr(max(report.d_f_g_plus, report.d_f_g_minus)),
-            repr(max(report.omega_ref_plus, report.omega_ref_minus)),
-        ])
-        (out_dir / "superefficiency.csv").write_text(buf.getvalue())
+        (out_dir / "superefficiency.csv").write_text(text)
     return EXIT_OK
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "ConfigError",
     "RunSettings",
     "parse_config",
-    "parse_config_file",
     "serialize_config",
     "default_t_grid",
     "DEFAULT_T_GRID",
@@ -85,6 +84,7 @@ _KNOWN_KEYS = {
         "kind", "k", "k_l", "k_r", "x_star", "x_star_distribution",
         "breakpoints", "slopes", "eps",
         "base_kind", "base_k", "base_k_l", "base_k_r", "base_x_star",
+        "base_breakpoints", "base_slopes",
     },
     "oracle": {"sigma", "master_seed"},
     "algorithms": {"algorithm"},
@@ -379,11 +379,6 @@ def parse_config(text: str) -> RunSettings:
                        "sigma": oracle_lines["sigma"]}
         raise ConfigError(field_lines.get(e.field, 0), str(e)) from None
     return RunSettings(config=config, output_dir=output_dir)
-
-
-def parse_config_file(path: str) -> RunSettings:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 def _spec_lines(spec: FunctionSpec, prefix: str = "") -> list[str]:

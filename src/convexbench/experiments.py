@@ -10,9 +10,12 @@ Cells are therefore independent of execution order and worker count, and
 replicate reductions use numpy's pairwise summation in canonical replicate
 order.
 
-Replicates inside a cell run vectorized (lockstep over replicates); the
-result is bitwise identical to running one scalar OracleSession per
-replicate, which the test suite checks directly.
+Replicates inside a cell run in lockstep on one ``OracleBatch``, through
+the algorithms' only implementations, ``algorithms.run_binary_search`` and
+``algorithms.run_sgd``.  A replicate's result does not depend on how many
+replicates share its batch; the test suite checks it against plain scalar
+reference loops kept in ``tests/``.  ``BinarySearchSpec`` and ``SgdSpec``
+are defined in ``algorithms`` and re-exported here.
 """
 from __future__ import annotations
 
@@ -23,7 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .algorithms import UNIFORM_START, epochs_schedule
+from .algorithms import (
+    UNIFORM_START,
+    BinarySearchSpec,
+    SgdSpec,
+    epochs_schedule,
+    run_binary_search,
+    run_sgd,
+)
 from .errors import DataError, FieldError, ScheduleError
 from .functions import (
     ConvexFunction1D,
@@ -33,6 +43,7 @@ from .functions import (
     minimizer_interval,
     pair_distance_d,
     spec_id,
+    with_x_star,
 )
 from .modulus import modulus_numeric
 from .oracle import OracleBatch
@@ -75,37 +86,8 @@ class FunctionFamily:
     template: FunctionSpec
     x_star: UniformDist
 
-
-@dataclass(frozen=True)
-class BinarySearchSpec:
-    r: float
-    delta: float = 0.05
-
-    @property
-    def algorithm_id(self) -> str:
-        return f"binary-search(r={self.r:g})"
-
-
-@dataclass(frozen=True)
-class SgdSpec:
-    schedule: str  # "1/t" | "1/sqrt(t)"
-    scale: float = 1.0
-    iterate: str = "last"
-    x0: float | str = UNIFORM_START
-
     def __post_init__(self):
-        if self.schedule not in ("1/t", "1/sqrt(t)"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-
-    @property
-    def algorithm_id(self) -> str:
-        extras = []
-        if self.scale != 1.0:
-            extras.append(f"scale={self.scale:g}")
-        if self.iterate != "last":
-            extras.append("avg")
-        tail = (";" + ";".join(extras)) if extras else ""
-        return f"sgd({self.schedule}{tail})"
+        with_x_star(self.template, 0.0)  # ValueError when it has no x_star
 
 
 AlgorithmSpec = BinarySearchSpec | SgdSpec
@@ -188,7 +170,7 @@ class SlopeFit:
 
 
 # ---------------------------------------------------------------------------
-# vectorized replicate runners (bitwise-faithful to the scalar sessions)
+# replicate runs: one OracleBatch per (algorithm, budget) cell
 # ---------------------------------------------------------------------------
 
 
@@ -234,39 +216,6 @@ def _minimizer_intervals(
     return np.full(R, ml), np.full(R, mr)
 
 
-def _run_binary_search_batch(batch: OracleBatch, r: float,
-                             initial_interval: tuple[float, float]) -> np.ndarray:
-    E, T0 = epochs_schedule(batch.budget, r)
-    a0, b0 = initial_interval
-    a = np.full(batch.n_replicates, float(a0))
-    width = float(b0) - float(a0)
-    for _ in range(E):
-        x = a + 0.5 * width
-        values = batch.query_block_all(x, T0)
-        z_bar = values.mean(axis=1)
-        width = width * 0.5
-        a = np.where(z_bar > 0, a, x)
-    return a + 0.5 * width
-
-
-def _run_sgd_batch(batch: OracleBatch, alg: SgdSpec, x0: np.ndarray,
-                   projection_interval: tuple[float, float]) -> np.ndarray:
-    T = batch.budget
-    lo, hi = projection_interval
-    c = alg.scale
-    inv_t = alg.schedule == "1/t"
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    total = np.zeros_like(x)
-    batch.begin_steps(T)
-    for t in range(1, T + 1):
-        v = batch.query_all(x)
-        total += x
-        v *= c / t if inv_t else c / math.sqrt(t)
-        x -= v
-        np.minimum(np.maximum(x, lo, out=x), hi, out=x)  # np.clip, less overhead
-    return total / T if alg.iterate == "average" else x
-
-
 def replicate_runs(
     function: FunctionSpec | FunctionFamily,
     initial_interval: tuple[float, float],
@@ -279,9 +228,9 @@ def replicate_runs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run one (algorithm, budget) cell over seeded replicates, in lockstep.
 
-    Returns (estimates, minimizer draws or None); bitwise identical to
-    running one scalar OracleSession per replicate with the same seeds.
-    Raises ScheduleError when the budget cannot support the round schedule.
+    Returns (estimates, minimizer draws or None); each replicate's estimate
+    is the one it would get run alone on its own seeds.  Raises
+    ScheduleError when the budget cannot support the round schedule.
     """
     if isinstance(alg, BinarySearchSpec):
         epochs_schedule(T, alg.r)  # fail fast before drawing anything
@@ -300,9 +249,9 @@ def replicate_runs(
         seeds=noise_seeds,
     )
     if isinstance(alg, BinarySearchSpec):
-        estimates = _run_binary_search_batch(batch, alg.r, initial_interval)
+        estimates = run_binary_search(batch, alg, initial_interval)
     else:
-        estimates = _run_sgd_batch(batch, alg, x0, initial_interval)
+        estimates = run_sgd(batch, alg, x0, initial_interval)
     return estimates, xstar
 
 

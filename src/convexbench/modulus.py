@@ -54,7 +54,6 @@ class ModulusCurve:
 
     samples: tuple[ModulusSample, ...]
     fitted_alpha: float | None = None
-    epsilon0: float | None = None
 
 
 def modulus_analytic(
@@ -268,16 +267,5 @@ def sample_modulus_curve(
         alpha = fit_growth_exponent(numeric_curve, min_omega=10.0 * tol)
     except DataError:
         alpha = None
-    return ModulusCurve(tuple(samples), fitted_alpha=alpha, epsilon0=None)
+    return ModulusCurve(tuple(samples), fitted_alpha=alpha)
 
-
-def check_polynomial_growth(
-    f: ConvexFunction1D, epsilon: float, c: float, alpha: float,
-    tol: float = DEFAULT_BISECTION_TOL,
-) -> bool:
-    """Whether omega(c * eps) <= c^alpha * omega(eps) holds numerically."""
-    if c < 1.0:
-        raise ValueError("c must be >= 1")
-    w1 = modulus_numeric(f, epsilon, tol)
-    w2 = modulus_numeric(f, c * epsilon, tol)
-    return w2 <= (c**alpha) * w1 + 2 * tol

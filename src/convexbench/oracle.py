@@ -1,17 +1,18 @@
 """Budgeted, seeded Gaussian first-order oracle.
 
-A session answers queries at points x with ``f'(x) + sigma * z`` where f' is
-the function's min-norm subgradient and z is a standard normal draw from the
-session's private stream.  The budget is enforced here, not trusted to the
+An oracle answers queries at points x with ``f'(x) + sigma * z`` where f'
+is the function's min-norm subgradient and z is a standard normal draw from
+a private stream.  The budget is enforced here, not trusted to the
 algorithms, so query accounting in experiments is trustworthy.
 
-Sessions are single-owner: parallel experiments use one session per
-replicate, each seeded by a pure function of (master_seed, replicate index)
-via ``numpy.random.SeedSequence`` spawn keys.  ``OracleBatch`` advances many
-such per-replicate streams in lockstep and produces bitwise identical values
-to the equivalent scalar sessions.  Step noise (``begin_steps``) is drawn
-ahead in chunks of at most ``STEP_CHUNK`` steps, so a batch holds
-O(R * STEP_CHUNK) noise values whatever the budget.
+There is one oracle, ``OracleBatch``: R independent replicates advanced in
+lockstep, replicate r answering from its own stream seeded by a pure
+function of (master_seed, replicate index) via ``numpy.random.SeedSequence``
+spawn keys.  Budget, domain and NaN checks and noise draws live there only;
+``OracleSession`` is the one-replicate batch with scalar ``query`` and
+``query_block``.  Step noise (``begin_steps``) is drawn ahead in chunks of
+at most ``STEP_CHUNK`` steps, so a batch holds O(R * STEP_CHUNK) noise
+values whatever the budget.
 """
 from __future__ import annotations
 
@@ -51,59 +52,12 @@ def replicate_seed(master_seed: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=tuple(indices))
 
 
-class OracleSession:
-    """One function, one noise stream, one budget.
-
-    Replayable: the same (seed, sequence of query points) produces the same
-    sequence of returned values, bit for bit.  Not thread-safe; use one
-    session per concurrent run.
-    """
-
-    def __init__(
-        self,
-        config: OracleConfig,
-        function: ConvexFunction1D,
-        seed: np.random.SeedSequence | None = None,
-    ):
-        self.config = config
-        self.function = function
-        self.queries_used = 0
-        ss = seed if seed is not None else np.random.SeedSequence(config.master_seed)
-        self._rng = np.random.Generator(np.random.PCG64(ss))
-
-    def remaining_budget(self) -> int:
-        return self.config.budget - self.queries_used
-
-    def _take(self, n: int):
-        if self.queries_used + n > self.config.budget:
-            raise BudgetError(
-                f"budget exhausted: {self.queries_used} used of "
-                f"{self.config.budget}, {n} more requested"
-            )
-
-    def query(self, x: float) -> float:
-        """Noisy subgradient at x; counts one query."""
-        self._take(1)
-        g = self.function.subgrad(x)  # raises DomainError outside the domain
-        z = self._rng.standard_normal()
-        self.queries_used += 1
-        return g + self.config.sigma * z
-
-    def query_block(self, x: float, n: int) -> np.ndarray:
-        """n queries at the same point, identical to n query() calls."""
-        self._take(n)
-        g = self.function.subgrad(x)
-        z = self._rng.standard_normal(n)
-        self.queries_used += n
-        return g + self.config.sigma * z
-
-
 class OracleBatch:
     """Many independent oracle sessions advanced in lockstep.
 
-    Replicate r answers from its own stream seeded by ``seeds[r]``; results
-    are bitwise identical to running a scalar OracleSession per replicate.
-    The budget applies per replicate (all replicates consume together).
+    Replicate r answers from its own stream seeded by ``seeds[r]``, as if it
+    were queried alone.  The budget applies per replicate (all replicates
+    consume together).
     """
 
     def __init__(
@@ -127,6 +81,9 @@ class OracleBatch:
         self._steps = np.empty((0, self.n_replicates))  # drawn step noise, (chunk, R)
         self._step_pos = 0  # next unread row of _steps
         self._steps_ahead = 0  # reserved steps whose noise is not drawn yet
+
+    def remaining_budget(self) -> int:
+        return self.budget - self.queries_used
 
     def _take(self, n: int):
         if self.queries_used + n > self.budget:
@@ -199,3 +156,39 @@ class OracleBatch:
         z *= self.sigma
         z += g
         return z
+
+
+class OracleSession:
+    """One function, one noise stream, one budget: the one-replicate batch.
+
+    Replayable: the same (seed, sequence of query points) produces the same
+    sequence of returned values, bit for bit.  Not thread-safe; use one
+    session per concurrent run.
+    """
+
+    def __init__(
+        self,
+        config: OracleConfig,
+        function: ConvexFunction1D,
+        seed: np.random.SeedSequence | None = None,
+    ):
+        self.config = config
+        self.function = function
+        ss = seed if seed is not None else np.random.SeedSequence(config.master_seed)
+        self.batch = OracleBatch(function.spec, None, function.domain, config.sigma,
+                                 config.budget, [ss])
+
+    @property
+    def queries_used(self) -> int:
+        return self.batch.queries_used
+
+    def remaining_budget(self) -> int:
+        return self.batch.remaining_budget()
+
+    def query(self, x: float) -> float:
+        """Noisy subgradient at x; counts one query."""
+        return float(self.batch.query_all(np.array([x], dtype=float))[0])
+
+    def query_block(self, x: float, n: int) -> np.ndarray:
+        """n queries at the same point, identical to n query() calls."""
+        return self.batch.query_block_all(np.array([x], dtype=float), n)[0]

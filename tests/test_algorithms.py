@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
 from convexbench import (
     Absolute,
-    BinarySearchParams,
+    BinarySearchSpec,
     BudgetError,
     OracleConfig,
     OracleSession,
     ScheduleError,
-    SgdParams,
+    SgdSpec,
     SymmetricPower,
     build_function,
     epochs_schedule,
@@ -66,7 +67,7 @@ class TestBinarySearch:
         r = 10.0 / math.log(100) + 1e-12
         s, f = session_for(SymmetricPower(k=2.0, x_star=0.25), 0.0, 100)
         res = sign_test_binary_search(
-            s, BinarySearchParams(r=r, initial_interval=(-2.0, 2.0))
+            s, BinarySearchSpec(r=r), (-2.0, 2.0)
         )
         assert res.queries_used == 100  # E*T0 = 10*10
         assert abs(res.estimate - 0.25) <= 2**-10 * 4.0
@@ -75,7 +76,7 @@ class TestBinarySearch:
         # midpoint 0, subgradient f'(0) = -0.25 < 0 -> keep right half (0, 2)
         s, f = session_for(SymmetricPower(k=2.0, x_star=0.25), 0.0, 8)
         res = sign_test_binary_search(
-            s, BinarySearchParams(r=0.5, initial_interval=(-2.0, 2.0))
+            s, BinarySearchSpec(r=0.5), (-2.0, 2.0)
         )  # E = floor(0.5 ln 8) = 1
         assert len(res.trace) == 1
         rec = res.trace[0]
@@ -92,7 +93,7 @@ class TestBinarySearch:
                 SymmetricPower(k=2.0, x_star=0.1), 0.3, 200, domain=(-3.0, 3.0)
             )
             res = sign_test_binary_search(
-                s, BinarySearchParams(r=1.0, initial_interval=(a0, b0))
+                s, BinarySearchSpec(r=1.0), (a0, b0)
             )
             for rec in res.trace:
                 assert rec.width == (b0 - a0) * 0.5**rec.round
@@ -100,7 +101,7 @@ class TestBinarySearch:
     def test_estimate_is_midpoint_of_final_interval(self):
         s, f = session_for(SymmetricPower(k=2.0), 0.1, 500)
         res = sign_test_binary_search(
-            s, BinarySearchParams(r=1.0, initial_interval=(-2.0, 2.0))
+            s, BinarySearchSpec(r=1.0), (-2.0, 2.0)
         )
         lo, hi = res.trace[-1].interval
         assert res.estimate == lo + 0.5 * res.trace[-1].width
@@ -108,7 +109,7 @@ class TestBinarySearch:
     def test_query_accounting_exact(self):
         s, f = session_for(SymmetricPower(k=3.0), 0.1, 1000)
         res = sign_test_binary_search(
-            s, BinarySearchParams(r=1.5, initial_interval=(-2.0, 2.0))
+            s, BinarySearchSpec(r=1.5), (-2.0, 2.0)
         )
         E, T0 = epochs_schedule(1000, 1.5)
         assert res.queries_used == E * T0 == s.queries_used
@@ -118,20 +119,20 @@ class TestBinarySearch:
         s.query_block(0.0, 99)  # leave less than E*T0
         with pytest.raises(BudgetError):
             sign_test_binary_search(
-                s, BinarySearchParams(r=1.0, initial_interval=(-2.0, 2.0))
+                s, BinarySearchSpec(r=1.0), (-2.0, 2.0)
             )
 
     def test_schedule_error_propagates(self):
         s, f = session_for(SymmetricPower(k=2.0), 0.1, 2)
         with pytest.raises(ScheduleError):
             sign_test_binary_search(
-                s, BinarySearchParams(r=0.5, initial_interval=(-2.0, 2.0))
+                s, BinarySearchSpec(r=0.5), (-2.0, 2.0)
             )
 
     def test_minimizer_outside_interval_converges_to_endpoint(self):
         s, f = session_for(SymmetricPower(k=2.0, x_star=1.5), 0.0, 100)
         res = sign_test_binary_search(
-            s, BinarySearchParams(r=2.0, initial_interval=(-2.0, 0.0))
+            s, BinarySearchSpec(r=2.0), (-2.0, 0.0)
         )
         E, _ = epochs_schedule(100, 2.0)
         assert abs(res.estimate - 0.0) <= 2.0**-E * 2.0  # nearest endpoint region
@@ -148,7 +149,7 @@ class TestBinarySearch:
                 continue
             s, f = session_for(SymmetricPower(k=2.0, x_star=x_star), 0.0, T)
             res = sign_test_binary_search(
-                s, BinarySearchParams(r=r, initial_interval=(-2.0, 2.0))
+                s, BinarySearchSpec(r=r), (-2.0, 2.0)
             )
             assert err(res.estimate, f) <= 2.0**-E * 4.0
 
@@ -204,7 +205,7 @@ class TestFlatSetDiagnostics:
                 SymmetricPower(k=2.0, x_star=x_star), sigma, T, seed=1000 + i
             )
             res = sign_test_binary_search(
-                s, BinarySearchParams(r=rr, initial_interval=(-2.0, 2.0), delta=delta)
+                s, BinarySearchSpec(r=rr, delta=delta), (-2.0, 2.0)
             )
             _, (lo, hi), radius = flat_set_diagnostics(f, T, rr, delta, sigma)
             dist = max(0.0, lo - res.estimate, res.estimate - hi)
@@ -216,27 +217,21 @@ class TestSgd:
     def test_first_step_cancels_exactly_for_quadratic(self):
         # eta(1) = 1 and the subgradient at x equals x - x_star
         s, f = session_for(SymmetricPower(k=2.0, x_star=0.0), 0.0, 2)
-        params = SgdParams(
-            schedule="1/t", projection_interval=(-2.0, 2.0)
-        ).with_x0(0.7)
-        res = sgd(s, params, record_trace=True)
+        spec = SgdSpec(schedule="1/t", x0=0.7)
+        res = sgd(s, spec, (-2.0, 2.0), record_trace=True)
         assert res.trace[0].query_point == 0.7
         assert res.trace[1].query_point == 0.0
 
     def test_start_point_projected_before_first_query(self):
         s, f = session_for(SymmetricPower(k=2.0), 0.0, 1)
-        params = SgdParams(
-            schedule="1/t", projection_interval=(-2.0, 2.0)
-        ).with_x0(-3.0)
-        res = sgd(s, params, record_trace=True)
+        spec = SgdSpec(schedule="1/t", x0=-3.0)
+        res = sgd(s, spec, (-2.0, 2.0), record_trace=True)
         assert res.trace[0].query_point == -2.0
 
     def test_every_query_inside_projection_interval(self):
         s, f = session_for(SymmetricPower(k=3.0), 0.5, 400)
-        params = SgdParams(
-            schedule="1/sqrt(t)", projection_interval=(-2.0, 2.0)
-        ).with_x0(1.9)
-        res = sgd(s, params, record_trace=True)
+        spec = SgdSpec(schedule="1/sqrt(t)", x0=1.9)
+        res = sgd(s, spec, (-2.0, 2.0), record_trace=True)
         assert len(res.trace) == 400
         for rec in res.trace:
             assert -2.0 <= rec.query_point <= 2.0
@@ -244,34 +239,75 @@ class TestSgd:
 
     def test_consumes_exactly_budget(self):
         s, f = session_for(SymmetricPower(k=2.0), 0.1, 123)
-        params = SgdParams(schedule="1/t", projection_interval=(-2.0, 2.0)).with_x0(0.5)
-        res = sgd(s, params)
+        res = sgd(s, SgdSpec(schedule="1/t", x0=0.5), (-2.0, 2.0))
         assert res.queries_used == 123 == s.queries_used
         assert s.remaining_budget() == 0
 
     def test_average_iterate(self):
         s, f = session_for(SymmetricPower(k=2.0), 0.0, 3)
-        params = SgdParams(
-            schedule="1/t", projection_interval=(-2.0, 2.0), iterate="average"
-        ).with_x0(0.9)
-        res = sgd(s, params, record_trace=True)
+        spec = SgdSpec(schedule="1/t", iterate="average", x0=0.9)
+        res = sgd(s, spec, (-2.0, 2.0), record_trace=True)
         pts = [rec.query_point for rec in res.trace]
         assert res.estimate == pytest.approx(np.mean(pts), rel=1e-15)
 
     def test_unresolved_uniform_start_rejected(self):
         s, f = session_for(SymmetricPower(k=2.0), 0.1, 10)
-        params = SgdParams(schedule="1/t", projection_interval=(-2.0, 2.0))
         with pytest.raises(ValueError):
-            sgd(s, params)
+            sgd(s, SgdSpec(schedule="1/t"), (-2.0, 2.0))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            SgdParams(schedule="1/t^2", projection_interval=(-2.0, 2.0))
+            SgdSpec(schedule="1/t^2")
         with pytest.raises(ValueError):
-            SgdParams(schedule="1/t", projection_interval=(-2.0, 2.0), scale=0.0)
+            SgdSpec(schedule="1/t", scale=0.0)
+        s, f = session_for(SymmetricPower(k=2.0), 0.1, 10)
+        with pytest.raises(ValueError, match="a < b"):
+            sgd(s, SgdSpec(schedule="1/t", x0=0.0), (2.0, -2.0))
         with pytest.raises(ValueError):
-            SgdParams(schedule="1/t", projection_interval=(2.0, -2.0))
+            BinarySearchSpec(r=-1.0)
         with pytest.raises(ValueError):
-            BinarySearchParams(r=-1.0, initial_interval=(-2.0, 2.0))
+            BinarySearchSpec(r=1.0, delta=1.5)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"iterate": "averge"}, {"scale": -1.0}, {"scale": math.inf},
+        {"x0": "middle"},
+    ])
+    def test_sgd_spec_rejects(self, kwargs):
         with pytest.raises(ValueError):
-            BinarySearchParams(r=1.0, initial_interval=(-2.0, 2.0), delta=1.5)
+            SgdSpec(schedule="1/t", **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"r": math.inf}, {"r": math.nan}])
+    def test_binary_search_spec_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            BinarySearchSpec(**kwargs)
+
+    def test_binary_search_interval_checked(self):
+        s, f = session_for(SymmetricPower(k=2.0), 0.1, 100)
+        with pytest.raises(ValueError, match="a < b"):
+            sign_test_binary_search(s, BinarySearchSpec(r=1.0), (1.0, 1.0))
+        assert s.queries_used == 0
+
+
+class TestAdaptersMatchScalarReference:
+    """The R = 1 adapters against the plain scalar loops, with noise on."""
+
+    def test_binary_search(self):
+        for seed in range(5):
+            s, f = session_for(SymmetricPower(k=1.5, x_star=0.3), 0.1, 1000, seed=seed)
+            got = sign_test_binary_search(s, BinarySearchSpec(r=1.5), (-2.0, 2.0))
+            oracle = ref.ReferenceOracle(f, 0.1, np.random.SeedSequence(seed))
+            assert got.estimate == ref.binary_search(oracle, 1000, 1.5, (-2.0, 2.0))
+
+    @pytest.mark.parametrize("schedule", ["1/t", "1/sqrt(t)"])
+    @pytest.mark.parametrize("iterate", ["last", "average"])
+    def test_sgd(self, schedule, iterate):
+        for seed in range(3):
+            s, f = session_for(SymmetricPower(k=3.0, x_star=-0.2), 0.1, 1500,
+                               seed=seed)
+            spec = SgdSpec(schedule, scale=0.5, iterate=iterate, x0=1.2)
+            got = sgd(s, spec, (-2.0, 2.0), record_trace=True)
+            oracle = ref.ReferenceOracle(f, 0.1, np.random.SeedSequence(seed))
+            assert got.estimate == ref.sgd(oracle, 1500, schedule, 0.5, iterate,
+                                           1.2, (-2.0, 2.0))

@@ -1,25 +1,20 @@
-"""Risk harness: lockstep replicate runs against scalar sessions, seeds, jobs."""
+"""Risk harness: lockstep replicate runs against scalar loops, seeds, jobs."""
 import numpy as np
 import pytest
+import scalar_reference as ref
 
 from convexbench import (
     AsymmetricPower,
-    BinarySearchParams,
     BinarySearchSpec,
     ExperimentConfig,
     FunctionFamily,
-    OracleConfig,
-    OracleSession,
     ScheduleError,
-    SgdParams,
     SgdSpec,
     SymmetricPower,
     UniformDist,
     build_function,
     estimate_risk,
     replicate_seed,
-    sgd,
-    sign_test_binary_search,
     with_x_star,
 )
 from convexbench.experiments import replicate_runs
@@ -44,19 +39,20 @@ ALGORITHMS = {  # every SGD variant starts uniformly over the interval
 
 
 def scalar_run(family, alg, T, rep):
-    """One replicate through OracleSession, seeded as the harness documents."""
+    """One replicate through the scalar reference loops, seeded as the
+    harness documents."""
     env_seed, noise_seed = replicate_seed(SEED, *KEY, rep).spawn(2)
     env = np.random.Generator(np.random.PCG64(env_seed))
     x_star = env.uniform(family.x_star.lo, family.x_star.hi)
     f = build_function(with_x_star(family.template, x_star), INTERVAL)
-    session = OracleSession(OracleConfig(SIGMA, T, SEED), f, seed=noise_seed)
+    oracle = ref.ReferenceOracle(f, SIGMA, noise_seed)
     if isinstance(alg, BinarySearchSpec):
-        result = sign_test_binary_search(session, BinarySearchParams(alg.r, INTERVAL))
+        estimate = ref.binary_search(oracle, T, alg.r, INTERVAL)
     else:
         x0 = env.uniform(*INTERVAL)
-        params = SgdParams(alg.schedule, INTERVAL, alg.scale, x0, alg.iterate)
-        result = sgd(session, params)
-    return result.estimate, x_star
+        estimate = ref.sgd(oracle, T, alg.schedule, alg.scale, alg.iterate, x0,
+                           INTERVAL)
+    return estimate, x_star
 
 
 class TestReplicateRuns:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from scipy import stats
 
 from convexbench import (
@@ -145,10 +146,7 @@ class TestOracleBatch:
         x = np.linspace(-1.0, 1.0, R)
         got = batch.query_block_all(x, n)
         for r in range(R):
-            s = OracleSession(
-                OracleConfig(sigma=0.1, budget=100, master_seed=0), F,
-                seed=seeds[r],
-            )
+            s = ref.ReferenceOracle(F, 0.1, seeds[r])
             want = s.query_block(float(x[r]), n)
             assert np.array_equal(got[r], want)
 
@@ -160,7 +158,7 @@ class TestOracleBatch:
         xs = np.array([0.1, 0.2, 0.3, 0.4])
         cols = [batch.query_all(xs) for _ in range(3)]
         for r in range(R):
-            s = OracleSession(OracleConfig(0.2, 10, 0), F, seed=seeds[r])
+            s = ref.ReferenceOracle(F, 0.2, seeds[r])
             for j in range(3):
                 assert cols[j][r] == s.query(float(xs[r]))
 
