@@ -29,14 +29,17 @@ import scipy
 
 from . import __version__
 from .configfile import (
+    BASE_KINDS,
     ConfigError,
     DEFAULT_T_GRID,
+    SPEC_KINDS,
     RunSettings,
-    default_t_grid,
     parse_config,
     serialize_config,
+    spec_from_fields,
+    spec_keys,
 )
-from .errors import DataError
+from .errors import DataError, FieldError
 from .experiments import (
     BinarySearchSpec,
     ConstantEstimator,
@@ -52,12 +55,9 @@ from .experiments import (
     superefficiency_experiment,
 )
 from .functions import (
-    Absolute,
     AsymmetricPower,
     FunctionSpec,
-    PiecewiseLinear,
     SymmetricPower,
-    Tilt,
     build_function,
     strip_tilt,
 )
@@ -270,53 +270,41 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each function-spec key of the config grammar has one flag, named after the
+# key but for _FLAG_NAMES.  A tilt's base takes the flags of its own kind, so
+# with --fn tilt those flags stand for the base_ keys.
+_FLAG_NAMES = {"kind": "--fn", "base_kind": "--base", "k_l": "--kl", "k_r": "--kr",
+               "eps": "--tilt-eps"}
+_FLAGS = {key: _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+          for key in spec_keys() if key == "base_kind" or not key.startswith("base_")}
+_TILT_KEYS = spec_keys(["tilt"])
+
+
 def _add_function_flags(p: argparse.ArgumentParser):
-    p.add_argument("--fn", required=True,
-                   choices=["sym-power", "asym-power", "absolute",
-                            "piecewise-linear", "tilt"])
-    p.add_argument("--k", type=float, help="exponent for sym-power")
-    p.add_argument("--kl", type=float, help="left exponent for asym-power")
-    p.add_argument("--kr", type=float, help="right exponent for asym-power")
-    p.add_argument("--x-star", type=float, default=0.0)
-    p.add_argument("--breakpoints", type=str,
-                   help="space-separated breakpoints for piecewise-linear")
-    p.add_argument("--slopes", type=str,
-                   help="space-separated slopes for piecewise-linear")
-    p.add_argument("--tilt-eps", type=float, help="tilt size for --fn tilt")
-    p.add_argument("--base", choices=["sym-power", "asym-power", "absolute"],
-                   help="base function for --fn tilt")
+    p.add_argument("--fn", required=True, help="function kind: " + ", ".join(SPEC_KINDS))
+    p.add_argument("--base", help="base kind for --fn tilt, which takes the base's "
+                   "own flags: " + ", ".join(BASE_KINDS))
+    for key, flag in _FLAGS.items():
+        if key not in ("kind", "base_kind"):
+            kinds = [kind for kind in SPEC_KINDS if key in spec_keys([kind])]
+            p.add_argument(flag, help=f"{key} of " + ", ".join(kinds))
     p.add_argument("--domain", type=str, default="-1:1",
                    help="domain as lo:hi (default -1:1)")
 
 
-def _spec_from_args(parser, args, kind=None) -> FunctionSpec:
-    kind = kind or args.fn
+def _function_spec(parser, args) -> FunctionSpec:
+    """The spec the function flags name, built by the config-file grammar."""
+    vals = {}
+    for key, flag in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            tilt_base = args.fn == "tilt" and key not in _TILT_KEYS
+            vals["base_" + key if tilt_base else key] = value
     try:
-        if kind == "sym-power":
-            if args.k is None:
-                parser.error("--fn sym-power requires --k")
-            return SymmetricPower(k=args.k, x_star=args.x_star)
-        if kind == "asym-power":
-            if args.kl is None or args.kr is None:
-                parser.error("--fn asym-power requires --kl and --kr")
-            return AsymmetricPower(k_l=args.kl, k_r=args.kr, x_star=args.x_star)
-        if kind == "absolute":
-            return Absolute(x_star=args.x_star)
-        if kind == "piecewise-linear":
-            if not args.breakpoints or not args.slopes:
-                parser.error("--fn piecewise-linear requires --breakpoints and --slopes")
-            return PiecewiseLinear(
-                breakpoints=tuple(float(v) for v in args.breakpoints.split()),
-                slopes=tuple(float(v) for v in args.slopes.split()),
-            )
-        if kind == "tilt":
-            if args.tilt_eps is None or args.base is None:
-                parser.error("--fn tilt requires --base and --tilt-eps")
-            return Tilt(_spec_from_args(parser, args, kind=args.base),
-                        args.tilt_eps)
-    except ValueError as e:
-        parser.error(str(e))
-    parser.error(f"unknown function kind {kind!r}")
+        return spec_from_fields(vals)
+    except FieldError as e:
+        flag = _FLAGS.get(e.field) or _FLAGS[e.field.removeprefix("base_")]
+        parser.error(f"argument {flag}: {e}")
 
 
 def _parse_domain(parser, text: str) -> tuple[float, float]:
@@ -346,7 +334,7 @@ def _parse_eps_range(parser, text: str) -> list[float]:
 
 
 def cmd_modulus(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
+    spec = _function_spec(parser, args)
     domain = _parse_domain(parser, args.domain)
     eps_grid = _parse_eps_range(parser, args.eps)
     f = build_function(spec, domain)
@@ -403,7 +391,7 @@ def superefficiency_csv_text(report: SuperefficiencyReport) -> str:
 
 
 def cmd_superefficiency(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
+    spec = _function_spec(parser, args)
     domain = _parse_domain(parser, args.domain)
     try:
         if args.estimator == "constant":

@@ -27,11 +27,27 @@ Example::
     replicates = 1000
     output_dir = out
     initial_interval = -2 2
+
+Function specs follow one grammar, read off the spec dataclasses and shared
+with the ``modulus`` and ``superefficiency`` flags.  ``kind`` names the
+class, the other keys are its fields, and all are required but ``x_star``:
+
+    sym-power: k, x_star = 0          piecewise-linear: breakpoints, slopes
+    asym-power: k_l, k_r, x_star = 0  tilt: eps, base_kind, base_<key>...
+    absolute: x_star = 0
+
+A tilt's base is any other kind, its keys spelled with the ``base_`` prefix.
+Numbers must be finite; breakpoints and slopes are space-separated.  A key
+of another kind (``k_r`` under ``kind = sym-power``) is an error on its line.
+``x_star_distribution = uniform <lo> <hi>`` makes the spec a family whose
+minimizer is drawn per replicate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 from .errors import FieldError
 from .experiments import (
@@ -53,8 +69,13 @@ from .functions import (
 __all__ = [
     "ConfigError",
     "RunSettings",
+    "SPEC_KINDS",
+    "BASE_KINDS",
     "parse_config",
     "serialize_config",
+    "spec_from_fields",
+    "spec_fields",
+    "spec_keys",
     "default_t_grid",
     "DEFAULT_T_GRID",
 ]
@@ -79,21 +100,44 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+SPEC_KINDS = {
+    "sym-power": SymmetricPower,
+    "asym-power": AsymmetricPower,
+    "absolute": Absolute,
+    "piecewise-linear": PiecewiseLinear,
+    "tilt": Tilt,
+}
+BASE_KINDS = tuple(kind for kind, cls in SPEC_KINDS.items() if cls is not Tilt)
+_KIND_OF = {cls: kind for kind, cls in SPEC_KINDS.items()}
+# one number, or space-separated numbers; any other field type is a nested
+# spec, spelled under the prefix "<field>_"
+_NUMBER_TYPES = (float, tuple[float, ...])
+_FIELDS = {
+    kind: [(f.name, get_type_hints(cls)[f.name], f.default is MISSING)
+           for f in fields(cls)]
+    for kind, cls in SPEC_KINDS.items()
+}
+
+
+def spec_keys(kinds=tuple(SPEC_KINDS), prefix: str = "") -> tuple[str, ...]:
+    """Every key the given kinds spell, in table order."""
+    keys = {prefix + "kind": None}
+    for kind in kinds:
+        for name, hint, _ in _FIELDS[kind]:
+            if hint in _NUMBER_TYPES:
+                keys[prefix + name] = None
+            else:
+                keys.update(dict.fromkeys(spec_keys(BASE_KINDS, f"{prefix}{name}_")))
+    return tuple(keys)
+
+
 _KNOWN_KEYS = {
-    "function": {
-        "kind", "k", "k_l", "k_r", "x_star", "x_star_distribution",
-        "breakpoints", "slopes", "eps",
-        "base_kind", "base_k", "base_k_l", "base_k_r", "base_x_star",
-        "base_breakpoints", "base_slopes",
-    },
+    "function": {*spec_keys(), "x_star_distribution"},
     "oracle": {"sigma", "master_seed"},
     "algorithms": {"algorithm"},
     "grid": {"T", "T_log_range"},
     "run": {"replicates", "output_dir", "initial_interval"},
 }
-
-_REQUIRED_SECTIONS = ("function", "oracle", "algorithms", "grid", "run")
-
 
 def default_t_grid(lo: int = 100, hi: int = 10000, count: int = 7) -> tuple[int, ...]:
     """``count`` log-spaced integer budgets from lo to hi, floored, strictly
@@ -114,10 +158,11 @@ def default_t_grid(lo: int = 100, hi: int = 10000, count: int = 7) -> tuple[int,
 
 
 def _parse_lines(text: str):
-    """Raw pass: [(line_no, section, key, value)], duplicate keys flagged."""
-    entries = []
+    """Raw pass: per section, key -> value and key -> line number, and the
+    [algorithms] lines as (line number, value).  Unknown sections and keys,
+    duplicates and missing sections are errors."""
+    vals, lines, algorithms = {}, {}, []
     section = None
-    section_lines = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -126,9 +171,9 @@ def _parse_lines(text: str):
             section = line[1:-1].strip()
             if section not in _KNOWN_KEYS:
                 raise ConfigError(ln, f"unknown section [{section}]")
-            if section in section_lines:
+            if section in vals:
                 raise ConfigError(ln, f"duplicate section [{section}]")
-            section_lines[section] = ln
+            vals[section], lines[section] = {}, {}
             continue
         if "=" not in line:
             raise ConfigError(ln, f"expected 'key = value', got {line!r}")
@@ -139,21 +184,33 @@ def _parse_lines(text: str):
         value = value.strip()
         if key not in _KNOWN_KEYS[section]:
             raise ConfigError(ln, f"unknown key {key!r} in section [{section}]")
-        entries.append((ln, section, key, value))
-    for sec in _REQUIRED_SECTIONS:
-        if sec not in section_lines:
+        if section == "algorithms":
+            algorithms.append((ln, value))
+        elif key in vals[section]:
+            raise ConfigError(ln, f"duplicate key {key!r} in [{section}]")
+        else:
+            vals[section][key], lines[section][key] = value, ln
+    for sec in _KNOWN_KEYS:
+        if sec not in vals:
             raise ConfigError(0, f"missing required section [{sec}]")
-    return entries
+    return vals, lines, algorithms
+
+
+def _number(key: str, text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise FieldError(key, f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(v):
+        raise FieldError(key, f"{key}: value must be finite, got {text!r}")
+    return v
 
 
 def _to_float(ln: int, key: str, value: str) -> float:
     try:
-        v = float(value)
-    except ValueError:
-        raise ConfigError(ln, f"{key}: expected a number, got {value!r}") from None
-    if not math.isfinite(v):
-        raise ConfigError(ln, f"{key}: value must be finite, got {value!r}")
-    return v
+        return _number(key, value)
+    except FieldError as e:
+        raise ConfigError(ln, str(e)) from None
 
 
 def _to_int(ln: int, key: str, value: str) -> int:
@@ -163,69 +220,55 @@ def _to_int(ln: int, key: str, value: str) -> int:
         raise ConfigError(ln, f"{key}: expected an integer, got {value!r}") from None
 
 
-def _to_floats(ln: int, key: str, value: str) -> tuple[float, ...]:
-    return tuple(_to_float(ln, key, p) for p in value.split())
-
-
-def _build_spec(ln_by_key, vals, prefix="") -> FunctionSpec:
-    def get(key, default=None):
-        return vals.get(prefix + key, default)
-
-    def line(key):
-        return ln_by_key.get(prefix + key, 0)
-
-    kind = get("kind")
-    if kind is None:
-        raise ConfigError(0, f"missing key {prefix}kind in [function]")
-    ln = line("kind")
+def spec_from_fields(vals: Mapping[str, str], prefix: str = "") -> FunctionSpec:
+    """Build a function spec from key -> text by the grammar in the module
+    docstring.  Raises FieldError naming the key that is missing, malformed,
+    not finite or not a key of its kind; a constraint of the spec class
+    itself (``k > 1``) names the kind key."""
+    kind_key = prefix + "kind"
+    if kind_key not in vals:
+        raise FieldError(kind_key, f"missing key {kind_key}")
+    kind = vals[kind_key]
+    kinds = BASE_KINDS if prefix else SPEC_KINDS
+    if kind not in kinds:
+        raise FieldError(kind_key, f"{kind_key} must be one of {', '.join(kinds)}, "
+                                   f"got {kind!r}")
+    own = {kind_key} | {prefix + n for n, hint, _ in _FIELDS[kind] if hint in _NUMBER_TYPES}
+    nested = tuple(f"{prefix}{n}_" for n, hint, _ in _FIELDS[kind]
+                   if hint not in _NUMBER_TYPES)
+    for key in vals:
+        if key.startswith(prefix) and key not in own and not key.startswith(nested):
+            raise FieldError(key, f"{key} does not apply to kind {kind}")
+    args = {}
+    for name, hint, required in _FIELDS[kind]:
+        key = prefix + name
+        if hint not in _NUMBER_TYPES:
+            args[name] = spec_from_fields(vals, key + "_")
+        elif key in vals:
+            args[name] = (_number(key, vals[key]) if hint is float
+                          else tuple(_number(key, p) for p in vals[key].split()))
+        elif required:
+            raise FieldError(key, f"{kind} requires {key}")
     try:
-        if kind == "sym-power":
-            if get("k") is None:
-                raise ConfigError(ln, "sym-power requires k")
-            return SymmetricPower(
-                k=_to_float(line("k"), "k", get("k")),
-                x_star=_to_float(line("x_star"), "x_star", get("x_star", "0")),
-            )
-        if kind == "asym-power":
-            if get("k_l") is None or get("k_r") is None:
-                raise ConfigError(ln, "asym-power requires k_l and k_r")
-            return AsymmetricPower(
-                k_l=_to_float(line("k_l"), "k_l", get("k_l")),
-                k_r=_to_float(line("k_r"), "k_r", get("k_r")),
-                x_star=_to_float(line("x_star"), "x_star", get("x_star", "0")),
-            )
-        if kind == "absolute":
-            return Absolute(
-                x_star=_to_float(line("x_star"), "x_star", get("x_star", "0"))
-            )
-        if kind == "piecewise-linear":
-            if get("breakpoints") is None or get("slopes") is None:
-                raise ConfigError(ln, "piecewise-linear requires breakpoints and slopes")
-            return PiecewiseLinear(
-                breakpoints=_to_floats(line("breakpoints"), "breakpoints",
-                                       get("breakpoints")),
-                slopes=_to_floats(line("slopes"), "slopes", get("slopes")),
-            )
-        if kind == "tilt":
-            if prefix:
-                raise ConfigError(ln, "nested tilt is not supported in configs")
-            if get("eps") is None:
-                raise ConfigError(ln, "tilt requires eps")
-            base_vals = {
-                k.removeprefix("base_"): v
-                for k, v in vals.items() if k.startswith("base_")
-            }
-            base_lines = {
-                k.removeprefix("base_"): v
-                for k, v in ln_by_key.items() if k.startswith("base_")
-            }
-            base = _build_spec(base_lines, base_vals)
-            return Tilt(base, _to_float(line("eps"), "eps", get("eps")))
+        return SPEC_KINDS[kind](**args)
     except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(ln, str(e)) from None
-    raise ConfigError(ln, f"unknown function kind {kind!r}")
+        raise FieldError(kind_key, str(e)) from None
+
+
+def spec_fields(spec: FunctionSpec, prefix: str = "") -> dict[str, str]:
+    """Key -> text of a spec, in the order the serializer writes them: the
+    kind, its numbers, then a nested spec's keys."""
+    kind = _KIND_OF[type(spec)]
+    out, nested = {prefix + "kind": kind}, {}
+    for name, hint, _ in _FIELDS[kind]:
+        value = getattr(spec, name)
+        if hint is float:
+            out[prefix + name] = repr(value)
+        elif hint in _NUMBER_TYPES:
+            out[prefix + name] = " ".join(repr(v) for v in value)
+        else:
+            nested = spec_fields(value, f"{prefix}{name}_")
+    return out | nested
 
 
 def _parse_algorithm(ln: int, value: str):
@@ -275,47 +318,31 @@ def _parse_algorithm(ln: int, value: str):
 
 
 def parse_config(text: str) -> RunSettings:
-    entries = _parse_lines(text)
+    vals, lines, algorithm_lines = _parse_lines(text)
+    algorithms = [_parse_algorithm(ln, value) for ln, value in algorithm_lines]
 
-    fn_vals, fn_lines = {}, {}
-    algorithms = []
-    grid_entries = {}
-    oracle_vals, oracle_lines = {}, {}
-    run_vals, run_lines = {}, {}
-    for ln, section, key, value in entries:
-        if section == "function":
-            if key in fn_vals:
-                raise ConfigError(ln, f"duplicate key {key!r} in [function]")
-            fn_vals[key], fn_lines[key] = value, ln
-        elif section == "oracle":
-            if key in oracle_vals:
-                raise ConfigError(ln, f"duplicate key {key!r} in [oracle]")
-            oracle_vals[key], oracle_lines[key] = value, ln
-        elif section == "algorithms":
-            algorithms.append(_parse_algorithm(ln, value))
-        elif section == "grid":
-            if key in grid_entries:
-                raise ConfigError(ln, f"duplicate key {key!r} in [grid]")
-            grid_entries[key] = (ln, value)
-        elif section == "run":
-            if key in run_vals:
-                raise ConfigError(ln, f"duplicate key {key!r} in [run]")
-            run_vals[key], run_lines[key] = value, ln
-
-    spec = _build_spec(fn_lines, fn_vals)
+    fn_vals, fn_lines = vals["function"], lines["function"]
+    distribution = fn_vals.pop("x_star_distribution", None)
+    try:
+        spec = spec_from_fields(fn_vals)
+    except FieldError as e:
+        # a missing key has no line of its own: point at the kind that needs it
+        kind_key = "base_kind" if e.field.startswith("base_") else "kind"
+        raise ConfigError(fn_lines.get(e.field) or fn_lines.get(kind_key) or
+                          fn_lines.get("kind", 0), str(e)) from None
     function: FunctionSpec | FunctionFamily = spec
-    if "x_star_distribution" in fn_vals:
+    if distribution is not None:
         ln = fn_lines["x_star_distribution"]
-        parts = fn_vals["x_star_distribution"].split()
+        parts = distribution.split()
         if len(parts) != 3 or parts[0] != "uniform":
             raise ConfigError(ln, "x_star_distribution must be 'uniform <lo> <hi>'")
-        lo = _to_float(ln, "x_star_distribution", parts[1])
-        hi = _to_float(ln, "x_star_distribution", parts[2])
+        lo, hi = (_to_float(ln, "x_star_distribution", p) for p in parts[1:])
         try:
             function = FunctionFamily(spec, UniformDist(lo, hi))
         except ValueError as e:
             raise ConfigError(ln, str(e)) from None
 
+    oracle_vals, oracle_lines = vals["oracle"], lines["oracle"]
     if "sigma" not in oracle_vals:
         raise ConfigError(0, "missing key sigma in [oracle]")
     if "master_seed" not in oracle_vals:
@@ -330,17 +357,18 @@ def parse_config(text: str) -> RunSettings:
     if not algorithms:
         raise ConfigError(0, "section [algorithms] lists no algorithms")
 
-    if "T" in grid_entries and "T_log_range" in grid_entries:
-        raise ConfigError(grid_entries["T_log_range"][0],
+    grid, grid_lines = vals["grid"], lines["grid"]
+    if "T" in grid and "T_log_range" in grid:
+        raise ConfigError(grid_lines["T_log_range"],
                           "give either T or T_log_range, not both")
-    if "T" in grid_entries:
-        ln_grid, value = grid_entries["T"]
-        t_grid = tuple(_to_int(ln_grid, "T", p) for p in value.split())
+    if "T" in grid:
+        ln_grid = grid_lines["T"]
+        t_grid = tuple(_to_int(ln_grid, "T", p) for p in grid["T"].split())
         if not t_grid:
             raise ConfigError(ln_grid, "T list is empty")
-    elif "T_log_range" in grid_entries:
-        ln_grid, value = grid_entries["T_log_range"]
-        parts = value.split()
+    elif "T_log_range" in grid:
+        ln_grid = grid_lines["T_log_range"]
+        parts = grid["T_log_range"].split()
         if len(parts) != 3:
             raise ConfigError(ln_grid, "T_log_range must be '<lo> <hi> <count>'")
         lo, hi, count = (_to_int(ln_grid, "T_log_range", p) for p in parts)
@@ -351,6 +379,7 @@ def parse_config(text: str) -> RunSettings:
     else:
         raise ConfigError(0, "section [grid] needs T or T_log_range")
 
+    run_vals, run_lines = vals["run"], lines["run"]
     if "replicates" not in run_vals:
         raise ConfigError(0, "missing key replicates in [run]")
     replicates = _to_int(run_lines["replicates"], "replicates",
@@ -359,9 +388,10 @@ def parse_config(text: str) -> RunSettings:
     interval = (-2.0, 2.0)
     if "initial_interval" in run_vals:
         ln = run_lines["initial_interval"]
-        parts = _to_floats(ln, "initial_interval", run_vals["initial_interval"])
-        if len(parts) != 2 or not parts[0] < parts[1]:
-            raise ConfigError(ln, "initial_interval must be '<a> <b>' with a < b")
+        parts = [_to_float(ln, "initial_interval", p)
+                 for p in run_vals["initial_interval"].split()]
+        if len(parts) != 2:
+            raise ConfigError(ln, "initial_interval must be '<a> <b>'")
         interval = (parts[0], parts[1])
 
     try:
@@ -376,32 +406,10 @@ def parse_config(text: str) -> RunSettings:
         )
     except FieldError as e:
         field_lines = {"T_grid": ln_grid, "replicates": run_lines["replicates"],
-                       "sigma": oracle_lines["sigma"]}
+                       "sigma": oracle_lines["sigma"],
+                       "initial_interval": run_lines.get("initial_interval", 0)}
         raise ConfigError(field_lines.get(e.field, 0), str(e)) from None
     return RunSettings(config=config, output_dir=output_dir)
-
-
-def _spec_lines(spec: FunctionSpec, prefix: str = "") -> list[str]:
-    if isinstance(spec, SymmetricPower):
-        return [f"{prefix}kind = sym-power", f"{prefix}k = {spec.k!r}",
-                f"{prefix}x_star = {spec.x_star!r}"]
-    if isinstance(spec, AsymmetricPower):
-        return [f"{prefix}kind = asym-power", f"{prefix}k_l = {spec.k_l!r}",
-                f"{prefix}k_r = {spec.k_r!r}", f"{prefix}x_star = {spec.x_star!r}"]
-    if isinstance(spec, Absolute):
-        return [f"{prefix}kind = absolute", f"{prefix}x_star = {spec.x_star!r}"]
-    if isinstance(spec, PiecewiseLinear):
-        bp = " ".join(repr(b) for b in spec.breakpoints)
-        sl = " ".join(repr(s) for s in spec.slopes)
-        return [f"{prefix}kind = piecewise-linear",
-                f"{prefix}breakpoints = {bp}", f"{prefix}slopes = {sl}"]
-    if isinstance(spec, Tilt):
-        if prefix:
-            raise ValueError("nested tilt cannot be serialized")
-        lines = [f"kind = tilt", f"eps = {spec.eps!r}"]
-        lines += _spec_lines(spec.base, prefix="base_")
-        return lines
-    raise TypeError(f"unknown spec type {type(spec)!r}")
 
 
 def _algorithm_line(alg) -> str:
@@ -416,13 +424,13 @@ def _algorithm_line(alg) -> str:
 
 def serialize_config(config: ExperimentConfig, output_dir: str = "out") -> str:
     """Canonical text form; parse(serialize(c)) == c."""
+    family = isinstance(config.function, FunctionFamily)
+    spec = config.function.template if family else config.function
     lines = ["[function]"]
-    if isinstance(config.function, FunctionFamily):
-        lines += _spec_lines(config.function.template)
+    lines += [f"{key} = {text}" for key, text in spec_fields(spec).items()]
+    if family:
         d = config.function.x_star
         lines.append(f"x_star_distribution = uniform {d.lo!r} {d.hi!r}")
-    else:
-        lines += _spec_lines(config.function)
     lines += ["", "[oracle]", f"sigma = {config.sigma!r}",
               f"master_seed = {config.master_seed}"]
     lines += ["", "[algorithms]"]

@@ -127,6 +127,9 @@ class ExperimentConfig:
             raise FieldError("algorithms", "need at least one algorithm")
         if self.sigma < 0:
             raise FieldError("sigma", "sigma must be >= 0")
+        if not self.initial_interval[0] < self.initial_interval[1]:
+            raise FieldError("initial_interval",
+                             f"initial_interval needs a < b, got {self.initial_interval}")
 
 
 def function_id(function: FunctionSpec | FunctionFamily) -> str:

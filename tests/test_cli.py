@@ -1,9 +1,20 @@
-"""Command line, in process: exit codes, manifest reruns, superefficiency CSV."""
+"""Command line, in process: exit codes, manifest reruns, superefficiency CSV,
+and the function-spec flags of `modulus` and `superefficiency`."""
 import json
 
+import numpy as np
 import pytest
 
-from convexbench import cli
+from convexbench import (
+    Absolute,
+    AsymmetricPower,
+    PiecewiseLinear,
+    SymmetricPower,
+    Tilt,
+    build_function,
+    cli,
+    sample_modulus_curve,
+)
 
 CONFIG = """\
 [function]
@@ -105,3 +116,74 @@ def test_superefficiency_csv_file_matches_stdout(tmp_path, capsys):
     assert stdout.startswith("target,epsilon_T,risk_f,risk_g_plus,risk_g_minus,"
                              "d_fg,omega_ref\n")
     assert (tmp_path / "superefficiency.csv").read_text() == stdout
+
+
+# -- function-spec flags -----------------------------------------------------
+
+EPS_FLAG = ("--eps", "1e-3:1e-1:5")
+
+# the flag forms the benchmark's modulus workload uses, with the spec each means
+MODULUS_FLAGS = [
+    (["--fn", "sym-power", "--k", "1.5"], SymmetricPower(1.5)),
+    (["--fn", "sym-power", "--k", "2"], SymmetricPower(2.0)),
+    (["--fn", "sym-power", "--k", "3"], SymmetricPower(3.0)),
+    (["--fn", "asym-power", "--kl", "1.5", "--kr", "2"], AsymmetricPower(1.5, 2.0)),
+    (["--fn", "asym-power", "--kl", "1.5", "--kr", "3"], AsymmetricPower(1.5, 3.0)),
+    (["--fn", "asym-power", "--kl", "2", "--kr", "3"], AsymmetricPower(2.0, 3.0)),
+    (["--fn", "absolute"], Absolute()),
+    (["--fn", "piecewise-linear", "--breakpoints", "-0.5 0 0.5",
+      "--slopes", "-2 -0.5 1 3"],
+     PiecewiseLinear((-0.5, 0.0, 0.5), (-2.0, -0.5, 1.0, 3.0))),
+    (["--fn", "tilt", "--base", "sym-power", "--k", "2", "--tilt-eps", "0.1"],
+     Tilt(SymmetricPower(2.0), 0.1)),
+    (["--fn", "tilt", "--base", "asym-power", "--kl", "1.5", "--kr", "3",
+      "--tilt-eps", "-0.05"], Tilt(AsymmetricPower(1.5, 3.0), -0.05)),
+    (["--fn", "tilt", "--base", "absolute", "--tilt-eps", "0.3"],
+     Tilt(Absolute(), 0.3)),
+]
+
+
+def modulus_csv(spec):
+    f = build_function(spec, (-1.0, 1.0))
+    curve = sample_modulus_curve(f, np.geomspace(1e-3, 1e-1, 5), tol=1e-12)
+    lines = ["epsilon,omega,method,alpha_hat"]
+    lines += [f"{s.epsilon!r},{s.omega!r},{s.method}," for s in curve.samples]
+    alpha = "" if curve.fitted_alpha is None else repr(curve.fitted_alpha)
+    lines.append(f",,aggregate,{alpha}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags,spec", MODULUS_FLAGS + [
+    (["--fn", "tilt", "--base", "piecewise-linear", "--breakpoints", "0",
+      "--slopes", "-1 2", "--tilt-eps", "0.5"],
+     Tilt(PiecewiseLinear((0.0,), (-1.0, 2.0)), 0.5)),
+    (["--fn", "sym-power", "--k", "2", "--x-star", "0.25"], SymmetricPower(2.0, 0.25)),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_modulus_flags_match_python_spec(flags, spec, capsys):
+    assert cli.main(["modulus", *flags, *EPS_FLAG]) == cli.EXIT_OK
+    assert capsys.readouterr().out == modulus_csv(spec)
+
+
+@pytest.mark.parametrize("command", [
+    ["modulus", *EPS_FLAG],
+    ["superefficiency", "--delta", "0.1", "--replicates", "2"],
+], ids=["modulus", "superefficiency"])
+@pytest.mark.parametrize("flags,bad_flag", [
+    (["--fn", "sym-power", "--k", "2", "--kl", "3"], "--kl"),
+    (["--fn", "absolute", "--k", "5", "--tilt-eps", "0.3"], "--k"),
+    (["--fn", "sym-power", "--k", "2", "--base", "absolute"], "--base"),
+    (["--fn", "tilt", "--base", "absolute", "--k", "7", "--tilt-eps", "0.3"], "--k"),
+    (["--fn", "sym-power", "--k", "2", "--x-star", "nan"], "--x-star"),
+    (["--fn", "tilt", "--base", "absolute", "--tilt-eps", "nan"], "--tilt-eps"),
+    (["--fn", "sym-power", "--k", "inf"], "--k"),
+    (["--fn", "sym-power", "--k", "two"], "--k"),
+    (["--fn", "piecewise-linear", "--breakpoints", "0", "--slopes", "-1 nan"],
+     "--slopes"),
+    (["--fn", "asym-power", "--kl", "2"], "--kr"),
+    (["--fn", "tilt", "--base", "tilt", "--tilt-eps", "0.1"], "--base"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_bad_function_flag_is_a_usage_error(command, flags, bad_flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command[0], *flags, *command[1:]])
+    assert info.value.code == cli.EXIT_USAGE
+    assert f"argument {bad_flag}:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from convexbench import (
     AsymmetricPower,
     BinarySearchSpec,
     ExperimentConfig,
+    FieldError,
     FunctionFamily,
     PiecewiseLinear,
     SgdSpec,
@@ -119,6 +120,55 @@ class TestAlgorithmSpecErrors:
 
 
 class TestFunctionErrors:
+    SYM = "kind = sym-power\nk = 2\n"
+
+    @pytest.mark.parametrize("function,bad", [
+        (SYM, "k_r = 3"),
+        (SYM, "eps = 0.5"),
+        (SYM, "breakpoints = 0 1"),
+        (SYM, "base_kind = absolute"),
+        (SYM, "base_k = 9"),
+        ("kind = tilt\neps = 0.1\nbase_kind = absolute\n", "base_k = 7"),
+        ("kind = piecewise-linear\nbreakpoints = 0\nslopes = -1 1\n", "x_star = 0"),
+    ], ids=lambda v: v.split("\n")[0])
+    def test_key_of_another_kind_names_its_line(self, function, bad):
+        text = CONFIG.replace("kind = asym-power\nk_l = 1.5\nk_r = 3\n",
+                              function + bad + "\n")
+        text = text.replace("x_star_distribution = uniform -1 1\n", "")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.line == line_of(text, bad)
+        assert bad.split()[0] in str(info.value)
+
+    @pytest.mark.parametrize("old,new", [
+        ("k_r = 3", "k_r = inf"),
+        ("k_r = 3", "k_r = nan"),
+        ("k_r = 3", "k_r = three"),
+        ("kind = asym-power", "kind = cubic"),
+    ])
+    def test_bad_value_names_its_line(self, old, new):
+        err, ln = config_error(old, new)
+        assert err.line == ln
+
+    @pytest.mark.parametrize("base,bad", [
+        ("base_kind = tilt\n", "base_kind"),
+        ("base_kind = cubic\n", "base_kind"),
+        ("base_kind = sym-power\n", "base_kind"),  # missing base_k
+        ("base_kind = asym-power\nbase_k_l = 1.5\nbase_k_r = 3\nbase_k = 2\n",
+         "base_k ="),
+    ], ids=["nested-tilt", "unknown-kind", "missing-key", "key-of-another-kind"])
+    def test_bad_tilt_base_names_its_line(self, base, bad):
+        text = CONFIG.replace("kind = asym-power\nk_l = 1.5\nk_r = 3\n",
+                              "kind = tilt\neps = 0.1\n" + base)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.line == line_of(text, bad)
+
+    def test_spec_constraint_names_the_kind_line(self):
+        err, _ = config_error("k_l = 1.5", "k_l = 0.5")
+        assert err.line == line_of(CONFIG, "kind")
+        assert "k_l, k_r > 1" in str(err)
+
     def test_family_needs_a_template_with_x_star(self):
         old = "kind = asym-power\nk_l = 1.5\nk_r = 3\n"
         new = "kind = piecewise-linear\nbreakpoints = 0\nslopes = -1 1\n"
@@ -127,6 +177,82 @@ class TestFunctionErrors:
             parse_config(text)
         assert info.value.line == line_of(text, "x_star_distribution")
         assert "x_star" in str(info.value)
+
+
+class TestInitialInterval:
+    @pytest.mark.parametrize("interval", [(2.0, -2.0), (1.0, 1.0),
+                                          (float("nan"), 1.0)])
+    def test_config_rejects_empty_interval(self, interval):
+        config = parse_config(CONFIG).config
+        with pytest.raises(FieldError) as info:
+            ExperimentConfig(config.function, config.algorithms, config.T_grid,
+                             config.replicates, config.sigma, config.master_seed,
+                             interval)
+        assert info.value.field == "initial_interval"
+
+    @pytest.mark.parametrize("value", ["2 -2", "1 1", "0", "-1 0 1", "-1 inf"])
+    def test_bad_interval_names_its_line(self, value):
+        text = CONFIG + f"initial_interval = {value}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.line == line_of(text, "initial_interval")
+
+
+# -- serialized text ---------------------------------------------------------
+
+SERIALIZED_TAIL = """
+[oracle]
+sigma = 0.1
+master_seed = 7
+
+[algorithms]
+algorithm = binary-search r=1.5 delta=0.05
+algorithm = sgd schedule=1/sqrt(t) scale=2.0 iterate=average x0=0.5
+
+[grid]
+T = 100 1000
+
+[run]
+replicates = 20
+output_dir = panel
+initial_interval = -2.0 2.0
+"""
+SYM_LINES = "sym-power\nk = 1.5\nx_star = 0.25\n"
+ASYM_LINES = "asym-power\nk_l = 1.5\nk_r = 3.0\nx_star = -0.5\n"
+ABS_LINES = "absolute\nx_star = 0.125\n"
+PL_LINES = "piecewise-linear\nbreakpoints = -0.5 0.0 0.5\nslopes = -2.0 -0.5 1.0 3.0\n"
+GOLDEN_SPECS = {
+    "sym": (SymmetricPower(1.5, 0.25), SYM_LINES),
+    "asym": (AsymmetricPower(1.5, 3.0, -0.5), ASYM_LINES),
+    "absolute": (Absolute(0.125), ABS_LINES),
+    "piecewise-linear": (PiecewiseLinear((-0.5, 0.0, 0.5), (-2.0, -0.5, 1.0, 3.0)),
+                         PL_LINES),
+}
+
+
+def tilt_lines(base_lines):
+    base = "".join(f"base_{line}\n" for line in base_lines.splitlines()[1:])
+    return f"tilt\neps = 0.1\nbase_kind = {base_lines.splitlines()[0]}\n{base}"
+
+
+@pytest.mark.parametrize("function,lines", [
+    pytest.param(spec, lines, id=name) for name, (spec, lines) in GOLDEN_SPECS.items()
+] + [
+    pytest.param(Tilt(spec, 0.1), tilt_lines(lines), id=f"tilt-{name}")
+    for name, (spec, lines) in GOLDEN_SPECS.items()
+] + [
+    pytest.param(
+        FunctionFamily(Tilt(SymmetricPower(2.0), -0.05), UniformDist(-1.0, 1.0)),
+        "tilt\neps = -0.05\nbase_kind = sym-power\nbase_k = 2.0\nbase_x_star = 0.0\n"
+        "x_star_distribution = uniform -1.0 1.0\n", id="family"),
+])
+def test_serialized_text_is_unchanged(function, lines):
+    config = ExperimentConfig(
+        function, (BinarySearchSpec(1.5), SgdSpec("1/sqrt(t)", 2.0, "average", 0.5)),
+        (100, 1000), 20, 0.1, 7, (-2.0, 2.0))
+    text = serialize_config(config, "panel")
+    assert text == "[function]\nkind = " + lines + SERIALIZED_TAIL
+    assert parse_config(text).config == config
 
 
 # -- round trip ------------------------------------------------------------
