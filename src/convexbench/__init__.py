@@ -1,10 +1,10 @@
 """convexbench: noisy first-order optimization lab for 1-D convex functions.
 
 Catalog of closed-form convex test functions, a budgeted seeded Gaussian
-subgradient oracle, difficulty moduli (analytic and numeric), a sign-testing
-binary search with flat-set diagnostics, projected SGD baselines, and a
-deterministic Monte-Carlo risk harness with risk-floor and superefficiency
-experiments.
+subgradient oracle, difficulty moduli (in closed form for every catalog spec,
+with bisection as the cross-check), a sign-testing binary search with
+flat-set diagnostics, projected SGD baselines, and a deterministic
+Monte-Carlo risk harness with risk-floor and superefficiency experiments.
 
 Each algorithm has one implementation, over a batch of replicates
 (``run_binary_search``, ``run_sgd``), and one parameter type
@@ -33,7 +33,6 @@ from .errors import (
     FieldError,
     ScheduleError,
     SlopeRangeError,
-    UnsupportedSpecError,
 )
 from .experiments import (
     ConstantEstimator,
@@ -69,7 +68,6 @@ from .functions import (
     with_x_star,
 )
 from .modulus import (
-    DEFAULT_BISECTION_TOL,
     ModulusCurve,
     ModulusSample,
     big_H,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ScheduleError
 from .functions import ConvexFunction1D
-from .modulus import DEFAULT_BISECTION_TOL, flat_set
+from .modulus import flat_set
 from .oracle import OracleBatch, OracleSession
 
 __all__ = [
@@ -218,7 +218,6 @@ def flat_set_diagnostics(
     delta: float,
     sigma: float,
     initial_interval: tuple[float, float] | None = None,
-    tol: float = DEFAULT_BISECTION_TOL,
 ) -> tuple[float, tuple[float, float], float]:
     """Quantities governing where the binary search lands.
 
@@ -237,7 +236,7 @@ def flat_set_diagnostics(
     c_delta = sigma * math.sqrt(2.0 * math.log(E / delta))
     threshold = c_delta / math.sqrt(T0)
     if threshold > 0:
-        i_delta = flat_set(f, threshold, tol)
+        i_delta = flat_set(f, threshold)
     else:  # sigma = 0 or delta -> 1 with E = 1: the flat set degenerates
         xl, xr = f.minimizer_set
         i_delta = (xl, xr)

@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .configfile import (
@@ -197,7 +196,6 @@ def _manifest(config_text: str, jobs: int, artifacts: list[str],
         "versions": {
             "convexbench": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "jobs_hint": jobs,
@@ -338,7 +336,7 @@ def cmd_modulus(parser, args) -> int:
     domain = _parse_domain(parser, args.domain)
     eps_grid = _parse_eps_range(parser, args.eps)
     f = build_function(spec, domain)
-    curve = sample_modulus_curve(f, eps_grid, tol=args.tol)
+    curve = sample_modulus_curve(f, eps_grid)
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["epsilon", "omega", "method", "alpha_hat"])
     for s in curve.samples:
@@ -456,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_function_flags(p_mod)
     p_mod.add_argument("--eps", required=True,
                        help="epsilon grid as lo:hi:count (log-spaced)")
-    p_mod.add_argument("--tol", type=float, default=1e-12)
 
     p_fig = sub.add_parser("reproduce-fig2",
                            help="run the six risk panels at sigma=0.1")

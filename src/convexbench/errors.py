@@ -17,10 +17,6 @@ class BudgetError(RuntimeError):
     """The oracle's query budget is exhausted."""
 
 
-class UnsupportedSpecError(ValueError):
-    """No closed form is available for this function spec."""
-
-
 class SlopeRangeError(ValueError):
     """Requested slope is not attained by the function on its domain."""
 

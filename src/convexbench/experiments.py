@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .algorithms import (
     UNIFORM_START,
@@ -98,6 +97,10 @@ class ConstantEstimator:
     """Estimator that returns a fixed point and never queries the oracle."""
 
     x_hat: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.x_hat):
+            raise ValueError(f"x_hat must be finite, got {self.x_hat}")
 
     @property
     def algorithm_id(self) -> str:
@@ -336,11 +339,18 @@ def fit_loglog_slope(
         )
     ts = np.array([r.T for r in rows], dtype=float)
     ys = np.array([r.mean_err for r in rows])
-    fit = _scipy_stats.linregress(np.log(ts), np.log(ys))
+    lx, ly = np.log(ts), np.log(ys)
+    # the formulas of scipy.stats.linregress, in the same order of operations
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=True).flat
+    slope = ssxym / ssxm
+    if ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
     return SlopeFit(
-        slope=float(fit.slope),
-        intercept=float(fit.intercept),
-        stderr_slope=float(fit.stderr),
+        slope=float(slope),
+        intercept=float(np.mean(ly) - slope * np.mean(lx)),
+        stderr_slope=float(np.sqrt((1 - r**2) * ssym / ssxm / (len(rows) - 2))),
         T_range=(int(ts.min()), int(ts.max())),
     )
 
@@ -446,8 +456,8 @@ def superefficiency_experiment(
         )
     if T < 1:
         raise ValueError("T must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
     f = build_function(spec, initial_interval)
     g_plus = build_function(Tilt(spec, eps_t), initial_interval)

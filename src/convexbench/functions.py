@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 
+def _check_finite(spec, *names):
+    """ValueError unless every number in the named fields of ``spec`` is finite."""
+    for name in names:
+        value = getattr(spec, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{type(spec).__name__} needs finite {name}, got {value}")
+
+
 @dataclass(frozen=True)
 class SymmetricPower:
     """f(x) = |x - x_star|^k / k with k > 1."""
@@ -49,6 +57,7 @@ class SymmetricPower:
     x_star: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, "k", "x_star")
         if not self.k > 1.0:
             raise ValueError(f"SymmetricPower requires k > 1, got k={self.k}")
 
@@ -62,6 +71,7 @@ class AsymmetricPower:
     x_star: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, "k_l", "k_r", "x_star")
         if not (self.k_l > 1.0 and self.k_r > 1.0):
             raise ValueError(
                 f"AsymmetricPower requires k_l, k_r > 1, got ({self.k_l}, {self.k_r})"
@@ -73,6 +83,9 @@ class Absolute:
     """f(x) = |x - x_star|."""
 
     x_star: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(self, "x_star")
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,7 @@ class PiecewiseLinear:
         sl = tuple(float(s) for s in self.slopes)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
+        _check_finite(self, "breakpoints", "slopes")
         if len(bp) < 1:
             raise ValueError("PiecewiseLinear needs at least one breakpoint")
         if len(sl) != len(bp) + 1:
@@ -111,6 +125,7 @@ class Tilt:
     eps: float
 
     def __post_init__(self):
+        _check_finite(self, "eps")
         if isinstance(self.base, Tilt):
             # collapse nested tilts so spec equality is structural
             object.__setattr__(self, "eps", self.eps + self.base.eps)
@@ -118,8 +133,6 @@ class Tilt:
 
 
 FunctionSpec = Union[SymmetricPower, AsymmetricPower, Absolute, PiecewiseLinear, Tilt]
-
-_XSTAR_SPECS = (SymmetricPower, AsymmetricPower, Absolute)
 
 
 @dataclass(frozen=True)
@@ -243,10 +256,13 @@ def min_norm_subgradient(spec: FunctionSpec, x: float, domain=None) -> float:
     return float(subgrad_spec(spec, x))
 
 
-def level_set(spec: FunctionSpec, s: float):
-    """{x in R : s in subdifferential(x)} as (lo, hi), or None if empty.
+def level_set(spec: FunctionSpec, s: float) -> tuple[float, float]:
+    """{x in R : s in subdifferential(x)} as (lo, hi).
 
-    Endpoints may be +/-inf for specs that are eventually affine.
+    Endpoints may be +/-inf for specs that are eventually affine.  The set is
+    empty for a slope below every slope of the spec, given as (-inf, -inf),
+    and for one above every slope, given as (inf, inf): clamped to a domain,
+    each lands on the end where the subgradient comes nearest to s.
     """
     if isinstance(spec, SymmetricPower):
         u = float(np.sign(s)) * abs(s) ** (1.0 / (spec.k - 1.0))
@@ -260,19 +276,18 @@ def level_set(spec: FunctionSpec, s: float):
         else:
             p = spec.x_star
         return (p, p)
-    if isinstance(spec, Absolute):
-        if -1.0 < s < 1.0:
-            return (spec.x_star, spec.x_star)
-        if s == -1.0:
-            return (-np.inf, spec.x_star)
-        if s == 1.0:
-            return (spec.x_star, np.inf)
-        return None
+    if isinstance(spec, Absolute):  # slopes -1 and 1 with a kink at x_star
+        p = spec.x_star
+        lo = -np.inf if s <= -1.0 else (np.inf if s > 1.0 else p)
+        hi = np.inf if s >= 1.0 else (-np.inf if s < -1.0 else p)
+        return (lo, hi)
     if isinstance(spec, PiecewiseLinear):
         sl = spec.slopes
         m = len(sl) - 1
-        if s < sl[0] or s > sl[m]:
-            return None
+        if s < sl[0]:
+            return (-np.inf, -np.inf)
+        if s > sl[m]:
+            return (np.inf, np.inf)
         first_ge = int(np.searchsorted(sl, s, side="left"))
         last_le = int(np.searchsorted(sl, s, side="right")) - 1
         if first_ge <= last_le:  # s attained on segments first_ge..last_le
@@ -297,13 +312,9 @@ def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float], x_star=N
     """
     a, b = domain
     shifted = x_star is not None
-    lvl = level_set(with_x_star(spec, 0.0) if shifted else spec, 0.0)
-    if lvl is None:
-        # subgradient never touches 0: the function is strictly monotone
-        end = np.where(subgrad_spec(spec, a, x_star) > 0, a, b)
-        return (end, end) if shifted else (float(end), float(end))
-    lo, hi = lvl
-    # a level set wholly outside the domain collapses onto the nearer end
+    lo, hi = level_set(with_x_star(spec, 0.0) if shifted else spec, 0.0)
+    # a level set wholly outside the domain (or empty) collapses onto the
+    # nearer end
     if shifted:
         return np.clip(x_star + lo, a, b), np.clip(x_star + hi, a, b)
     return min(max(lo, a), b), min(max(hi, a), b)
@@ -411,11 +422,6 @@ class ConvexFunction1D:
         """Min-norm subgradient; deterministic by construction."""
         self._check(x)
         return float(subgrad_spec(self.spec, x))
-
-    def subdiff(self, x: float) -> tuple[float, float]:
-        self._check(x)
-        lo, hi = subdiff_interval(self.spec, x)
-        return float(lo), float(hi)
 
     def slope_range(self) -> tuple[float, float]:
         """Range of subgradient values attained over the domain."""

@@ -2,9 +2,11 @@
 
 For a convex f with nondecreasing min-norm subgradient f', the modulus at
 level eps is the largest distance from the minimizer set achievable inside
-the "flat set" {y : |f'(y)| < eps}.  Closed forms exist for the power-growth
-catalog; the numeric path computes flat-set endpoints by monotone bisection
-and is the cross-check for everything else.
+the "flat set" {y : |f'(y)| < eps}.  ``modulus_analytic`` is exact for every
+catalog spec: it reads the flat set's ends off the closed-form level sets of
+``functions.level_set``.  ``modulus_numeric`` finds the same ends by monotone
+bisection on f'; it is the independent cross-check, and the value that
+fitted growth exponents and superefficiency reports are computed from.
 
 All functions here are pure and operate on immutable inputs.
 """
@@ -14,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SlopeRangeError, UnsupportedSpecError
+from .errors import DataError, SlopeRangeError
 from .functions import (
-    AsymmetricPower,
     ConvexFunction1D,
     FunctionSpec,
     GrowthProfile,
-    SymmetricPower,
+    level_set,
+    minimizer_interval,
 )
 
 __all__ = [
@@ -34,11 +36,10 @@ __all__ = [
     "modulus_bounds_from_growth",
     "fit_growth_exponent",
     "sample_modulus_curve",
-    "DEFAULT_BISECTION_TOL",
 ]
 
-# absolute tolerance, in x units; far below every acceptance tolerance
-DEFAULT_BISECTION_TOL = 1e-12
+# absolute bisection tolerance, in x units; far below every acceptance tolerance
+_BISECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,35 +57,39 @@ class ModulusCurve:
     fitted_alpha: float | None = None
 
 
+def _check_epsilon(epsilon: float):
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+
+def _farthest(interval: tuple[float, float], lo: float, hi: float) -> float:
+    """Largest distance from ``interval`` of a point in [lo, hi]."""
+    xl, xr = interval
+    return max(0.0, xl - lo, hi - xr)
+
+
 def modulus_analytic(
     spec: FunctionSpec, epsilon: float, domain: tuple[float, float]
 ) -> float:
-    """Closed-form modulus for unit-normalized power specs.
+    """Exact modulus of any catalog spec on ``domain``.
 
-    eps^(1/(k-1)) with k the (larger) growth exponent, capped at the distance
-    from the minimizer to the farther domain endpoint.  Other spec variants
-    raise UnsupportedSpecError; callers fall back to modulus_numeric.
+    The flat set runs from the upper end of the level set at -eps to the
+    lower end of the level set at +eps, each clamped to the domain; a level
+    set that is empty lies at -inf or +inf, so it clamps to the correct end.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if isinstance(spec, SymmetricPower):
-        k, x0 = spec.k, spec.x_star
-    elif isinstance(spec, AsymmetricPower):
-        k, x0 = max(spec.k_l, spec.k_r), spec.x_star
-    else:
-        raise UnsupportedSpecError(
-            f"no analytic modulus for {type(spec).__name__}; use modulus_numeric"
-        )
-    cap = max(x0 - domain[0], domain[1] - x0)
-    return min(epsilon ** (1.0 / (k - 1.0)), cap)
+    _check_epsilon(epsilon)
+    a, b = domain
+    lo = min(max(level_set(spec, -epsilon)[1], a), b)
+    hi = min(max(level_set(spec, epsilon)[0], a), b)
+    return _farthest(minimizer_interval(spec, domain), lo, hi)
 
 
-def _bisect_left_true(pred, lo: float, hi: float, tol: float) -> float:
+def _bisect_left_true(pred, lo: float, hi: float) -> float:
     """Leftmost x in [lo, hi] with pred(x) true, given pred monotone
     false->true; pred(hi) must be true."""
     if pred(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # float resolution reached
             break
@@ -95,12 +100,12 @@ def _bisect_left_true(pred, lo: float, hi: float, tol: float) -> float:
     return hi
 
 
-def _bisect_right_true(pred, lo: float, hi: float, tol: float) -> float:
+def _bisect_right_true(pred, lo: float, hi: float) -> float:
     """Rightmost x in [lo, hi] with pred(x) true, given pred monotone
     true->false; pred(lo) must be true."""
     if pred(hi):
         return hi
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -111,16 +116,12 @@ def _bisect_right_true(pred, lo: float, hi: float, tol: float) -> float:
     return lo
 
 
-def conjugate_subdifferential(
-    f: ConvexFunction1D, s: float, tol: float = DEFAULT_BISECTION_TOL
-) -> tuple[float, float]:
+def conjugate_subdifferential(f: ConvexFunction1D, s: float) -> tuple[float, float]:
     """{x in domain : s in subdifferential f(x)} as a closed interval.
 
     Computed by monotone bisection on f'(x) - s; for s = 0 this reproduces
-    the minimizer set (within tol).
+    the minimizer set (within the bisection tolerance).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a, b = f.domain
     slope_lo, slope_hi = f.slope_range()
     if s < slope_lo or s > slope_hi:
@@ -132,64 +133,54 @@ def conjugate_subdifferential(
     if g(b) < s:
         left = b
     else:
-        left = _bisect_left_true(lambda x: g(x) >= s, a, b, tol)
+        left = _bisect_left_true(lambda x: g(x) >= s, a, b)
     # right endpoint: rightmost x with f'(x) <= s
     if g(a) > s:
         right = a
     else:
-        right = _bisect_right_true(lambda x: g(x) <= s, a, b, tol)
-    if left > right:  # singleton located from both sides, off by <= tol
+        right = _bisect_right_true(lambda x: g(x) <= s, a, b)
+    if left > right:  # singleton located from both sides, within the tolerance
         left = right = 0.5 * (left + right)
     return (left, right)
 
 
-def flat_set(
-    f: ConvexFunction1D, epsilon: float, tol: float = DEFAULT_BISECTION_TOL
-) -> tuple[float, float]:
+def flat_set(f: ConvexFunction1D, epsilon: float) -> tuple[float, float]:
     """Closure of {y in domain : |f'(y)| < epsilon}, clamped to the domain.
 
     The left end is the upper endpoint of the conjugate subdifferential at
-    -epsilon and the right end the lower endpoint at +epsilon; when the
-    threshold exceeds the slopes attained on a side, that end clamps to the
-    domain boundary.
+    -epsilon and the right end the lower endpoint at +epsilon.  A threshold
+    below every slope attained on the domain puts its end at the left
+    domain boundary, one above every slope at the right boundary.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     a, b = f.domain
-    try:
-        left = conjugate_subdifferential(f, -epsilon, tol)[1]
-    except SlopeRangeError:
-        left = a
-    try:
-        right = conjugate_subdifferential(f, epsilon, tol)[0]
-    except SlopeRangeError:
-        right = b
-    if left > right:  # degenerate flat set (a single kink), off by <= tol
+    slope_lo, slope_hi = f.slope_range()
+
+    def end(s: float, side: int) -> float:
+        if s < slope_lo:
+            return a
+        if s > slope_hi:
+            return b
+        return conjugate_subdifferential(f, s)[side]
+
+    left, right = end(-epsilon, 1), end(epsilon, 0)
+    if left > right:  # degenerate flat set (a single kink), within the tolerance
         left = right = 0.5 * (left + right)
     return (left, right)
 
 
-def modulus_numeric(
-    f: ConvexFunction1D, epsilon: float, tol: float = DEFAULT_BISECTION_TOL
-) -> float:
+def modulus_numeric(f: ConvexFunction1D, epsilon: float) -> float:
     """Larger distance from the minimizer set over the flat-set closure."""
-    lo, hi = flat_set(f, epsilon, tol)
-    xl, xr = f.minimizer_set
-    d_lo = max(0.0, xl - lo, lo - xr)
-    d_hi = max(0.0, xl - hi, hi - xr)
-    return max(d_lo, d_hi)
+    return _farthest(f.minimizer_set, *flat_set(f, epsilon))
 
 
-def big_H(
-    f: ConvexFunction1D, epsilon: float, tol: float = DEFAULT_BISECTION_TOL
-) -> float:
+def big_H(f: ConvexFunction1D, epsilon: float) -> float:
     """max of the distances from the conjugate subdifferentials at +/-epsilon
     to the one at 0."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    base = conjugate_subdifferential(f, 0.0, tol)
-    up = conjugate_subdifferential(f, epsilon, tol)
-    dn = conjugate_subdifferential(f, -epsilon, tol)
+    _check_epsilon(epsilon)
+    base = conjugate_subdifferential(f, 0.0)
+    up = conjugate_subdifferential(f, epsilon)
+    dn = conjugate_subdifferential(f, -epsilon)
 
     def dist(p, q):
         return max(0.0, q[0] - p[1], p[0] - q[1])
@@ -207,8 +198,7 @@ def modulus_bounds_from_growth(
     """
     if C <= 1.0:
         raise ValueError(f"C must exceed 1, got {C}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     k = max(profile.k_l, profile.k_r)
     if profile.k_l > profile.k_r:
         lam = profile.lambda_l
@@ -242,30 +232,17 @@ def fit_growth_exponent(curve: ModulusCurve, min_omega: float = 0.0) -> float:
     return slope
 
 
-def sample_modulus_curve(
-    f: ConvexFunction1D,
-    epsilons,
-    tol: float = DEFAULT_BISECTION_TOL,
-    include_analytic: bool = True,
-) -> ModulusCurve:
-    """Evaluate the modulus over a grid, attaching analytic values when the
-    spec supports them, and fit the growth exponent from the numeric samples."""
+def sample_modulus_curve(f: ConvexFunction1D, epsilons) -> ModulusCurve:
+    """Evaluate the modulus over a grid, the closed form ("analytic") next to
+    the bisection ("numeric") at each epsilon, and fit the growth exponent
+    from the numeric samples."""
     samples: list[ModulusSample] = []
-    eps_sorted = sorted(float(e) for e in epsilons)
-    for e in eps_sorted:
-        if include_analytic:
-            try:
-                w = modulus_analytic(f.spec, e, f.domain)
-                samples.append(ModulusSample(e, w, "analytic"))
-            except UnsupportedSpecError:
-                pass
-        samples.append(ModulusSample(e, modulus_numeric(f, e, tol), "numeric"))
-    numeric_curve = ModulusCurve(
-        tuple(s for s in samples if s.method == "numeric")
-    )
+    for e in sorted(float(e) for e in epsilons):
+        samples.append(ModulusSample(e, modulus_analytic(f.spec, e, f.domain), "analytic"))
+        samples.append(ModulusSample(e, modulus_numeric(f, e), "numeric"))
     try:
-        alpha = fit_growth_exponent(numeric_curve, min_omega=10.0 * tol)
+        alpha = fit_growth_exponent(ModulusCurve(tuple(samples[1::2])),
+                                    min_omega=10.0 * _BISECTION_TOL)
     except DataError:
         alpha = None
     return ModulusCurve(tuple(samples), fitted_alpha=alpha)
-

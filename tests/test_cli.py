@@ -1,6 +1,10 @@
 """Command line, in process: exit codes, manifest reruns, superefficiency CSV,
 and the function-spec flags of `modulus` and `superefficiency`."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from convexbench import (
     cli,
     sample_modulus_curve,
 )
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 CONFIG = """\
 [function]
@@ -88,6 +94,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: r must be positive")
 
 
+@pytest.mark.parametrize("flag,value", [("--x-hat", "nan"), ("--x-hat", "inf"),
+                                        ("--sigma", "nan"), ("--sigma", "inf")])
+def test_superefficiency_non_finite_number_is_a_usage_error(flag, value, capsys):
+    rc = cli.main(["superefficiency", "--fn", "sym-power", "--k", "2",
+                   "--delta", "0.1", flag, value])
+    assert rc == cli.EXIT_USAGE
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, convexbench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 class TestManifestRerun:
     def test_reproduces_outputs(self, tmp_path):
         assert run(tmp_path, CONFIG, "first", "--jobs", "1") == cli.EXIT_OK
@@ -145,7 +171,7 @@ MODULUS_FLAGS = [
 
 def modulus_csv(spec):
     f = build_function(spec, (-1.0, 1.0))
-    curve = sample_modulus_curve(f, np.geomspace(1e-3, 1e-1, 5), tol=1e-12)
+    curve = sample_modulus_curve(f, np.geomspace(1e-3, 1e-1, 5))
     lines = ["epsilon,omega,method,alpha_hat"]
     lines += [f"{s.epsilon!r},{s.omega!r},{s.method}," for s in curve.samples]
     alpha = "" if curve.fitted_alpha is None else repr(curve.fitted_alpha)

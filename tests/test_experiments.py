@@ -1,4 +1,5 @@
-"""Risk harness: lockstep replicate runs against scalar loops, seeds, jobs."""
+"""Risk harness: lockstep replicate runs against scalar loops, seeds, jobs,
+slope fits."""
 import numpy as np
 import pytest
 import scalar_reference as ref
@@ -6,14 +7,18 @@ import scalar_reference as ref
 from convexbench import (
     AsymmetricPower,
     BinarySearchSpec,
+    ConstantEstimator,
     ExperimentConfig,
     FunctionFamily,
+    RiskRow,
+    RiskTable,
     ScheduleError,
     SgdSpec,
     SymmetricPower,
     UniformDist,
     build_function,
     estimate_risk,
+    fit_loglog_slope,
     replicate_seed,
     with_x_star,
 )
@@ -95,3 +100,26 @@ def test_estimate_risk_independent_of_jobs():
         initial_interval=INTERVAL,
     )
     assert estimate_risk(config, jobs=1) == estimate_risk(config, jobs=2)
+
+
+def test_loglog_slope_matches_scipy_linregress_bitwise():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(5)
+    for case in range(300):
+        ts = np.unique(rng.integers(1, 10**6, size=rng.integers(3, 10)))
+        if len(ts) < 3:
+            continue
+        ys = np.full(len(ts), 0.3) if case % 10 == 0 else np.exp(rng.normal(size=len(ts)))
+        table = RiskTable(tuple(RiskRow("f", "a", int(t), float(y), 0.0, 1)
+                                for t, y in zip(ts, ys)))
+        fit = fit_loglog_slope(table, "f", "a")
+        want = stats.linregress(np.log(ts.astype(float)), np.log(ys))
+        got = (fit.slope, fit.intercept, fit.stderr_slope)
+        # nan == nan here: a constant curve has no correlation, so no stderr
+        np.testing.assert_array_equal(got, (want.slope, want.intercept, want.stderr))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_constant_estimator_must_be_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        ConstantEstimator(value)

@@ -192,6 +192,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PiecewiseLinear(breakpoints=(1.0, 0.0), slopes=(-1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("build", [
+        lambda v: SymmetricPower(k=v),
+        lambda v: SymmetricPower(k=2.0, x_star=v),
+        lambda v: AsymmetricPower(k_l=v, k_r=2.0),
+        lambda v: AsymmetricPower(k_l=2.0, k_r=v),
+        lambda v: AsymmetricPower(k_l=2.0, k_r=2.0, x_star=v),
+        lambda v: Absolute(v),
+        lambda v: PiecewiseLinear(breakpoints=(v,), slopes=(-1.0, 1.0)),
+        lambda v: PiecewiseLinear(breakpoints=(0.0,), slopes=(-1.0, v)),
+        lambda v: Tilt(SymmetricPower(2.0), v),
+    ], ids=["k", "x_star", "k_l", "k_r", "asym-x_star", "absolute-x_star",
+            "breakpoints", "slopes", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_numbers_must_be_finite(self, build, value):
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
+
     def test_growth_profile_constructor_enforced(self):
         with pytest.raises(ValueError):
             GrowthProfile(k_l=1.0, k_r=2.0, lambda_l=0.5, lambda_r=0.5)

@@ -15,7 +15,6 @@ from convexbench import (
     SlopeRangeError,
     SymmetricPower,
     Tilt,
-    UnsupportedSpecError,
     big_H,
     build_function,
     conjugate_subdifferential,
@@ -26,7 +25,7 @@ from convexbench import (
     modulus_numeric,
     sample_modulus_curve,
 )
-from convexbench.functions import subgrad_spec
+from convexbench.functions import level_set, subgrad_spec
 
 D11 = (-1.0, 1.0)
 
@@ -49,11 +48,24 @@ class TestModulusAnalytic:
         w = modulus_analytic(SymmetricPower(k=2.0, x_star=0.5), 10.0, D11)
         assert w == 1.5
 
-    def test_unsupported_variants(self):
-        for spec in (Absolute(), Tilt(SymmetricPower(k=2.0), 0.1),
-                     PiecewiseLinear((0.0,), (-1.0, 1.0))):
-            with pytest.raises(UnsupportedSpecError):
-                modulus_analytic(spec, 0.01, D11)
+    def test_closed_form_for_every_kind(self):
+        # f' = x + 0.1 on the tilt: flat set (-0.11, -0.09), minimizer -0.1
+        cases = ((Absolute(), 0.0), (Tilt(SymmetricPower(k=2.0), 0.1), 0.01),
+                 (PiecewiseLinear((0.0,), (-1.0, 1.0)), 0.0))
+        for spec, expected in cases:
+            w = modulus_analytic(spec, 0.01, D11)
+            assert w == pytest.approx(expected, abs=1e-15)
+            assert w == pytest.approx(
+                modulus_numeric(build_function(spec, D11), 0.01), abs=1e-9)
+
+    def test_caps_each_side_by_its_own_domain_end(self):
+        # the steep side's flat end lies outside the domain, the flat side's
+        # inside it: the modulus is the distance to the nearer domain end
+        spec = AsymmetricPower(3.0, 1.5)
+        assert modulus_analytic(spec, 0.5, (-0.5, 3.0)) == 0.5
+        # past eps = 1 the side with the smaller exponent is the flatter one
+        spec = AsymmetricPower(1.5, 3.0)
+        assert modulus_analytic(spec, 2.0, (-10.0, 10.0)) == 4.0
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -67,7 +79,7 @@ class TestModulusNumeric:
 
     def test_matches_analytic_for_quadratic(self):
         f = build_function(SymmetricPower(k=2.0), D11)
-        w = modulus_numeric(f, 0.01, tol=1e-12)
+        w = modulus_numeric(f, 0.01)
         assert abs(w - 0.01) <= 1e-10
         # independent check: dense scan of the subgradient magnitude
         xs = np.linspace(-1, 1, 2_000_001)
@@ -82,8 +94,6 @@ class TestModulusNumeric:
         f = build_function(SymmetricPower(k=2.0), D11)
         with pytest.raises(ValueError):
             modulus_numeric(f, -0.1)
-        with pytest.raises(ValueError):
-            modulus_numeric(f, 0.01, tol=0.0)
 
     def test_agreement_with_analytic_on_log_grid(self):
         specs = [SymmetricPower(k=1.5), SymmetricPower(k=2.0), SymmetricPower(k=3.0),
@@ -155,6 +165,56 @@ class TestFlatSet:
         f = build_function(SymmetricPower(k=2.0, x_star=0.5), D11)
         lo, hi = flat_set(f, 3.0)
         assert (lo, hi) == (-1.0, 1.0)
+
+    def test_threshold_below_every_slope_is_empty_at_left_end(self):
+        # f' = x + 5 lies in [4, 6]: |f'| < 1 nowhere on the domain
+        f = build_function(Tilt(SymmetricPower(k=2.0), 5.0), D11)
+        assert flat_set(f, 1.0) == (-1.0, -1.0)
+        assert modulus_numeric(f, 1.0) == 0.0
+
+    def test_threshold_above_every_slope_is_empty_at_right_end(self):
+        # f' = -1 on the whole domain, left of the kink at 0.4
+        f = build_function(Absolute(0.4), (-3.0, 0.2))
+        assert flat_set(f, 1e-6) == (0.2, 0.2)
+        assert modulus_numeric(f, 1e-6) == 0.0
+
+
+class TestLevelSet:
+    def test_slopes_beyond_the_spec_give_an_infinite_point(self):
+        cases = ((Absolute(0.3), -1.0, 1.0),
+                 (PiecewiseLinear((-0.5, 0.5), (-2.0, 0.0, 3.0)), -2.0, 3.0),
+                 (Tilt(Absolute(0.3), 0.5), -0.5, 1.5))
+        for spec, lowest, highest in cases:
+            assert level_set(spec, lowest - 1e-9) == (-np.inf, -np.inf)
+            assert level_set(spec, highest + 1e-9) == (np.inf, np.inf)
+            lo, hi = level_set(spec, lowest)
+            assert lo == -np.inf and np.isfinite(hi)
+            lo, hi = level_set(spec, highest)
+            assert np.isfinite(lo) and hi == np.inf
+
+
+# One spec of each kind and a tilt of each; on the three domains some
+# thresholds fall below or above every slope the domain attains.
+PWL = PiecewiseLinear((-0.5, 0.0, 0.5), (-2.0, -0.5, 1.0, 3.0))
+CROSS_CHECK_SPECS = {
+    "sym": SymmetricPower(k=1.5, x_star=0.1),
+    "asym": AsymmetricPower(1.5, 3.0, x_star=-0.2),
+    "absolute": Absolute(0.4),
+    "piecewise-linear": PWL,
+    "tilt-sym": Tilt(SymmetricPower(k=2.0), 5.0),
+    "tilt-asym": Tilt(AsymmetricPower(3.0, 1.5), -0.05),
+    "tilt-absolute": Tilt(Absolute(0.4), 0.3),
+    "tilt-piecewise-linear": Tilt(PWL, 2.5),
+}
+
+
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (-0.5, 3.0), (-3.0, 0.2)])
+@pytest.mark.parametrize("spec", CROSS_CHECK_SPECS.values(), ids=CROSS_CHECK_SPECS.keys())
+def test_closed_form_matches_bisection(spec, domain):
+    f = build_function(spec, domain)
+    for eps in np.geomspace(1e-6, 10.0, 60):
+        exact = modulus_analytic(spec, float(eps), domain)
+        assert exact == pytest.approx(modulus_numeric(f, float(eps)), abs=1e-9), eps
 
 
 class TestBigH:
@@ -284,10 +344,11 @@ class TestSampleModulusCurve:
         domain_diameter = 2.0
         assert all(s.omega <= domain_diameter for s in curve.samples)
 
-    def test_unsupported_spec_yields_numeric_only(self):
+    def test_absolute_has_both_methods(self):
         f = build_function(Absolute(0.0), D11)
         curve = sample_modulus_curve(f, (0.1, 0.5, 0.9))
-        assert {s.method for s in curve.samples} == {"numeric"}
+        assert {s.method for s in curve.samples} == {"analytic", "numeric"}
+        assert all(s.omega <= 1e-11 for s in curve.samples)
         assert curve.fitted_alpha is None  # all omegas are zero
 
 
