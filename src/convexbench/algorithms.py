@@ -230,8 +230,8 @@ def flat_set_diagnostics(
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     E, T0 = epochs_schedule(T, r)
     c_delta = sigma * math.sqrt(2.0 * math.log(E / delta))
     threshold = c_delta / math.sqrt(T0)

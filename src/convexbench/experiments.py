@@ -5,10 +5,10 @@ The harness is deterministic given the master seed: replicate r of cell
 ``SeedSequence(master_seed, spawn_key=(a, i, r))``, split once into an
 environment stream (minimizer draw, SGD start) and an oracle noise stream,
 its ``.spawn(2)`` children ``SeedSequence(master_seed, spawn_key=(a, i, r, 0))``
-and ``(a, i, r, 1)``, which the harness builds directly.
-Cells are therefore independent of execution order and worker count, and
-replicate reductions use numpy's pairwise summation in canonical replicate
-order.
+and ``(a, i, r, 1)``.  The harness computes those two streams' seed words for
+the whole cell at once with ``oracle.replicate_seeds``.  Cells are therefore
+independent of execution order and worker count, and replicate reductions
+use numpy's pairwise summation in canonical replicate order.
 
 Replicates inside a cell run in lockstep on one ``OracleBatch``, through
 the algorithms' only implementations, ``algorithms.run_binary_search`` and
@@ -45,7 +45,7 @@ from .functions import (
     with_x_star,
 )
 from .modulus import modulus_numeric
-from .oracle import OracleBatch
+from .oracle import OracleBatch, replicate_seeds
 
 __all__ = [
     "UniformDist",
@@ -128,8 +128,8 @@ class ExperimentConfig:
             raise FieldError("T_grid", f"budgets must be >= 1, got {self.T_grid[0]}")
         if len(self.algorithms) == 0:
             raise FieldError("algorithms", "need at least one algorithm")
-        if self.sigma < 0:
-            raise FieldError("sigma", "sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise FieldError("sigma", f"sigma must be finite and >= 0, got {self.sigma}")
         if not self.initial_interval[0] < self.initial_interval[1]:
             raise FieldError("initial_interval",
                              f"initial_interval needs a < b, got {self.initial_interval}")
@@ -234,16 +234,17 @@ def replicate_runs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run one (algorithm, budget) cell over seeded replicates, in lockstep.
 
-    Returns (estimates, minimizer draws or None); each replicate's estimate
-    is the one it would get run alone on its own seeds.  Raises
-    ScheduleError when the budget cannot support the round schedule.
+    Replicate r draws its environment and noise from the streams
+    ``SeedSequence(master_seed, spawn_key=(*key, r, 0|1))``, whose words
+    ``replicate_seeds`` computes for the whole cell at once.  Returns
+    (estimates, minimizer draws or None); each replicate's estimate is the
+    one it would get run alone on its own seeds.  Raises ScheduleError when
+    the budget cannot support the round schedule.
     """
     if isinstance(alg, BinarySearchSpec):
         epochs_schedule(T, alg.r)  # fail fast before drawing anything
-    env_seeds = [np.random.SeedSequence(master_seed, spawn_key=(*key, rep, 0))
-                 for rep in range(replicates)]
-    noise_seeds = [np.random.SeedSequence(master_seed, spawn_key=(*key, rep, 1))
-                   for rep in range(replicates)]
+    env_seeds = replicate_seeds(master_seed, key, replicates, 0)
+    noise_seeds = replicate_seeds(master_seed, key, replicates, 1)
     xstar, x0 = _draw_environment(function, alg, initial_interval, env_seeds)
     template = function.template if isinstance(function, FunctionFamily) else function
     batch = OracleBatch(

@@ -8,7 +8,8 @@ algorithms, so query accounting in experiments is trustworthy.
 There is one oracle, ``OracleBatch``: R independent replicates advanced in
 lockstep, replicate r answering from its own stream seeded by a pure
 function of (master_seed, replicate index) via ``numpy.random.SeedSequence``
-spawn keys.  Budget, domain and NaN checks and noise draws live there only;
+spawn keys, whose words ``replicate_seeds`` computes for a whole cell at
+once.  Budget, domain and NaN checks and noise draws live there only;
 ``OracleSession`` is the one-replicate batch with scalar ``query`` and
 ``query_block``.  Step noise (``begin_steps``) is drawn ahead in chunks of
 at most ``STEP_CHUNK`` steps, so a batch holds O(R * STEP_CHUNK) noise
@@ -16,16 +17,22 @@ values whatever the budget.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
 from .functions import ConvexFunction1D, FunctionSpec, subgrad_spec
 
+if TYPE_CHECKING:
+    from numpy.random.bit_generator import ISeedSequence
+
 __all__ = ["OracleConfig", "OracleSession", "OracleBatch", "replicate_seed",
-           "STEP_CHUNK"]
+           "replicate_seeds", "STEP_CHUNK"]
 
 # steps of noise that OracleBatch draws at once for begin_steps
 STEP_CHUNK = 1024
@@ -41,8 +48,8 @@ class OracleConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
 
@@ -50,6 +57,66 @@ class OracleConfig:
 def replicate_seed(master_seed: int, *indices: int) -> np.random.SeedSequence:
     """Deterministic per-replicate seed, a pure function of its arguments."""
     return np.random.SeedSequence(master_seed, spawn_key=tuple(indices))
+
+
+# numpy's SeedSequence hash constants, kept stable by NEP 19
+_INIT_A, _MULT_A, _MIX_L = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD
+_INIT_B, _MULT_B, _MIX_R = 0x8B51F9DD, 0x58F38DED, 0x4973F715
+
+
+@cache
+def _replicate_seed_type():
+    """The ISeedSequence that hands PCG64 one replicate's precomputed words,
+    defined on first use: importing this module leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ReplicateSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a replicate seed holds only "
+                                 "generate_state(4, np.uint64)")
+            return self.words
+
+    return ReplicateSeed
+
+
+def replicate_seeds(master_seed: int, key: tuple[int, ...], replicates: int,
+                    stream: int) -> list[ISeedSequence]:
+    """The seeds ``SeedSequence(master_seed, spawn_key=(*key, r, stream))``
+    for r < replicates, as the words PCG64 reads, hashed for every r at once
+    by numpy's entropy assembly and hash in vectorized uint32 arithmetic."""
+    if min(master_seed, *key, stream) < 0:
+        raise ValueError("seed entropy must be non-negative")
+    run, *spawn = [[n >> b & 0xFFFFFFFF for b in range(0, max(n.bit_length(), 1), 32)]
+                   for n in map(operator.index, (master_seed, *key))]  # low word first
+    r = np.arange(replicates, dtype=np.uint32)
+    fixed = run + [0] * (4 - len(run)) + sum(spawn, [])  # run padded to the pool
+    entropy = [np.full_like(r, w) for w in fixed] + [r, np.full_like(r, stream)]
+    h = _INIT_A  # the hash constant steps alike for every r
+
+    def hashmix(v, mult=_MULT_A):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & 0xFFFFFFFF
+        v = v * h
+        return v ^ v >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    # mix each pool word into the others, then each word beyond the pool
+    for src in range(len(entropy)):
+        for dst in range(4):
+            if src != dst:
+                y = hashmix(pool[src] if src < 4 else entropy[src])
+                v = pool[dst] * _MIX_L - y * _MIX_R
+                pool[dst] = v ^ v >> 16
+    h = _INIT_B  # generate_state: 8 uint32 words read cyclically from the pool
+    state = np.array([hashmix(pool[i % 4], _MULT_B) for i in range(8)])
+    words = np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return list(map(_replicate_seed_type(), words))
 
 
 class OracleBatch:
@@ -67,7 +134,7 @@ class OracleBatch:
         domain: tuple[float, float],
         sigma: float,
         budget: int,
-        seeds: list[np.random.SeedSequence],
+        seeds: list[ISeedSequence],
     ):
         self.spec = spec
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
@@ -170,7 +237,7 @@ class OracleSession:
         self,
         config: OracleConfig,
         function: ConvexFunction1D,
-        seed: np.random.SeedSequence | None = None,
+        seed: ISeedSequence | None = None,
     ):
         self.config = config
         self.function = function

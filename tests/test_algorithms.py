@@ -192,6 +192,12 @@ class TestFlatSetDiagnostics:
         with pytest.raises(ScheduleError):
             flat_set_diagnostics(f, T=2, r=0.5, delta=0.05, sigma=0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_sigma_must_be_finite(self, sigma):
+        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
+        with pytest.raises(ValueError, match="finite"):
+            flat_set_diagnostics(f, T=10000, r=0.5, delta=0.05, sigma=sigma)
+
     def test_coverage_empirical(self):
         # the search lands within the resolution bound of the flat interval
         # in all but a delta-fraction of replicates (small pilot; the

@@ -104,14 +104,23 @@ def test_superefficiency_non_finite_number_is_a_usage_error(flag, value, capsys)
     assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, convexbench.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def imported_after_cli(package: str) -> str:
+    """Modules of ``package`` that a fresh ``import convexbench.cli`` loads."""
+    code = ("import sys, convexbench.cli; print(sorted(m for m in sys.modules "
+            f"if m == {package!r} or m.startswith({package + '.'!r})))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
+    assert imported_after_cli("scipy") == "[]\n"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random loads on first use; commands without Monte Carlo never pay it
+    assert imported_after_cli("numpy.random") == "[]\n"
 
 
 class TestManifestRerun:

@@ -1,5 +1,5 @@
 """Risk harness: lockstep replicate runs against scalar loops, seeds, jobs,
-slope fits."""
+slope fits, the two-point risk floor."""
 import numpy as np
 import pytest
 import scalar_reference as ref
@@ -9,6 +9,7 @@ from convexbench import (
     BinarySearchSpec,
     ConstantEstimator,
     ExperimentConfig,
+    FieldError,
     FunctionFamily,
     RiskRow,
     RiskTable,
@@ -20,6 +21,8 @@ from convexbench import (
     estimate_risk,
     fit_loglog_slope,
     replicate_seed,
+    superefficiency_experiment,
+    two_point_floor,
     with_x_star,
 )
 from convexbench.experiments import replicate_runs
@@ -41,12 +44,20 @@ ALGORITHMS = {  # every SGD variant starts uniformly over the interval
     "sgd-1/sqrt(t)": SgdSpec("1/sqrt(t)"),
     "sgd-1/t-average": SgdSpec("1/t", iterate="average"),
 }
+# master seeds of two, three and five 32-bit words (five is more than
+# SeedSequence's four-word pool) and a cell key entry of two words
+SEEDINGS = {
+    "seed-2^32": (2**32, KEY),
+    "seed-2^64+5": (2**64 + 5, KEY),
+    "seed-2^128+1": (2**128 + 1, KEY),
+    "key-2^32+7": (SEED, (2**32 + 7, 2)),
+}
 
 
-def scalar_run(family, alg, T, rep):
+def scalar_run(family, alg, T, rep, seed=SEED, key=KEY):
     """One replicate through the scalar reference loops, seeded as the
     harness documents."""
-    env_seed, noise_seed = replicate_seed(SEED, *KEY, rep).spawn(2)
+    env_seed, noise_seed = replicate_seed(seed, *key, rep).spawn(2)
     env = np.random.Generator(np.random.PCG64(env_seed))
     x_star = env.uniform(family.x_star.lo, family.x_star.hi)
     f = build_function(with_x_star(family.template, x_star), INTERVAL)
@@ -76,6 +87,16 @@ class TestReplicateRuns:
             return
         estimates, x_stars = batched()
         want = [scalar_run(family, alg, T, rep) for rep in range(R)]
+        assert np.array_equal(x_stars, [w[1] for w in want])
+        assert np.array_equal(estimates, [w[0] for w in want])
+
+    @pytest.mark.parametrize("alg", [ALGORITHMS["binary-search"], ALGORITHMS["sgd-1/t"]],
+                             ids=["binary-search", "sgd-1/t"])
+    @pytest.mark.parametrize("seed, key", SEEDINGS.values(), ids=SEEDINGS)
+    def test_seedings_match_scalar_sessions_bitwise(self, seed, key, alg):
+        family, T = FAMILIES["asym-1.5-3"], 100
+        estimates, x_stars = replicate_runs(family, INTERVAL, SIGMA, T, alg, R, seed, key)
+        want = [scalar_run(family, alg, T, rep, seed, key) for rep in range(R)]
         assert np.array_equal(x_stars, [w[1] for w in want])
         assert np.array_equal(estimates, [w[0] for w in want])
 
@@ -123,3 +144,29 @@ def test_loglog_slope_matches_scipy_linregress_bitwise():
 def test_constant_estimator_must_be_finite(value):
     with pytest.raises(ValueError, match="finite"):
         ConstantEstimator(value)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_experiment_sigma_must_be_finite(sigma):
+    with pytest.raises(FieldError, match="finite") as info:
+        ExperimentConfig(SymmetricPower(2.0), (BinarySearchSpec(r=1.5),), (100,), 3,
+                         sigma, 1)
+    assert info.value.field == "sigma"
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("T", [100, 1000])
+@pytest.mark.parametrize("estimator", [
+    ConstantEstimator(0.0), ConstantEstimator(0.05), BinarySearchSpec(r=1.5),
+    SgdSpec("1/t"), SgdSpec("1/sqrt(t)"),
+], ids=lambda e: e.algorithm_id)
+def test_tilted_pair_risks_respect_two_point_floor(k, T, estimator):
+    # the tilts g+- = f +- eps_T * x have subgradients exactly kappa = eps_T
+    # apart, so the worse of the risks at f and at g+- obeys the floor
+    sigma = 0.1
+    rep = superefficiency_experiment(SymmetricPower(k), estimator, 0.05, T, sigma,
+                                     400, SEED)
+    for risk_g, d in [(rep.risk_g_plus, rep.d_f_g_plus),
+                      (rep.risk_g_minus, rep.d_f_g_minus)]:
+        assert d > 0
+        assert max(rep.risk_f, risk_g) >= two_point_floor(d, rep.epsilon_T, T, sigma)

@@ -20,7 +20,7 @@ from convexbench import (
     replicate_seed,
 )
 from convexbench.experiments import replicate_runs
-from convexbench.oracle import _TILE, STEP_CHUNK
+from convexbench.oracle import _TILE, STEP_CHUNK, replicate_seeds
 
 F = build_function(SymmetricPower(k=2.0, x_star=0.0), (-2.0, 2.0))
 
@@ -97,6 +97,11 @@ class TestBudget:
             OracleConfig(sigma=-0.1, budget=10, master_seed=0)
         with pytest.raises(ValueError):
             OracleConfig(sigma=0.1, budget=0, master_seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            OracleConfig(sigma=sigma, budget=10, master_seed=0)
 
 
 class TestReplay:
@@ -199,6 +204,45 @@ class TestOracleBatch:
         for r, seed in enumerate(seeds):
             want = np.random.Generator(np.random.PCG64(seed)).standard_normal(n + 1)
             assert np.array_equal(got[:, r], want)
+
+
+class TestReplicateSeeds:
+    # 2**128 + 1 is run entropy longer than SeedSequence's four-word pool
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5,
+                                             2**128 + 1])
+    @pytest.mark.parametrize("R", [1, 2, 1000])
+    def test_words_equal_seed_sequence(self, master_seed, R):
+        for key in [(), (3, 1), (2**32, 7), (2**70 + 3,)]:
+            for stream in (0, 1):
+                seeds = replicate_seeds(master_seed, key, R, stream)
+                assert len(seeds) == R
+                for r, seed in enumerate(seeds):
+                    ss = np.random.SeedSequence(master_seed,
+                                                spawn_key=(*key, r, stream))
+                    assert np.array_equal(seed.generate_state(4, np.uint64),
+                                          ss.generate_state(4, np.uint64))
+
+    def test_generators_draw_the_seed_sequence_streams(self):
+        seeds = replicate_seeds(7, (1, 2), 50, 0)
+        for r, seed in enumerate(seeds):
+            ss = np.random.SeedSequence(7, spawn_key=(1, 2, r, 0))
+            got = np.random.Generator(np.random.PCG64(seed)).standard_normal(100)
+            want = np.random.Generator(np.random.PCG64(ss)).standard_normal(100)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64),
+                                                (2, np.uint64), (8, np.uint32)])
+    def test_other_requests_are_errors(self, n_words, dtype):
+        seed = replicate_seeds(1, (), 1, 0)[0]
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("master_seed, key", [(-1, ()), (1, (2, -3))])
+    def test_negative_entropy_is_an_error(self, master_seed, key):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(master_seed, spawn_key=(*key, 0, 0))
+        with pytest.raises(ValueError):
+            replicate_seeds(master_seed, key, 3, 0)
 
 
 def test_sgd_cell_memory_does_not_grow_with_budget():
