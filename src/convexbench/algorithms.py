@@ -164,24 +164,27 @@ def run_binary_search(
 
 def run_sgd(
     batch: OracleBatch,
-    spec: SgdSpec,
+    specs: tuple[SgdSpec, ...],
     x0: np.ndarray,
     interval: tuple[float, float],
     trace: list | None = None,
 ) -> np.ndarray:
     """Projected stochastic gradient descent using the whole oracle budget.
 
-    Step t (starting at 1) queries each replicate's current iterate and moves
-    against the returned noisy subgradient with step size scale/t or
-    scale/sqrt(t).  Starts ``x0`` (shape (R,)) and iterates are projected
-    onto the interval before every query.  Returns the last iterates, or the
-    running averages of the query points when spec.iterate == "average".
+    The batch's replicates form one contiguous block of equal size per spec
+    in ``specs``, each block following its own spec.  Step t (starting at 1)
+    queries each replicate's current iterate and moves against the returned
+    noisy subgradient with its spec's step size scale/t or scale/sqrt(t).
+    Starts ``x0`` (shape (R,)) and iterates are projected onto the interval
+    before every query.  Returns the last iterates, or the running averages
+    of the query points for blocks whose spec has iterate == "average".
     When ``trace`` is a list, each step appends (query points, readings).
     """
     lo, hi = _checked_interval(interval)
     T = batch.budget
-    c = spec.scale
-    inv_t = spec.schedule == "1/t"
+    size = batch.n_replicates // len(specs)
+    blocks = [(slice(j * size, (j + 1) * size), spec) for j, spec in enumerate(specs)]
+    averaged = [block for block, spec in blocks if spec.iterate == "average"]
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     total = np.zeros_like(x)
     batch.begin_steps(T)
@@ -189,11 +192,16 @@ def run_sgd(
         v = batch.query_all(x)
         if trace is not None:
             trace.append((x.copy(), v.copy()))
-        total += x
-        v *= c / t if inv_t else c / math.sqrt(t)
+        for block in averaged:
+            total[block] += x[block]
+        for block, spec in blocks:
+            vb = v[block]
+            vb *= spec.scale / (t if spec.schedule == "1/t" else math.sqrt(t))
         x -= v
         np.minimum(np.maximum(x, lo, out=x), hi, out=x)  # np.clip, less overhead
-    return total / T if spec.iterate == "average" else x
+    for block in averaged:
+        x[block] = total[block] / T
+    return x
 
 
 def sign_test_binary_search(
@@ -260,7 +268,7 @@ def sgd(
         )
     used = session.queries_used
     steps = [] if record_trace else None
-    estimate = run_sgd(session.batch, spec, np.array([float(spec.x0)]), interval,
+    estimate = run_sgd(session.batch, (spec,), np.array([float(spec.x0)]), interval,
                        trace=steps)
     lo, hi = interval
     records = tuple(

@@ -346,7 +346,12 @@ def cmd_modulus(parser, args) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce_fig2(args) -> int:
+def cmd_reproduce_fig2(parser, args) -> int:
+    # a config file's bounds on master_seed and replicates: every manifest reruns
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"argument --seed: must fit in 64 unsigned bits, got {args.seed}")
+    if args.replicates < 1:
+        parser.error(f"argument --replicates: must be >= 1, got {args.replicates}")
     out_base = _resolve_out(args.out, "fig2")
     algorithms = (
         BinarySearchSpec(r=FIG2_ROUND_COEFFICIENT),
@@ -492,7 +497,7 @@ def main(argv=None) -> int:
     if args.command == "modulus":
         return cmd_modulus(parser, args)
     if args.command == "reproduce-fig2":
-        return cmd_reproduce_fig2(args)
+        return cmd_reproduce_fig2(parser, args)
     if args.command == "superefficiency":
         return cmd_superefficiency(parser, args)
     parser.error(f"unknown command {args.command!r}")

@@ -10,18 +10,24 @@ the whole cell at once with ``oracle.replicate_seeds``.  Cells are therefore
 independent of execution order and worker count, and replicate reductions
 use numpy's pairwise summation in canonical replicate order.
 
-Replicates inside a cell run in lockstep on one ``OracleBatch``, through
-the algorithms' only implementations, ``algorithms.run_binary_search`` and
-``algorithms.run_sgd``.  A replicate's result does not depend on how many
-replicates share its batch; the test suite checks it against plain scalar
-reference loops kept in ``tests/``.  ``BinarySearchSpec`` and ``SgdSpec``
-are defined in ``algorithms`` and re-exported here.
+The unit of work is a budget group: at each budget T, the cells of every
+``SgdSpec`` run as one ``OracleBatch`` of R replicates per spec, in
+contiguous per-spec blocks, while each ``BinarySearchSpec`` cell runs on a
+batch of its own.  Replicates run in lockstep through the algorithms' only
+implementations, ``algorithms.run_binary_search`` and ``algorithms.run_sgd``.
+A replicate's result does not depend on how many replicates share its batch;
+the test suite checks it against plain scalar reference loops kept in
+``tests/``.  ``estimate_risk`` hands units to its process pool longest
+first, by T times the number of cells, so that no large unit starts last;
+rows come back in canonical (algorithm, budget) order.  ``BinarySearchSpec``
+and ``SgdSpec`` are defined in ``algorithms`` and re-exported here.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -182,44 +188,36 @@ class SlopeFit:
 
 def _draw_environment(
     function: FunctionSpec | FunctionFamily,
-    alg: AlgorithmSpec,
+    algs: tuple[AlgorithmSpec, ...],
     initial_interval: tuple[float, float],
     env_seeds,
 ):
     """Per-replicate minimizer draws and SGD starts, in a fixed draw order.
 
-    Order per replicate: the minimizer location first (families only), then
-    the SGD starting point (uniform starts only).
+    ``env_seeds`` holds one block of seeds per algorithm.  Order per
+    replicate: the minimizer location first (families only), then the SGD
+    starting point (uniform starts only).  Each draw is ``Generator.uniform``
+    computed from one raw PCG64 output: lo + (hi - lo) * (top 53 bits / 2^53).
     """
-    R = len(env_seeds)
-    need_xstar = isinstance(function, FunctionFamily)
-    need_x0 = isinstance(alg, SgdSpec) and alg.x0 == UNIFORM_START
-    xstar = np.empty(R) if need_xstar else None
-    x0 = np.empty(R) if need_x0 else None
-    if need_xstar or need_x0:
-        a0, b0 = initial_interval
-        for i, ss in enumerate(env_seeds):
-            g = np.random.Generator(np.random.PCG64(ss))
-            if need_xstar:
-                xstar[i] = g.uniform(function.x_star.lo, function.x_star.hi)
-            if need_x0:
-                x0[i] = g.uniform(a0, b0)
-    if isinstance(alg, SgdSpec) and not need_x0:
-        x0 = np.full(R, float(alg.x0))
-    return xstar, x0
+    R = len(env_seeds) // len(algs)
+    uniform = [isinstance(alg, SgdSpec) and alg.x0 == UNIFORM_START for alg in algs]
+    n = isinstance(function, FunctionFamily) + any(uniform)
+    if n:  # a replicate whose start is fixed leaves its last draw unused
+        raw = np.array([np.random.PCG64(ss).random_raw(n) for ss in env_seeds])
+        u = (raw >> 11) * 2.0**-53
 
+    def draws(lo, hi, col):
+        return float(lo) + (float(hi) - float(lo)) * u[:, col]
 
-def _minimizer_intervals(
-    function: FunctionSpec | FunctionFamily,
-    initial_interval: tuple[float, float],
-    xstar: np.ndarray | None,
-    R: int,
-):
-    """Per-replicate minimizer intervals as (lo, hi) arrays."""
+    xstar = None
     if isinstance(function, FunctionFamily):
-        return minimizer_interval(function.template, initial_interval, xstar)
-    ml, mr = minimizer_interval(function, initial_interval)
-    return np.full(R, ml), np.full(R, mr)
+        xstar = draws(function.x_star.lo, function.x_star.hi, 0)
+    if not isinstance(algs[0], SgdSpec):
+        return xstar, None
+    starts = draws(*initial_interval, n - 1) if any(uniform) else None
+    x0 = np.concatenate([starts[j * R:(j + 1) * R] if uni else np.full(R, float(alg.x0))
+                         for j, (alg, uni) in enumerate(zip(algs, uniform))])
+    return xstar, x0
 
 
 def replicate_runs(
@@ -227,25 +225,32 @@ def replicate_runs(
     initial_interval: tuple[float, float],
     sigma: float,
     T: int,
-    alg: AlgorithmSpec,
+    alg: AlgorithmSpec | tuple[SgdSpec, ...],
     replicates: int,
     master_seed: int,
-    key: tuple[int, ...] = (),
+    key: tuple = (),
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run one (algorithm, budget) cell over seeded replicates, in lockstep.
 
-    Replicate r draws its environment and noise from the streams
-    ``SeedSequence(master_seed, spawn_key=(*key, r, 0|1))``, whose words
+    ``alg`` is one spec and ``key`` its cell key, or ``alg`` is a tuple of
+    SgdSpecs and ``key`` a tuple of their cell keys: a budget group, whose
+    cells run as contiguous blocks of one batch.  Replicate r of the cell
+    with key k draws its environment and noise from the streams
+    ``SeedSequence(master_seed, spawn_key=(*k, r, 0|1))``, whose words
     ``replicate_seeds`` computes for the whole cell at once.  Returns
-    (estimates, minimizer draws or None); each replicate's estimate is the
-    one it would get run alone on its own seeds.  Raises ScheduleError when
-    the budget cannot support the round schedule.
+    (estimates, minimizer draws or None), of shape (replicates,) for one
+    cell and (cells, replicates) for a group; each replicate's estimate is
+    the one it would get run alone on its own seeds.  Raises ScheduleError
+    when the budget cannot support the round schedule.
     """
+    group = isinstance(alg, tuple)
+    algs, keys = (alg, key) if group else ((alg,), (key,))
     if isinstance(alg, BinarySearchSpec):
         epochs_schedule(T, alg.r)  # fail fast before drawing anything
-    env_seeds = replicate_seeds(master_seed, key, replicates, 0)
-    noise_seeds = replicate_seeds(master_seed, key, replicates, 1)
-    xstar, x0 = _draw_environment(function, alg, initial_interval, env_seeds)
+    env_seeds, noise_seeds = (
+        [ss for k in keys for ss in replicate_seeds(master_seed, k, replicates, stream)]
+        for stream in (0, 1))
+    xstar, x0 = _draw_environment(function, algs, initial_interval, env_seeds)
     template = function.template if isinstance(function, FunctionFamily) else function
     batch = OracleBatch(
         spec=template,
@@ -258,7 +263,10 @@ def replicate_runs(
     if isinstance(alg, BinarySearchSpec):
         estimates = run_binary_search(batch, alg, initial_interval)
     else:
-        estimates = run_sgd(batch, alg, x0, initial_interval)
+        estimates = run_sgd(batch, algs, x0, initial_interval)
+    if group:
+        estimates = estimates.reshape(len(algs), replicates)
+        xstar = None if xstar is None else xstar.reshape(len(algs), replicates)
     return estimates, xstar
 
 
@@ -267,61 +275,67 @@ def _replicate_errors(
     initial_interval: tuple[float, float],
     sigma: float,
     T: int,
-    alg: AlgorithmSpec,
+    alg: AlgorithmSpec | tuple[SgdSpec, ...],
     replicates: int,
     master_seed: int,
-    key: tuple[int, ...],
+    key: tuple,
 ) -> np.ndarray:
-    """Per-replicate distances to the minimizer for one (algorithm, T) cell."""
+    """Per-replicate distances to the minimizer for one cell or budget group,
+    shaped like the estimates ``replicate_runs`` returns."""
     estimates, xstar = replicate_runs(
         function, initial_interval, sigma, T, alg, replicates, master_seed, key
     )
-    ml, mr = _minimizer_intervals(function, initial_interval, xstar, replicates)
+    if isinstance(function, FunctionFamily):
+        ml, mr = minimizer_interval(function.template, initial_interval, xstar)
+    else:  # one interval, broadcast over the replicates
+        ml, mr = minimizer_interval(function, initial_interval)
     return np.maximum(0.0, np.maximum(ml - estimates, estimates - mr))
 
 
-def _cell_worker(config: ExperimentConfig, a_idx: int, t_idx: int) -> RiskRow:
-    alg = config.algorithms[a_idx]
+def _unit_rows(config: ExperimentConfig, a_idxs: tuple[int, ...],
+               t_idx: int) -> list[RiskRow]:
+    """Risk rows of one unit of work at budget index t_idx: the cell of one
+    binary search, or the budget group of the SGD algorithms a_idxs."""
+    algs = [config.algorithms[a] for a in a_idxs]
+    alg, key = algs[0], (a_idxs[0], t_idx)
+    if isinstance(alg, SgdSpec):
+        alg, key = tuple(algs), tuple((a, t_idx) for a in a_idxs)
     T = config.T_grid[t_idx]
     fn_id = function_id(config.function)
     try:
-        errs = _replicate_errors(
-            config.function,
-            config.initial_interval,
-            config.sigma,
-            T,
-            alg,
-            config.replicates,
-            config.master_seed,
-            key=(a_idx, t_idx),
-        )
+        errs = _replicate_errors(config.function, config.initial_interval, config.sigma,
+                                 T, alg, config.replicates, config.master_seed, key)
     except ScheduleError:
-        return RiskRow(fn_id, alg.algorithm_id, T, None, None, 0)
-    n = len(errs)
-    mean = float(np.mean(errs))
-    stderr = float(np.std(errs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return RiskRow(fn_id, alg.algorithm_id, T, mean, stderr, n)
+        return [RiskRow(fn_id, alg.algorithm_id, T, None, None, 0) for alg in algs]
+    rows = []
+    for alg, e in zip(algs, np.reshape(errs, (len(algs), -1))):
+        n = len(e)
+        stderr = float(np.std(e, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        rows.append(RiskRow(fn_id, alg.algorithm_id, T, float(np.mean(e)), stderr, n))
+    return rows
 
 
 def estimate_risk(config: ExperimentConfig, jobs: int = 1) -> RiskTable:
     """Monte-Carlo risk table over all (algorithm, budget) cells.
 
-    Deterministic given the master seed: independent of ``jobs`` and of cell
-    execution order.  Cells whose schedule is infeasible appear with
-    mean_err = None rather than crashing the run.
+    Deterministic given the master seed: independent of ``jobs`` and of the
+    order in which units of work run.  Cells whose schedule is infeasible
+    appear with mean_err = None rather than crashing the run.
     """
-    cells = [
-        (a_idx, t_idx)
-        for a_idx in range(len(config.algorithms))
-        for t_idx in range(len(config.T_grid))
-    ]
-    if jobs <= 1 or len(cells) <= 1:
-        rows = [_cell_worker(config, a, t) for a, t in cells]
+    n_a, n_t = len(config.algorithms), len(config.T_grid)
+    sgd = tuple(a for a in range(n_a) if isinstance(config.algorithms[a], SgdSpec))
+    units = [((a,), t) for a in range(n_a) if a not in sgd for t in range(n_t)]
+    units += [(sgd, t) for t in range(n_t)] if sgd else []
+    # longest first, so that no large unit starts last and leaves cores idle
+    units.sort(key=lambda u: config.T_grid[u[1]] * len(u[0]), reverse=True)
+    if jobs <= 1 or len(units) <= 1:
+        results = [_unit_rows(config, a_idxs, t) for a_idxs, t in units]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(_cell_worker, config, a, t) for a, t in cells]
-            rows = [f.result() for f in futures]  # canonical cell order
-    return RiskTable(tuple(rows))
+            results = list(ex.map(partial(_unit_rows, config), *zip(*units)))
+    rows = {(a, t): row for (a_idxs, t), unit in zip(units, results)
+            for a, row in zip(a_idxs, unit)}
+    return RiskTable(tuple(rows[a, t] for a in range(n_a) for t in range(n_t)))
 
 
 def fit_loglog_slope(
@@ -403,10 +417,6 @@ class SuperefficiencyReport:
     omega_ref_plus: float
     omega_ref_minus: float
     lower_constant: float = field(default=LOWER_BOUND_CONSTANT)
-
-    @property
-    def max_tilted_risk(self) -> float:
-        return max(self.risk_g_plus, self.risk_g_minus)
 
 
 def _estimator_risk(

@@ -12,8 +12,9 @@ spawn keys, whose words ``replicate_seeds`` computes for a whole cell at
 once.  Budget, domain and NaN checks and noise draws live there only;
 ``OracleSession`` is the one-replicate batch with scalar ``query`` and
 ``query_block``.  Step noise (``begin_steps``) is drawn ahead in chunks of
-at most ``STEP_CHUNK`` steps, so a batch holds O(R * STEP_CHUNK) noise
-values whatever the budget.
+at most ``STEP_CHUNK`` steps and at most ``CHUNK_VALUES`` values, so a batch
+holds at most about ``CHUNK_VALUES`` step noises whatever its budget and
+however many replicates it runs; sigma scales each chunk once as it is drawn.
 """
 from __future__ import annotations
 
@@ -32,10 +33,12 @@ if TYPE_CHECKING:
     from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["OracleConfig", "OracleSession", "OracleBatch", "replicate_seed",
-           "replicate_seeds", "STEP_CHUNK"]
+           "replicate_seeds", "STEP_CHUNK", "CHUNK_VALUES"]
 
-# steps of noise that OracleBatch draws at once for begin_steps
+# steps of noise that OracleBatch draws at once for begin_steps, and the most
+# noise values (steps * replicates) one such chunk may hold
 STEP_CHUNK = 1024
+CHUNK_VALUES = 2**19
 
 # replicates whose chunk rows are transposed together into step-major order
 _TILE = 64
@@ -195,7 +198,8 @@ class OracleBatch:
         """Reserve the next n single-point queries per replicate.
 
         Their noise is drawn ahead as ``query_all`` consumes it, in chunks of
-        at most STEP_CHUNK steps, so memory is O(R * STEP_CHUNK), not O(R * n).
+        at most STEP_CHUNK steps and CHUNK_VALUES values, so memory is
+        O(min(R * STEP_CHUNK, CHUNK_VALUES)), not O(R * n).
         """
         self._take(n)  # reserve-check only; queries still counted one by one
         self._steps = np.empty((0, self.n_replicates))
@@ -213,14 +217,15 @@ class OracleBatch:
         g = self._subgrad(x)
         if self._step_pos == len(self._steps):
             # a query beyond the reserved steps draws for itself alone
-            n = min(max(self._steps_ahead, 1), STEP_CHUNK)
+            cap = max(min(STEP_CHUNK, CHUNK_VALUES // self.n_replicates), 1)
+            n = min(max(self._steps_ahead, 1), cap)
             self._steps = self._step_chunk(n)
+            self._steps *= self.sigma
             self._step_pos = 0
             self._steps_ahead = max(self._steps_ahead - n, 0)
         z = self._steps[self._step_pos]
         self._step_pos += 1
         self.queries_used += 1
-        z *= self.sigma
         z += g
         return z
 

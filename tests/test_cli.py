@@ -222,3 +222,18 @@ def test_bad_function_flag_is_a_usage_error(command, flags, bad_flag, capsys):
         cli.main([command[0], *flags, *command[1:]])
     assert info.value.code == cli.EXIT_USAGE
     assert f"argument {bad_flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"),
+    ("--seed", str(2**64)),  # a manifest with this seed would not rerun
+    ("--replicates", "0"),
+])
+def test_bad_fig2_flag_is_a_usage_error(flag, value, tmp_path, capsys):
+    argv = ["reproduce-fig2", "--replicates", "2", "--jobs", "1",
+            "--out", str(tmp_path), flag, value]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == cli.EXIT_USAGE
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -1,5 +1,8 @@
 """Risk harness: lockstep replicate runs against scalar loops, seeds, jobs,
 slope fits, the two-point risk floor."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scalar_reference as ref
@@ -25,7 +28,7 @@ from convexbench import (
     two_point_floor,
     with_x_star,
 )
-from convexbench.experiments import replicate_runs
+from convexbench.experiments import function_id, replicate_runs
 from convexbench.oracle import STEP_CHUNK
 
 INTERVAL = (-2.0, 2.0)
@@ -54,21 +57,39 @@ SEEDINGS = {
 }
 
 
-def scalar_run(family, alg, T, rep, seed=SEED, key=KEY):
+def scalar_run(function, alg, T, rep, seed=SEED, key=KEY):
     """One replicate through the scalar reference loops, seeded as the
-    harness documents."""
+    harness documents: (estimate, minimizer draw or None, minimizer set)."""
     env_seed, noise_seed = replicate_seed(seed, *key, rep).spawn(2)
     env = np.random.Generator(np.random.PCG64(env_seed))
-    x_star = env.uniform(family.x_star.lo, family.x_star.hi)
-    f = build_function(with_x_star(family.template, x_star), INTERVAL)
+    x_star = None
+    if isinstance(function, FunctionFamily):
+        x_star = env.uniform(function.x_star.lo, function.x_star.hi)
+        function = with_x_star(function.template, x_star)
+    f = build_function(function, INTERVAL)
     oracle = ref.ReferenceOracle(f, SIGMA, noise_seed)
     if isinstance(alg, BinarySearchSpec):
         estimate = ref.binary_search(oracle, T, alg.r, INTERVAL)
     else:
-        x0 = env.uniform(*INTERVAL)
+        x0 = env.uniform(*INTERVAL) if alg.x0 == "uniform" else alg.x0
         estimate = ref.sgd(oracle, T, alg.schedule, alg.scale, alg.iterate, x0,
                            INTERVAL)
-    return estimate, x_star
+    return estimate, x_star, f.minimizer_set
+
+
+def scalar_row(config, a, t):
+    """Risk row of cell (a, t) from one scalar run per replicate."""
+    alg, T = config.algorithms[a], config.T_grid[t]
+    fn_id = function_id(config.function)
+    try:
+        runs = [scalar_run(config.function, alg, T, rep, config.master_seed, (a, t))
+                for rep in range(config.replicates)]
+    except ScheduleError:
+        return RiskRow(fn_id, alg.algorithm_id, T, None, None, 0)
+    errs = np.array([max(0.0, lo - est, est - hi) for est, _, (lo, hi) in runs])
+    n = len(errs)
+    return RiskRow(fn_id, alg.algorithm_id, T, float(np.mean(errs)),
+                   float(np.std(errs, ddof=1) / math.sqrt(n)), n)
 
 
 class TestReplicateRuns:
@@ -121,6 +142,84 @@ def test_estimate_risk_independent_of_jobs():
         initial_interval=INTERVAL,
     )
     assert estimate_risk(config, jobs=1) == estimate_risk(config, jobs=2)
+
+
+# three SGD variants (one budget group per T) around a binary search
+GROUP_ALGORITHMS = (
+    SgdSpec("1/t"),
+    BinarySearchSpec(r=1.5),
+    SgdSpec("1/sqrt(t)", iterate="average"),
+    SgdSpec("1/t", scale=0.5, x0=0.3),
+)
+
+
+class TestBudgetGroups:
+    @pytest.mark.parametrize("cap", [None, 7], ids=["step-capped", "value-capped"])
+    @pytest.mark.parametrize("function", [FAMILIES["asym-1.5-3"],
+                                          SymmetricPower(2.0, x_star=0.3)],
+                             ids=["family", "fixed"])
+    def test_rows_match_scalar_runs_bitwise(self, function, cap, monkeypatch):
+        # T = 1 leaves the binary search a missing cell; the larger budget
+        # crosses the edge of the group's first noise chunk, which holds
+        # STEP_CHUNK steps or, with the value cap lowered, `cap` steps of
+        # the 3 * R replicates
+        if cap is None:
+            T_grid = (1, STEP_CHUNK + 1)
+        else:
+            monkeypatch.setattr("convexbench.oracle.CHUNK_VALUES", 3 * R * cap + 2)
+            T_grid = (1, 2 * cap + 1)
+        config = ExperimentConfig(function, GROUP_ALGORITHMS, T_grid, R, SIGMA, SEED,
+                                  INTERVAL)
+        want = tuple(scalar_row(config, a, t) for a in range(len(GROUP_ALGORITHMS))
+                     for t in range(len(T_grid)))
+        assert estimate_risk(config).rows == want
+
+    def test_group_matches_its_cells_run_alone(self):
+        algs = tuple(a for a in GROUP_ALGORITHMS if isinstance(a, SgdSpec))
+        keys = tuple((a, 5) for a in range(len(algs)))
+        family, T = FAMILIES["sym-k1.5"], 50
+        estimates, x_stars = replicate_runs(family, INTERVAL, SIGMA, T, algs, R, SEED,
+                                            keys)
+        assert estimates.shape == x_stars.shape == (len(algs), R)
+        for alg, key, est, xs in zip(algs, keys, estimates, x_stars):
+            alone = replicate_runs(family, INTERVAL, SIGMA, T, alg, R, SEED, key)
+            assert np.array_equal(est, alone[0])
+            assert np.array_equal(xs, alone[1])
+
+    def test_rows_independent_of_jobs(self):
+        config = ExperimentConfig(
+            function=FAMILIES["sym-k1.5"],
+            algorithms=GROUP_ALGORITHMS,
+            T_grid=(1, 10, 100, 464),
+            replicates=30,
+            sigma=SIGMA,
+            master_seed=SEED,
+            initial_interval=INTERVAL,
+        )
+        assert estimate_risk(config, jobs=1) == estimate_risk(config, jobs=2)
+
+    def test_memory_does_not_grow_with_budget(self, monkeypatch):
+        # prefetching all step noise at once would add 2R * dT * 8 bytes
+        # (79 MB); chunked, at most two chunks are alive at once.  The value
+        # cap is lowered so that it, not STEP_CHUNK, sets the chunk size.
+        algs, R = (SgdSpec("1/t"), SgdSpec("1/sqrt(t)")), 50
+        chunk_values = 2 * R * STEP_CHUNK // 4
+        monkeypatch.setattr("convexbench.oracle.CHUNK_VALUES", chunk_values)
+
+        def run(T):
+            replicate_runs(FAMILIES["sym-k1.5"], INTERVAL, SIGMA, T, algs, R, 3,
+                           ((0, 0), (1, 0)))
+
+        run(10)  # one-time allocations land outside both traced runs
+        peaks = []
+        for T in (10**3, 10**5):
+            tracemalloc.start()
+            try:
+                run(T)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * chunk_values * 8
 
 
 def test_loglog_slope_matches_scipy_linregress_bitwise():

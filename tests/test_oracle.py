@@ -20,7 +20,7 @@ from convexbench import (
     replicate_seed,
 )
 from convexbench.experiments import replicate_runs
-from convexbench.oracle import _TILE, STEP_CHUNK, replicate_seeds
+from convexbench.oracle import _TILE, CHUNK_VALUES, STEP_CHUNK, replicate_seeds
 
 F = build_function(SymmetricPower(k=2.0, x_star=0.0), (-2.0, 2.0))
 
@@ -196,7 +196,15 @@ class TestOracleBatch:
     def test_step_noise_follows_each_stream_across_chunks(self):
         # more replicates than one transpose tile, more steps than one chunk,
         # then one step beyond the reservation; at x = x* the answer is z
-        R, n = _TILE + 3, STEP_CHUNK + 2
+        self.check_step_noise(_TILE + 3, STEP_CHUNK + 2)
+
+    def test_step_noise_follows_each_stream_across_value_capped_chunks(self):
+        # so many replicates that CHUNK_VALUES, not STEP_CHUNK, sets the chunk
+        R = CHUNK_VALUES // 300 + 1
+        self.check_step_noise(R, CHUNK_VALUES // R + 2)
+
+    @staticmethod
+    def check_step_noise(R, n):
         seeds = [replicate_seed(9, r) for r in range(R)]
         batch = OracleBatch(F.spec, None, F.domain, 1.0, n + 1, seeds)
         batch.begin_steps(n)
