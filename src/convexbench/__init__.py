@@ -60,8 +60,7 @@ from .functions import (
     SymmetricPower,
     Tilt,
     build_function,
-    err,
-    min_norm_subgradient,
+    distance,
     pair_dissimilarity_kappa,
     pair_distance_d,
     spec_id,

@@ -246,8 +246,7 @@ def flat_set_diagnostics(
     if threshold > 0:
         i_delta = flat_set(f, threshold)
     else:  # sigma = 0 or delta -> 1 with E = 1: the flat set degenerates
-        xl, xr = f.minimizer_set
-        i_delta = (xl, xr)
+        i_delta = f.minimizer_set
     a0, b0 = initial_interval if initial_interval is not None else f.domain
     radius_bound = (b0 - a0) * 0.5**E
     return c_delta, i_delta, radius_bound

@@ -41,6 +41,14 @@ Numbers must be finite; breakpoints and slopes are space-separated.  A key
 of another kind (``k_r`` under ``kind = sym-power``) is an error on its line.
 ``x_star_distribution = uniform <lo> <hi>`` makes the spec a family whose
 minimizer is drawn per replicate.
+
+Algorithm lines follow the same grammar on one line, read off
+``BinarySearchSpec`` and ``SgdSpec``: ``algorithm = <name> key=value ...``
+with name ``binary-search`` (keys r, delta) or ``sgd`` (schedule, scale,
+iterate, x0).  Each key is given at most once and is required unless its
+field has a default.  A value is read by its field's type: a finite number,
+text as written, or for x0 a finite number when it reads as one and
+otherwise a word its class checks (``uniform``).
 """
 from __future__ import annotations
 
@@ -70,6 +78,7 @@ __all__ = [
     "ConfigError",
     "RunSettings",
     "SPEC_KINDS",
+    "ALGORITHM_KINDS",
     "BASE_KINDS",
     "parse_config",
     "serialize_config",
@@ -107,15 +116,21 @@ SPEC_KINDS = {
     "piecewise-linear": PiecewiseLinear,
     "tilt": Tilt,
 }
+ALGORITHM_KINDS = {"binary-search": BinarySearchSpec, "sgd": SgdSpec}
 BASE_KINDS = tuple(kind for kind, cls in SPEC_KINDS.items() if cls is not Tilt)
-_KIND_OF = {cls: kind for kind, cls in SPEC_KINDS.items()}
-# one number, or space-separated numbers; any other field type is a nested
-# spec, spelled under the prefix "<field>_"
-_NUMBER_TYPES = (float, tuple[float, ...])
+# the key that names the class of each table
+_TABLES = {"kind": SPEC_KINDS, "algorithm": ALGORITHM_KINDS}
+_CLASSES = SPEC_KINDS | ALGORITHM_KINDS
+_KIND_OF = {cls: (kind_key, kind) for kind_key, table in _TABLES.items()
+            for kind, cls in table.items()}
+# one number, space-separated numbers, the text itself, or a number when the
+# text reads as one; any other field type is a nested spec, spelled under the
+# prefix "<field>_"
+_TEXT_TYPES = (float, tuple[float, ...], str, float | str)
 _FIELDS = {
     kind: [(f.name, get_type_hints(cls)[f.name], f.default is MISSING)
            for f in fields(cls)]
-    for kind, cls in SPEC_KINDS.items()
+    for kind, cls in _CLASSES.items()
 }
 
 
@@ -124,7 +139,7 @@ def spec_keys(kinds=tuple(SPEC_KINDS), prefix: str = "") -> tuple[str, ...]:
     keys = {prefix + "kind": None}
     for kind in kinds:
         for name, hint, _ in _FIELDS[kind]:
-            if hint in _NUMBER_TYPES:
+            if hint in _TEXT_TYPES:
                 keys[prefix + name] = None
             else:
                 keys.update(dict.fromkeys(spec_keys(BASE_KINDS, f"{prefix}{name}_")))
@@ -220,101 +235,87 @@ def _to_int(ln: int, key: str, value: str) -> int:
         raise ConfigError(ln, f"{key}: expected an integer, got {value!r}") from None
 
 
-def spec_from_fields(vals: Mapping[str, str], prefix: str = "") -> FunctionSpec:
-    """Build a function spec from key -> text by the grammar in the module
-    docstring.  Raises FieldError naming the key that is missing, malformed,
-    not finite or not a key of its kind; a constraint of the spec class
-    itself (``k > 1``) names the kind key."""
-    kind_key = prefix + "kind"
-    if kind_key not in vals:
-        raise FieldError(kind_key, f"missing key {kind_key}")
-    kind = vals[kind_key]
-    kinds = BASE_KINDS if prefix else SPEC_KINDS
+def _value(key: str, hint, text: str):
+    """A field's value, read from its text by the field's type."""
+    if hint is str:
+        return text
+    if hint == tuple[float, ...]:
+        return tuple(_number(key, p) for p in text.split())
+    if hint == float | str:
+        try:
+            float(text)
+        except ValueError:
+            return text  # a word, which the spec class checks
+    return _number(key, text)
+
+
+def spec_from_fields(vals: Mapping[str, str], prefix: str = "",
+                     kind_key: str = "kind"):
+    """Build a function spec, or with ``kind_key="algorithm"`` an algorithm
+    spec, from key -> text by the grammar in the module docstring.  Raises
+    FieldError naming the key that is missing, malformed, not finite or not
+    a key of its kind; a constraint of the spec class itself (``k > 1``)
+    names the kind key."""
+    kinds = BASE_KINDS if prefix else _TABLES[kind_key]
+    name_key = prefix + kind_key
+    if name_key not in vals:
+        raise FieldError(name_key, f"missing key {name_key}")
+    kind = vals[name_key]
     if kind not in kinds:
-        raise FieldError(kind_key, f"{kind_key} must be one of {', '.join(kinds)}, "
+        raise FieldError(name_key, f"{name_key} must be one of {', '.join(kinds)}, "
                                    f"got {kind!r}")
-    own = {kind_key} | {prefix + n for n, hint, _ in _FIELDS[kind] if hint in _NUMBER_TYPES}
+    own = {name_key} | {prefix + n for n, hint, _ in _FIELDS[kind] if hint in _TEXT_TYPES}
     nested = tuple(f"{prefix}{n}_" for n, hint, _ in _FIELDS[kind]
-                   if hint not in _NUMBER_TYPES)
+                   if hint not in _TEXT_TYPES)
     for key in vals:
         if key.startswith(prefix) and key not in own and not key.startswith(nested):
-            raise FieldError(key, f"{key} does not apply to kind {kind}")
+            raise FieldError(key, f"{key} does not apply to {kind_key} {kind}")
     args = {}
     for name, hint, required in _FIELDS[kind]:
         key = prefix + name
-        if hint not in _NUMBER_TYPES:
+        if hint not in _TEXT_TYPES:
             args[name] = spec_from_fields(vals, key + "_")
         elif key in vals:
-            args[name] = (_number(key, vals[key]) if hint is float
-                          else tuple(_number(key, p) for p in vals[key].split()))
+            args[name] = _value(key, hint, vals[key])
         elif required:
             raise FieldError(key, f"{kind} requires {key}")
     try:
-        return SPEC_KINDS[kind](**args)
+        return _CLASSES[kind](**args)
     except ValueError as e:
-        raise FieldError(kind_key, str(e)) from None
+        raise FieldError(name_key, str(e)) from None
 
 
-def spec_fields(spec: FunctionSpec, prefix: str = "") -> dict[str, str]:
-    """Key -> text of a spec, in the order the serializer writes them: the
-    kind, its numbers, then a nested spec's keys."""
-    kind = _KIND_OF[type(spec)]
-    out, nested = {prefix + "kind": kind}, {}
+def spec_fields(spec, prefix: str = "") -> dict[str, str]:
+    """Key -> text of a function or algorithm spec, in the order the
+    serializer writes them: the kind (under ``algorithm`` for an algorithm),
+    its fields, then a nested spec's keys."""
+    kind_key, kind = _KIND_OF[type(spec)]
+    out, nested = {prefix + kind_key: kind}, {}
     for name, hint, _ in _FIELDS[kind]:
         value = getattr(spec, name)
-        if hint is float:
-            out[prefix + name] = repr(value)
-        elif hint in _NUMBER_TYPES:
+        if hint not in _TEXT_TYPES:
+            nested = spec_fields(value, f"{prefix}{name}_")
+        elif isinstance(value, tuple):
             out[prefix + name] = " ".join(repr(v) for v in value)
         else:
-            nested = spec_fields(value, f"{prefix}{name}_")
+            out[prefix + name] = value if isinstance(value, str) else repr(value)
     return out | nested
 
 
 def _parse_algorithm(ln: int, value: str):
-    parts = value.split()
-    if not parts:
-        raise ConfigError(ln, "empty algorithm line")
-    name, kv = parts[0], parts[1:]
-    params = {}
-    for p in kv:
-        if "=" not in p:
-            raise ConfigError(ln, f"algorithm parameter {p!r} is not key=value")
-        k, _, v = p.partition("=")
-        if k in params:
-            raise ConfigError(ln, f"repeated algorithm parameter {k!r}")
-        params[k] = v
+    name, *pairs = value.split() or [""]
+    vals = {"algorithm": name}
+    for pair in pairs:
+        key, eq, text = pair.partition("=")
+        if not eq:
+            raise ConfigError(ln, f"algorithm parameter {pair!r} is not key=value")
+        if key in vals:
+            raise ConfigError(ln, f"repeated algorithm parameter {key!r}")
+        vals[key] = text
     try:
-        if name == "binary-search":
-            allowed = {"r", "delta"}
-            if set(params) - allowed:
-                raise ConfigError(
-                    ln, f"unknown binary-search parameters {sorted(set(params) - allowed)}")
-            if "r" not in params:
-                raise ConfigError(ln, "binary-search requires r=<value>")
-            return BinarySearchSpec(
-                r=_to_float(ln, "r", params["r"]),
-                delta=_to_float(ln, "delta", params.get("delta", "0.05")),
-            )
-        if name == "sgd":
-            allowed = {"schedule", "scale", "iterate", "x0"}
-            if set(params) - allowed:
-                raise ConfigError(
-                    ln, f"unknown sgd parameters {sorted(set(params) - allowed)}")
-            if "schedule" not in params:
-                raise ConfigError(ln, "sgd requires schedule=1/t or schedule=1/sqrt(t)")
-            x0 = params.get("x0", "uniform")
-            return SgdSpec(
-                schedule=params["schedule"],
-                scale=_to_float(ln, "scale", params.get("scale", "1")),
-                iterate=params.get("iterate", "last"),
-                x0="uniform" if x0 == "uniform" else _to_float(ln, "x0", x0),
-            )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
+        return spec_from_fields(vals, kind_key="algorithm")
+    except FieldError as e:
         raise ConfigError(ln, str(e)) from None
-    raise ConfigError(ln, f"unknown algorithm {name!r}")
 
 
 def parse_config(text: str) -> RunSettings:
@@ -413,13 +414,9 @@ def parse_config(text: str) -> RunSettings:
 
 
 def _algorithm_line(alg) -> str:
-    if isinstance(alg, BinarySearchSpec):
-        return f"algorithm = binary-search r={alg.r!r} delta={alg.delta!r}"
-    if isinstance(alg, SgdSpec):
-        x0 = "uniform" if alg.x0 == "uniform" else repr(alg.x0)
-        return (f"algorithm = sgd schedule={alg.schedule} scale={alg.scale!r} "
-                f"iterate={alg.iterate} x0={x0}")
-    raise TypeError(f"unknown algorithm spec {type(alg)!r}")
+    vals = spec_fields(alg)
+    pairs = (f"{key}={text}" for key, text in vals.items() if key != "algorithm")
+    return " ".join([f"algorithm = {vals['algorithm']}", *pairs])
 
 
 def serialize_config(config: ExperimentConfig, output_dir: str = "out") -> str:

@@ -45,6 +45,7 @@ from .functions import (
     FunctionSpec,
     Tilt,
     build_function,
+    distance,
     minimizer_interval,
     pair_distance_d,
     spec_id,
@@ -134,6 +135,8 @@ class ExperimentConfig:
             raise FieldError("T_grid", f"budgets must be >= 1, got {self.T_grid[0]}")
         if len(self.algorithms) == 0:
             raise FieldError("algorithms", "need at least one algorithm")
+        if not all(isinstance(a, AlgorithmSpec) for a in self.algorithms):
+            raise FieldError("algorithms", f"not all algorithm specs: {self.algorithms}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise FieldError("sigma", f"sigma must be finite and >= 0, got {self.sigma}")
         if not self.initial_interval[0] < self.initial_interval[1]:
@@ -161,16 +164,6 @@ class RiskRow:
 @dataclass(frozen=True)
 class RiskTable:
     rows: tuple[RiskRow, ...]
-
-    def select(self, function: str | None = None, algorithm: str | None = None):
-        out = []
-        for r in self.rows:
-            if function is not None and r.function != function:
-                continue
-            if algorithm is not None and r.algorithm != algorithm:
-                continue
-            out.append(r)
-        return out
 
 
 @dataclass(frozen=True)
@@ -286,10 +279,17 @@ def _replicate_errors(
         function, initial_interval, sigma, T, alg, replicates, master_seed, key
     )
     if isinstance(function, FunctionFamily):
-        ml, mr = minimizer_interval(function.template, initial_interval, xstar)
+        minimizers = minimizer_interval(function.template, initial_interval, xstar)
     else:  # one interval, broadcast over the replicates
-        ml, mr = minimizer_interval(function, initial_interval)
-    return np.maximum(0.0, np.maximum(ml - estimates, estimates - mr))
+        minimizers = minimizer_interval(function, initial_interval)
+    return distance((estimates, estimates), minimizers)
+
+
+def _mean_stderr(errs: np.ndarray) -> tuple[float, float]:
+    """Mean of the replicate errors and its standard error."""
+    n = len(errs)
+    stderr = float(np.std(errs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(errs)), stderr
 
 
 def _unit_rows(config: ExperimentConfig, a_idxs: tuple[int, ...],
@@ -307,12 +307,8 @@ def _unit_rows(config: ExperimentConfig, a_idxs: tuple[int, ...],
                                  T, alg, config.replicates, config.master_seed, key)
     except ScheduleError:
         return [RiskRow(fn_id, alg.algorithm_id, T, None, None, 0) for alg in algs]
-    rows = []
-    for alg, e in zip(algs, np.reshape(errs, (len(algs), -1))):
-        n = len(e)
-        stderr = float(np.std(e, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        rows.append(RiskRow(fn_id, alg.algorithm_id, T, float(np.mean(e)), stderr, n))
-    return rows
+    return [RiskRow(fn_id, alg.algorithm_id, T, *_mean_stderr(e), len(e))
+            for alg, e in zip(algs, np.reshape(errs, (len(algs), -1)))]
 
 
 def estimate_risk(config: ExperimentConfig, jobs: int = 1) -> RiskTable:
@@ -342,11 +338,8 @@ def fit_loglog_slope(
     table: RiskTable, function: str, algorithm: str
 ) -> SlopeFit:
     """OLS fit of ln(mean error) against ln(T) for one risk curve."""
-    rows = [
-        r
-        for r in table.select(function=function, algorithm=algorithm)
-        if r.mean_err is not None and r.mean_err > 0
-    ]
+    rows = [r for r in table.rows if (r.function, r.algorithm) == (function, algorithm)
+            and r.mean_err is not None and r.mean_err > 0]
     if len(rows) < 3:
         raise DataError(
             f"need >= 3 positive risk points for {function!r}/{algorithm!r}, "
@@ -429,16 +422,12 @@ def _estimator_risk(
     key: tuple[int, ...],
 ) -> tuple[float, float]:
     if isinstance(estimator, ConstantEstimator):
-        xl, xr = target.minimizer_set
-        e = max(0.0, xl - estimator.x_hat, estimator.x_hat - xr)
-        return e, 0.0
-    errs = _replicate_errors(
+        x = estimator.x_hat
+        return float(distance((x, x), target.minimizer_set)), 0.0
+    return _mean_stderr(_replicate_errors(
         target.spec, target.domain, sigma, T, estimator, replicates,
         master_seed, key,
-    )
-    n = len(errs)
-    stderr = float(np.std(errs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(errs)), stderr
+    ))
 
 
 def superefficiency_experiment(
@@ -470,16 +459,11 @@ def superefficiency_experiment(
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
-    f = build_function(spec, initial_interval)
-    g_plus = build_function(Tilt(spec, eps_t), initial_interval)
-    g_minus = build_function(Tilt(spec, -eps_t), initial_interval)
-
-    risk_f, se_f = _estimator_risk(
-        f, estimator, sigma, T, replicates, master_seed, key=(0,))
-    risk_p, se_p = _estimator_risk(
-        g_plus, estimator, sigma, T, replicates, master_seed, key=(1,))
-    risk_m, se_m = _estimator_risk(
-        g_minus, estimator, sigma, T, replicates, master_seed, key=(2,))
+    f, g_plus, g_minus = (build_function(s, initial_interval)
+                          for s in (spec, Tilt(spec, eps_t), Tilt(spec, -eps_t)))
+    (risk_f, se_f), (risk_p, se_p), (risk_m, se_m) = (
+        _estimator_risk(g, estimator, sigma, T, replicates, master_seed, key=(i,))
+        for i, g in enumerate((f, g_plus, g_minus)))
 
     ref_eps = modulus_scale * eps_t
     omega_p = modulus_numeric(g_plus, ref_eps) if ref_eps > 0 else 0.0

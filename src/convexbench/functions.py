@@ -32,8 +32,7 @@ __all__ = [
     "GrowthProfile",
     "ConvexFunction1D",
     "build_function",
-    "min_norm_subgradient",
-    "err",
+    "distance",
     "pair_distance_d",
     "pair_dissimilarity_kappa",
     "spec_id",
@@ -249,13 +248,6 @@ def subgrad_spec(spec: FunctionSpec, x, x_star=None):
     return min_norm_from_interval(lo, hi)
 
 
-def min_norm_subgradient(spec: FunctionSpec, x: float, domain=None) -> float:
-    """Min-norm subgradient at a point, optionally enforcing a domain."""
-    if domain is not None and not (domain[0] <= x <= domain[1]):
-        raise DomainError(f"x={x} outside domain [{domain[0]}, {domain[1]}]")
-    return float(subgrad_spec(spec, x))
-
-
 def level_set(spec: FunctionSpec, s: float) -> tuple[float, float]:
     """{x in R : s in subdifferential(x)} as (lo, hi).
 
@@ -302,22 +294,27 @@ def level_set(spec: FunctionSpec, s: float) -> tuple[float, float]:
     raise TypeError(f"unknown spec type {type(spec)!r}")
 
 
+def clamped_level_set(spec: FunctionSpec, s: float, domain: tuple[float, float]):
+    """``level_set`` clamped to the domain: a set wholly outside the domain
+    (or empty) collapses onto the nearer end."""
+    a, b = domain
+    lo, hi = level_set(spec, s)
+    return min(max(lo, a), b), min(max(hi, a), b)
+
+
 def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float], x_star=None):
     """Argmin of the spec over the domain, as a closed interval.
 
     ``x_star`` optionally moves the spec's minimizer to each entry of an
     array, giving the intervals of a whole family of shifted copies at once
     as (lo, hi) arrays: a shifted copy's slope-0 level set is the template's
-    level set at x_star = 0, shifted.
+    level set at x_star = 0, shifted, then clamped the same way.
     """
+    if x_star is None:
+        return clamped_level_set(spec, 0.0, domain)
     a, b = domain
-    shifted = x_star is not None
-    lo, hi = level_set(with_x_star(spec, 0.0) if shifted else spec, 0.0)
-    # a level set wholly outside the domain (or empty) collapses onto the
-    # nearer end
-    if shifted:
-        return np.clip(x_star + lo, a, b), np.clip(x_star + hi, a, b)
-    return min(max(lo, a), b), min(max(hi, a), b)
+    lo, hi = level_set(with_x_star(spec, 0.0), 0.0)
+    return np.clip(x_star + lo, a, b), np.clip(x_star + hi, a, b)
 
 
 def kinks_of(spec: FunctionSpec) -> tuple[float, ...]:
@@ -451,25 +448,21 @@ def build_function(spec: FunctionSpec, domain: tuple[float, float]) -> ConvexFun
 
 
 # ---------------------------------------------------------------------------
-# error metric and pair dissimilarities
+# distances and pair dissimilarities
 # ---------------------------------------------------------------------------
 
 
-def err(x: float, fn: ConvexFunction1D) -> float:
-    """Distance from ``x`` to the minimizer interval of ``fn``."""
-    xl, xr = fn.minimizer_set
-    return max(0.0, xl - x, x - xr)
-
-
-def _interval_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return max(0.0, q[0] - p[1], p[0] - q[1])
+def distance(p, q):
+    """Distance between the closed intervals p = (lo, hi) and q (array-safe);
+    a point x is the interval (x, x).  ``+ 0.0`` maps -0.0 to 0.0."""
+    return np.maximum(0.0, np.maximum(q[0] - p[1], p[0] - q[1])) + 0.0
 
 
 def pair_distance_d(f: ConvexFunction1D, g: ConvexFunction1D) -> float:
     """Distance between the minimizer intervals of two functions."""
     if f.domain != g.domain:
         raise DomainMismatchError(f"domains differ: {f.domain} vs {g.domain}")
-    return _interval_distance(f.minimizer_set, g.minimizer_set)
+    return float(distance(f.minimizer_set, g.minimizer_set))
 
 
 def pair_dissimilarity_kappa(

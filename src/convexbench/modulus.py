@@ -21,7 +21,8 @@ from .functions import (
     ConvexFunction1D,
     FunctionSpec,
     GrowthProfile,
-    level_set,
+    clamped_level_set,
+    distance,
     minimizer_interval,
 )
 
@@ -63,9 +64,10 @@ def _check_epsilon(epsilon: float):
 
 
 def _farthest(interval: tuple[float, float], lo: float, hi: float) -> float:
-    """Largest distance from ``interval`` of a point in [lo, hi]."""
-    xl, xr = interval
-    return max(0.0, xl - lo, hi - xr)
+    """Largest distance from ``interval`` of a point in [lo, hi]: that of
+    an end."""
+    return float(max(distance((lo, lo), interval),
+                     distance((hi, hi), interval)))
 
 
 def modulus_analytic(
@@ -78,9 +80,8 @@ def modulus_analytic(
     set that is empty lies at -inf or +inf, so it clamps to the correct end.
     """
     _check_epsilon(epsilon)
-    a, b = domain
-    lo = min(max(level_set(spec, -epsilon)[1], a), b)
-    hi = min(max(level_set(spec, epsilon)[0], a), b)
+    lo = clamped_level_set(spec, -epsilon, domain)[1]
+    hi = clamped_level_set(spec, epsilon, domain)[0]
     return _farthest(minimizer_interval(spec, domain), lo, hi)
 
 
@@ -176,16 +177,12 @@ def modulus_numeric(f: ConvexFunction1D, epsilon: float) -> float:
 
 def big_H(f: ConvexFunction1D, epsilon: float) -> float:
     """max of the distances from the conjugate subdifferentials at +/-epsilon
-    to the one at 0."""
+    to the one at 0, each read off ``level_set`` and clamped to the domain as
+    in ``modulus_analytic``."""
     _check_epsilon(epsilon)
-    base = conjugate_subdifferential(f, 0.0)
-    up = conjugate_subdifferential(f, epsilon)
-    dn = conjugate_subdifferential(f, -epsilon)
-
-    def dist(p, q):
-        return max(0.0, q[0] - p[1], p[0] - q[1])
-
-    return max(dist(up, base), dist(dn, base))
+    base, up, dn = (clamped_level_set(f.spec, s, f.domain)
+                    for s in (0.0, epsilon, -epsilon))
+    return float(max(distance(up, base), distance(dn, base)))
 
 
 def modulus_bounds_from_growth(

@@ -15,8 +15,8 @@ from convexbench import (
     SgdSpec,
     SymmetricPower,
     build_function,
+    distance,
     epochs_schedule,
-    err,
     flat_set_diagnostics,
     sgd,
     sign_test_binary_search,
@@ -151,7 +151,7 @@ class TestBinarySearch:
             res = sign_test_binary_search(
                 s, BinarySearchSpec(r=r), (-2.0, 2.0)
             )
-            assert err(res.estimate, f) <= 2.0**-E * 4.0
+            assert distance((res.estimate,) * 2, f.minimizer_set) <= 2.0**-E * 4.0
 
 
 class TestFlatSetDiagnostics:

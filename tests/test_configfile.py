@@ -1,5 +1,7 @@
 """Config files: budget grids, errors that name the offending line, and
 the serialize/parse round trip."""
+from dataclasses import MISSING, fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,30 @@ class TestAlgorithmSpecErrors:
     def test_invalid_spec_names_its_line(self, line):
         err, _ = config_error("algorithm = sgd schedule=1/t", line)
         assert err.line == line_of(CONFIG, "algorithm = sgd")
+
+
+class TestAlgorithmGrammar:
+    @pytest.mark.parametrize("line,names", [
+        ("algorithm = newton r=1.5", "algorithm must be one of binary-search, sgd, "
+                                     "got 'newton'"),
+        ("algorithm = sgd schedule=1/t step=2", "step does not apply to algorithm sgd"),
+        ("algorithm = binary-search delta=0.1", "binary-search requires r"),
+        ("algorithm = sgd scale=2", "sgd requires schedule"),
+        ("algorithm = sgd schedule=1/t 0.5", "'0.5' is not key=value"),
+        ("algorithm = sgd schedule=1/t x0=nan", "x0: value must be finite"),
+        ("algorithm = sgd schedule=1/t x0=inf", "x0: value must be finite"),
+        ("algorithm = sgd schedule=1/t scale=1e400", "scale: value must be finite"),
+        ("algorithm = sgd schedule=1/t algorithm=sgd", "repeated algorithm parameter "
+                                                       "'algorithm'"),
+    ])
+    def test_error_names_its_line_and_key(self, line, names):
+        err, _ = config_error("algorithm = sgd schedule=1/t", line)
+        assert err.line == line_of(CONFIG, "algorithm = sgd")
+        assert names in str(err)
+
+    def test_omitted_keys_take_the_class_defaults(self):
+        algorithms = parse_config(CONFIG).config.algorithms
+        assert algorithms == (BinarySearchSpec(1.5), SgdSpec("1/t"))
 
 
 class TestFunctionErrors:
@@ -313,6 +339,28 @@ configs = st.builds(
 @given(configs)
 def test_serialize_parse_round_trip(config):
     assert parse_config(serialize_config(config)).config == config
+
+
+@st.composite
+def algorithm_lines(draw):
+    """An algorithm line with its keys in any order and any defaulted key
+    left out, and the spec it must parse to."""
+    spec = draw(algorithm_specs)
+    kept = [f.name for f in fields(spec) if f.default is MISSING or draw(st.booleans())]
+    texts = {name: getattr(spec, name) for name in kept}
+    texts = {k: v if isinstance(v, str) else repr(v) for k, v in texts.items()}
+    pairs = [f"{name}={texts[name]}" for name in draw(st.permutations(kept))]
+    name = "binary-search" if isinstance(spec, BinarySearchSpec) else "sgd"
+    defaults = {f.name: f.default for f in fields(spec) if f.name not in kept}
+    return " ".join([f"algorithm = {name}", *pairs]), replace(spec, **defaults)
+
+
+@settings(max_examples=300, deadline=None)
+@given(algorithm_lines())
+def test_algorithm_line_round_trip(line_and_spec):
+    line, spec = line_and_spec
+    config = parse_config(CONFIG.replace("algorithm = sgd schedule=1/t", line)).config
+    assert config.algorithms[1] == spec
 
 
 def test_round_trip_tilted_piecewise_linear():

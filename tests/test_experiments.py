@@ -253,6 +253,13 @@ def test_experiment_sigma_must_be_finite(sigma):
     assert info.value.field == "sigma"
 
 
+def test_experiment_algorithms_must_be_algorithm_specs():
+    # a ConstantEstimator has no cell to run and no config line
+    with pytest.raises(FieldError) as info:
+        ExperimentConfig(SymmetricPower(2.0), (ConstantEstimator(0.1),), (100,), 3, 0.1, 1)
+    assert info.value.field == "algorithms"
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("T", [100, 1000])
 @pytest.mark.parametrize("estimator", [

@@ -1,4 +1,6 @@
 """Tests for the convex function catalog, subgradients, and dissimilarities."""
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,7 @@ from convexbench import (
     SymmetricPower,
     Tilt,
     build_function,
-    err,
-    min_norm_subgradient,
+    distance,
     pair_dissimilarity_kappa,
     pair_distance_d,
     spec_id,
@@ -36,23 +37,23 @@ SHIFTABLE_SPECS = [
 class TestMinNormSubgradient:
     def test_absolute_at_kink_is_zero(self):
         # min-norm element of [-1, 1]
-        assert min_norm_subgradient(Absolute(0.0), 0.0) == 0.0
+        assert subgrad_spec(Absolute(0.0), 0.0) == 0.0
 
     def test_power_k3_matches_central_difference(self):
         spec = SymmetricPower(k=3.0, x_star=0.0)
-        g = min_norm_subgradient(spec, -2.0)
+        g = subgrad_spec(spec, -2.0)
         h = 1e-6
         fd = (eval_spec(spec, -2.0 + h) - eval_spec(spec, -2.0 - h)) / (2 * h)
         assert abs(g - fd) < 1e-5
         assert g == -4.0
 
     def test_unique_minimizer_gives_zero(self):
-        assert min_norm_subgradient(SymmetricPower(k=2.0, x_star=0.25), 0.25) == 0.0
+        assert subgrad_spec(SymmetricPower(k=2.0, x_star=0.25), 0.25) == 0.0
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            min_norm_subgradient(SymmetricPower(k=2.0), 5.0, domain=(-1.0, 1.0))
         f = build_function(SymmetricPower(k=2.0), (-1.0, 1.0))
+        with pytest.raises(DomainError):
+            f.subgrad(5.0)
         with pytest.raises(DomainError):
             f.subgrad(1.5)
         with pytest.raises(DomainError):
@@ -61,11 +62,11 @@ class TestMinNormSubgradient:
     def test_piecewise_linear_breakpoint_rule(self):
         # adjacent slopes (s-, s+) with 0 inside -> 0, else endpoint nearer 0
         f = PiecewiseLinear(breakpoints=(0.0,), slopes=(-1.0, 2.0))
-        assert min_norm_subgradient(f, 0.0) == 0.0
+        assert subgrad_spec(f, 0.0) == 0.0
         g = PiecewiseLinear(breakpoints=(0.0,), slopes=(1.0, 2.0))
-        assert min_norm_subgradient(g, 0.0) == 1.0
+        assert subgrad_spec(g, 0.0) == 1.0
         h = PiecewiseLinear(breakpoints=(0.0,), slopes=(-3.0, -1.0))
-        assert min_norm_subgradient(h, 0.0) == -1.0
+        assert subgrad_spec(h, 0.0) == -1.0
 
     def test_deterministic_repeat(self):
         f = build_function(AsymmetricPower(1.5, 3.0, x_star=0.1), (-2.0, 2.0))
@@ -83,6 +84,11 @@ class TestScalarArrayAgreement:
             want = formula(spec, x)
             got = np.array([float(formula(spec, float(v))) for v in x])
             assert np.array_equal(got, want)
+
+
+def err(x, f):
+    """Distance from the point x to the minimizer set of f."""
+    return distance((x, x), f.minimizer_set)
 
 
 class TestErr:
@@ -110,6 +116,24 @@ class TestErr:
         f = build_function(SymmetricPower(k=1.5, x_star=-0.4), (-2.0, 2.0))
         for x in np.linspace(-2, 2, 101):
             assert err(float(x), f) >= 0.0
+
+
+class TestDistance:
+    def test_between_intervals_either_way(self):
+        assert distance((0.0, 1.0), (2.5, 3.0)) == 1.5
+        assert distance((2.5, 3.0), (0.0, 1.0)) == 1.5
+        assert distance((0.0, 1.0), (0.5, 3.0)) == 0.0
+
+    def test_arrays_match_scalars(self):
+        x = np.linspace(-2.0, 2.0, 41)
+        lo, hi = np.full(41, -0.5), np.linspace(-0.5, 0.5, 41)
+        got = distance((x, x), (lo, hi))
+        want = [float(distance((a, a), (b, c))) for a, b, c in zip(x, lo, hi)]
+        assert np.array_equal(got, want)
+
+    def test_zero_is_positive(self):
+        # -0.0 - 0.0 is -0.0; a distance of zero prints as 0.0 all the same
+        assert math.copysign(1.0, distance((0.0, 0.0), (-0.0, 1.0))) == 1.0
 
 
 class TestPairDistance:

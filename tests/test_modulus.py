@@ -233,16 +233,18 @@ class TestBigH:
     def test_H_below_modulus(self):
         for spec in (SymmetricPower(k=2.0), SymmetricPower(k=3.0),
                      AsymmetricPower(1.5, 3.0), Absolute(0.1),
-                     PiecewiseLinear((-0.3, 0.4), (-1.0, 0.0, 1.0))):
+                     PiecewiseLinear((-0.3, 0.4), (-1.0, 0.0, 1.0)),
+                     Tilt(SymmetricPower(k=2.0), 0.3)):
             f = build_function(spec, D11)
-            for eps in (1e-4, 1e-3, 1e-2, 0.05):
+            # eps = 2 and 5 exceed every slope the domain attains
+            for eps in (1e-4, 1e-3, 1e-2, 0.05, 0.5, 2.0, 5.0):
                 assert big_H(f, eps) <= modulus_numeric(f, eps) + 1e-9
 
     def test_H_equals_modulus_for_strictly_convex(self):
         for spec in (SymmetricPower(k=1.5), SymmetricPower(k=2.0),
                      AsymmetricPower(2.0, 3.0)):
             f = build_function(spec, D11)
-            for eps in (1e-4, 1e-2):
+            for eps in (1e-4, 1e-2, 2.0):
                 assert big_H(f, eps) == pytest.approx(
                     modulus_numeric(f, eps), abs=1e-9
                 )
