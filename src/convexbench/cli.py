@@ -311,8 +311,8 @@ def _parse_domain(parser, text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except (IndexError, ValueError):
         parser.error(f"--domain must be lo:hi, got {text!r}")
-    if len(parts) != 2 or not lo < hi:
-        parser.error(f"--domain must be lo:hi with lo < hi, got {text!r}")
+    if len(parts) != 2 or not lo < hi or not np.isfinite([lo, hi]).all():
+        parser.error(f"--domain must be lo:hi with finite lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -324,8 +324,8 @@ def _parse_eps_range(parser, text: str) -> list[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         parser.error(f"--eps must be lo:hi:count, got {text!r}")
-    if lo <= 0 or hi <= lo or count < 1:
-        parser.error(f"--eps needs 0 < lo < hi and count >= 1, got {text!r}")
+    if not (0 < lo < hi and np.isfinite(hi) and count >= 1):
+        parser.error(f"--eps needs finite 0 < lo < hi and count >= 1, got {text!r}")
     if count == 1:
         return [lo]
     return list(np.geomspace(lo, hi, count))

@@ -458,6 +458,8 @@ def superefficiency_experiment(
         raise ValueError("T must be >= 1")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not (math.isfinite(modulus_scale) and modulus_scale > 0):
+        raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
     f, g_plus, g_minus = (build_function(s, initial_interval)
                           for s in (spec, Tilt(spec, eps_t), Tilt(spec, -eps_t)))
@@ -465,7 +467,7 @@ def superefficiency_experiment(
         _estimator_risk(g, estimator, sigma, T, replicates, master_seed, key=(i,))
         for i, g in enumerate((f, g_plus, g_minus)))
 
-    ref_eps = modulus_scale * eps_t
+    ref_eps = modulus_scale * eps_t  # 0 when sigma is 0: no flat set to measure
     omega_p = modulus_numeric(g_plus, ref_eps) if ref_eps > 0 else 0.0
     omega_m = modulus_numeric(g_minus, ref_eps) if ref_eps > 0 else 0.0
     est_id = estimator.algorithm_id

@@ -434,8 +434,8 @@ class ConvexFunction1D:
 
 def build_function(spec: FunctionSpec, domain: tuple[float, float]) -> ConvexFunction1D:
     a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise ValueError(f"domain must satisfy a < b, got [{a}, {b}]")
+    if not (a < b and np.isfinite([a, b]).all()):
+        raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
     ml, mr = minimizer_interval(spec, (a, b))
     kk = tuple(k for k in kinks_of(spec) if a <= k <= b)
     return ConvexFunction1D(

@@ -8,6 +8,13 @@ catalog spec: it reads the flat set's ends off the closed-form level sets of
 bisection on f'; it is the independent cross-check, and the value that
 fitted growth exponents and superefficiency reports are computed from.
 
+The bisection runs in lockstep: ``flat_set``, ``conjugate_subdifferential``
+and ``modulus_numeric`` take a scalar or an array, and every end of every
+threshold of one call (left and right ends, at -eps and +eps) bisects in
+one loop of array subgradient evaluations.  Each element stops exactly
+where a scalar bisection would, so an array call equals the scalar calls
+bit for bit, and a scalar call returns Python floats.
+
 All functions here are pure and operate on immutable inputs.
 """
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .functions import (
     clamped_level_set,
     distance,
     minimizer_interval,
+    subgrad_spec,
 )
 
 __all__ = [
@@ -58,16 +66,15 @@ class ModulusCurve:
     fitted_alpha: float | None = None
 
 
-def _check_epsilon(epsilon: float):
-    if not epsilon > 0:
+def _check_epsilon(epsilon):
+    if not np.all(np.asarray(epsilon) > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
-def _farthest(interval: tuple[float, float], lo: float, hi: float) -> float:
+def _farthest(interval: tuple[float, float], lo, hi):
     """Largest distance from ``interval`` of a point in [lo, hi]: that of
-    an end."""
-    return float(max(distance((lo, lo), interval),
-                     distance((hi, hi), interval)))
+    an end (array-safe)."""
+    return np.maximum(distance((lo, lo), interval), distance((hi, hi), interval))
 
 
 def modulus_analytic(
@@ -82,97 +89,104 @@ def modulus_analytic(
     _check_epsilon(epsilon)
     lo = clamped_level_set(spec, -epsilon, domain)[1]
     hi = clamped_level_set(spec, epsilon, domain)[0]
-    return _farthest(minimizer_interval(spec, domain), lo, hi)
+    return float(_farthest(minimizer_interval(spec, domain), lo, hi))
 
 
-def _bisect_left_true(pred, lo: float, hi: float) -> float:
-    """Leftmost x in [lo, hi] with pred(x) true, given pred monotone
-    false->true; pred(hi) must be true."""
-    if pred(lo):
-        return lo
-    while hi - lo > _BISECTION_TOL:
+def _conjugate_ends(f: ConvexFunction1D, s: np.ndarray):
+    """Both ends of the conjugate subdifferential at every threshold of the
+    1-D array ``s``, each within the attained slope range.
+
+    The left end is the leftmost x with f'(x) >= s (kinks make f' jump past
+    s), the right end the rightmost x with f'(x) <= s.  All of them bisect
+    [a, b] in one lockstep loop; an element freezes where a scalar bisection
+    would stop, once ``hi - lo <= _BISECTION_TOL`` or once ``mid`` no longer
+    falls strictly between ``lo`` and ``hi``.  An element whose answer is
+    already an end of the domain never moves.
+    """
+    a, b = f.domain
+    ga, gb = float(subgrad_spec(f.spec, a)), float(subgrad_spec(f.spec, b))
+    is_left = np.arange(2 * s.size) < s.size  # left ends first, then right ends
+    t = np.concatenate([s, s])
+    at_a = np.where(is_left, ga >= t, ga > t)
+    at_b = np.where(is_left, gb < t, gb <= t)
+    # an end found without a step starts as the point interval it is
+    lo = np.where(at_b, b, a)
+    hi = np.where(at_a, a, b)
+    # a left end lies left of mid where f'(mid) >= t, a right end where
+    # f'(mid) > t: both read f'(mid) > t_down, with t_down the float below t
+    # for left ends
+    t_down = np.where(is_left, np.nextafter(t, -np.inf), t)
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution reached
+        active = (mid > lo) & (mid < hi) & (hi - lo > _BISECTION_TOL)
+        if not active.any():
             break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        down = active & (subgrad_spec(f.spec, mid) > t_down)
+        hi = np.where(down, mid, hi)
+        lo = np.where(active ^ down, mid, lo)
+    # a singleton located from both sides, within the tolerance
+    return _meet(*np.where(is_left, hi, lo).reshape(2, s.size))
 
 
-def _bisect_right_true(pred, lo: float, hi: float) -> float:
-    """Rightmost x in [lo, hi] with pred(x) true, given pred monotone
-    true->false; pred(lo) must be true."""
-    if pred(hi):
-        return hi
-    while hi - lo > _BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _meet(left, right):
+    """Ends that crossed (arrays), both moved to their midpoint."""
+    crossed = left > right
+    mid = 0.5 * (left + right)
+    return np.where(crossed, mid, left), np.where(crossed, mid, right)
 
 
-def conjugate_subdifferential(f: ConvexFunction1D, s: float) -> tuple[float, float]:
+def _like(epsilon, value):
+    """``value`` as a Python float when ``epsilon`` is a scalar."""
+    return float(value) if np.ndim(epsilon) == 0 else value
+
+
+def conjugate_subdifferential(f: ConvexFunction1D, s):
     """{x in domain : s in subdifferential f(x)} as a closed interval.
 
     Computed by monotone bisection on f'(x) - s; for s = 0 this reproduces
-    the minimizer set (within the bisection tolerance).
+    the minimizer set (within the bisection tolerance).  ``s`` may be an
+    array, giving the (lo, hi) arrays of every slope in one bisection.
     """
-    a, b = f.domain
     slope_lo, slope_hi = f.slope_range()
-    if s < slope_lo or s > slope_hi:
+    sa = np.asarray(s, dtype=float)
+    outside = ~((sa >= slope_lo) & (sa <= slope_hi))  # NaN too
+    if outside.any():
         raise SlopeRangeError(
-            f"slope {s} outside attained range [{slope_lo}, {slope_hi}]"
+            f"slope {sa[outside].flat[0]} outside attained range [{slope_lo}, {slope_hi}]"
         )
-    g = f.subgrad
-    # left endpoint: leftmost x with f'(x) >= s (kinks make f' jump past s)
-    if g(b) < s:
-        left = b
-    else:
-        left = _bisect_left_true(lambda x: g(x) >= s, a, b)
-    # right endpoint: rightmost x with f'(x) <= s
-    if g(a) > s:
-        right = a
-    else:
-        right = _bisect_right_true(lambda x: g(x) <= s, a, b)
-    if left > right:  # singleton located from both sides, within the tolerance
-        left = right = 0.5 * (left + right)
-    return (left, right)
+    left, right = _conjugate_ends(f, sa.ravel())
+    return _like(s, left.reshape(sa.shape)), _like(s, right.reshape(sa.shape))
 
 
-def flat_set(f: ConvexFunction1D, epsilon: float) -> tuple[float, float]:
+def flat_set(f: ConvexFunction1D, epsilon):
     """Closure of {y in domain : |f'(y)| < epsilon}, clamped to the domain.
 
     The left end is the upper endpoint of the conjugate subdifferential at
     -epsilon and the right end the lower endpoint at +epsilon.  A threshold
     below every slope attained on the domain puts its end at the left
     domain boundary, one above every slope at the right boundary.
+    ``epsilon`` may be an array, giving the (lo, hi) arrays of every flat
+    set in one bisection.
     """
     _check_epsilon(epsilon)
     a, b = f.domain
     slope_lo, slope_hi = f.slope_range()
-
-    def end(s: float, side: int) -> float:
-        if s < slope_lo:
-            return a
-        if s > slope_hi:
-            return b
-        return conjugate_subdifferential(f, s)[side]
-
-    left, right = end(-epsilon, 1), end(epsilon, 0)
-    if left > right:  # degenerate flat set (a single kink), within the tolerance
-        left = right = 0.5 * (left + right)
-    return (left, right)
+    eps = np.asarray(epsilon, dtype=float)
+    n = eps.size
+    s = np.concatenate([-eps.ravel(), eps.ravel()])
+    inside = (s >= slope_lo) & (s <= slope_hi)
+    ends = np.where(s < slope_lo, a, b)
+    lower, upper = _conjugate_ends(f, s[inside])
+    ends[inside] = np.where(np.flatnonzero(inside) < n, upper, lower)
+    # degenerate flat set (a single kink), within the tolerance
+    left, right = _meet(ends[:n], ends[n:])
+    return _like(epsilon, left.reshape(eps.shape)), _like(epsilon, right.reshape(eps.shape))
 
 
-def modulus_numeric(f: ConvexFunction1D, epsilon: float) -> float:
-    """Larger distance from the minimizer set over the flat-set closure."""
-    return _farthest(f.minimizer_set, *flat_set(f, epsilon))
+def modulus_numeric(f: ConvexFunction1D, epsilon):
+    """Larger distance from the minimizer set over the flat-set closure;
+    an array ``epsilon`` gives an array."""
+    return _like(epsilon, _farthest(f.minimizer_set, *flat_set(f, epsilon)))
 
 
 def big_H(f: ConvexFunction1D, epsilon: float) -> float:
@@ -233,10 +247,11 @@ def sample_modulus_curve(f: ConvexFunction1D, epsilons) -> ModulusCurve:
     """Evaluate the modulus over a grid, the closed form ("analytic") next to
     the bisection ("numeric") at each epsilon, and fit the growth exponent
     from the numeric samples."""
+    grid = sorted(float(e) for e in epsilons)
     samples: list[ModulusSample] = []
-    for e in sorted(float(e) for e in epsilons):
+    for e, w in zip(grid, modulus_numeric(f, np.array(grid)).tolist()):
         samples.append(ModulusSample(e, modulus_analytic(f.spec, e, f.domain), "analytic"))
-        samples.append(ModulusSample(e, modulus_numeric(f, e), "numeric"))
+        samples.append(ModulusSample(e, w, "numeric"))
     try:
         alpha = fit_growth_exponent(ModulusCurve(tuple(samples[1::2])),
                                     min_omega=10.0 * _BISECTION_TOL)

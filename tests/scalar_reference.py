@@ -4,12 +4,18 @@ Independent of ``convexbench.oracle`` and of ``convexbench.algorithms``: the
 oracle is ``f.subgrad(x) + sigma * z`` with z from its own generator, and
 each algorithm is a loop over Python floats.  A batched replicate with the
 same seed and the same start must reproduce these values bit for bit.
+
+The flat-set bisection is here too, one threshold at a time on
+``f.subgrad``: the lockstep array bisection of ``convexbench.modulus`` must
+reproduce it bit for bit.
 """
 import math
 
 import numpy as np
 
-from convexbench import epochs_schedule
+from convexbench import SlopeRangeError, epochs_schedule
+from convexbench.functions import distance
+from convexbench.modulus import _BISECTION_TOL
 
 
 class ReferenceOracle:
@@ -52,3 +58,84 @@ def sgd(oracle, T, schedule, scale, iterate, x0, interval):
         eta = scale / t if schedule == "1/t" else scale / math.sqrt(t)
         x = min(max(x - eta * v, lo), hi)
     return total / T if iterate == "average" else x
+
+
+def bisect_left_true(pred, lo, hi):
+    """Leftmost x in [lo, hi] with pred(x) true, given pred monotone
+    false->true; pred(hi) must be true."""
+    if pred(lo):
+        return lo
+    while hi - lo > _BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # float resolution reached
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def bisect_right_true(pred, lo, hi):
+    """Rightmost x in [lo, hi] with pred(x) true, given pred monotone
+    true->false; pred(lo) must be true."""
+    if pred(hi):
+        return hi
+    while hi - lo > _BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def conjugate_subdifferential(f, s):
+    """{x in domain : s in subdifferential f(x)} by two scalar bisections."""
+    a, b = f.domain
+    slope_lo, slope_hi = f.slope_range()
+    if s < slope_lo or s > slope_hi:
+        raise SlopeRangeError(f"slope {s} outside attained range")
+    g = f.subgrad
+    # left endpoint: leftmost x with f'(x) >= s (kinks make f' jump past s)
+    if g(b) < s:
+        left = b
+    else:
+        left = bisect_left_true(lambda x: g(x) >= s, a, b)
+    # right endpoint: rightmost x with f'(x) <= s
+    if g(a) > s:
+        right = a
+    else:
+        right = bisect_right_true(lambda x: g(x) <= s, a, b)
+    if left > right:  # singleton located from both sides, within the tolerance
+        left = right = 0.5 * (left + right)
+    return (left, right)
+
+
+def flat_set(f, epsilon):
+    """Closure of {y in domain : |f'(y)| < epsilon}, one threshold at a time."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    a, b = f.domain
+    slope_lo, slope_hi = f.slope_range()
+
+    def end(s, side):
+        if s < slope_lo:
+            return a
+        if s > slope_hi:
+            return b
+        return conjugate_subdifferential(f, s)[side]
+
+    left, right = end(-epsilon, 1), end(epsilon, 0)
+    if left > right:  # degenerate flat set (a single kink), within the tolerance
+        left = right = 0.5 * (left + right)
+    return (left, right)
+
+
+def modulus_numeric(f, epsilon):
+    """Larger distance from the minimizer set of the two flat-set ends."""
+    lo, hi = flat_set(f, epsilon)
+    return float(max(distance((lo, lo), f.minimizer_set),
+                     distance((hi, hi), f.minimizer_set)))

@@ -237,3 +237,38 @@ def test_bad_fig2_flag_is_a_usage_error(flag, value, tmp_path, capsys):
     assert info.value.code == cli.EXIT_USAGE
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["modulus", *EPS_FLAG],
+    ["superefficiency", "--delta", "0.1", "--replicates", "2"],
+], ids=["modulus", "superefficiency"])
+@pytest.mark.parametrize("domain", ["-inf:1", "-1:inf", "nan:1"])
+def test_non_finite_domain_is_a_usage_error(command, domain, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command[0], "--fn", "sym-power", "--k", "2", f"--domain={domain}",
+                  *command[1:]])
+    assert info.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--domain must be lo:hi with finite lo < hi" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("eps", ["nan:1:5", "1e-6:inf:5", "1e-6:nan:5", "inf:inf:1"])
+def test_non_finite_eps_is_a_usage_error(eps, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["modulus", "--fn", "sym-power", "--k", "2", "--eps", eps])
+    assert info.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--eps needs finite 0 < lo < hi" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+def test_superefficiency_modulus_scale_must_be_finite_and_positive(scale, capsys):
+    rc = cli.main(["superefficiency", "--fn", "sym-power", "--k", "2", "--delta", "0.1",
+                   "--replicates", "2", "--modulus-scale", scale])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: modulus_scale must be finite and > 0")
+    assert captured.out == ""

@@ -233,6 +233,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="finite"):
             build(value)
 
+    @pytest.mark.parametrize("domain", [(-float("inf"), 1.0), (-1.0, float("inf")),
+                                        (float("nan"), 1.0)])
+    def test_domain_must_be_finite(self, domain):
+        with pytest.raises(ValueError, match="finite"):
+            build_function(SymmetricPower(k=2.0), domain)
+
     def test_growth_profile_constructor_enforced(self):
         with pytest.raises(ValueError):
             GrowthProfile(k_l=1.0, k_r=2.0, lambda_l=0.5, lambda_r=0.5)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
 from convexbench import (
     Absolute,
@@ -25,7 +26,7 @@ from convexbench import (
     modulus_numeric,
     sample_modulus_curve,
 )
-from convexbench.functions import level_set, subgrad_spec
+from convexbench.functions import level_set, subdiff_interval, subgrad_spec
 
 D11 = (-1.0, 1.0)
 
@@ -208,13 +209,103 @@ CROSS_CHECK_SPECS = {
 }
 
 
-@pytest.mark.parametrize("domain", [(-1.0, 1.0), (-0.5, 3.0), (-3.0, 0.2)])
+CROSS_CHECK_DOMAINS = [(-1.0, 1.0), (-0.5, 3.0), (-3.0, 0.2)]
+
+
+@pytest.mark.parametrize("domain", CROSS_CHECK_DOMAINS)
 @pytest.mark.parametrize("spec", CROSS_CHECK_SPECS.values(), ids=CROSS_CHECK_SPECS.keys())
 def test_closed_form_matches_bisection(spec, domain):
     f = build_function(spec, domain)
     for eps in np.geomspace(1e-6, 10.0, 60):
         exact = modulus_analytic(spec, float(eps), domain)
         assert exact == pytest.approx(modulus_numeric(f, float(eps)), abs=1e-9), eps
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_lockstep_equals_reference(f, eps, slopes):
+    want = [ref.flat_set(f, float(e)) for e in eps]
+    lo, hi = flat_set(f, eps)
+    assert bits(lo) == bits([w[0] for w in want])
+    assert bits(hi) == bits([w[1] for w in want])
+    assert bits(modulus_numeric(f, eps)) == bits(
+        [ref.modulus_numeric(f, float(e)) for e in eps])
+    for e, w in zip(eps[::7], want[::7]):
+        assert bits(flat_set(f, float(e))) == bits(w)
+
+    want = [ref.conjugate_subdifferential(f, float(v)) for v in slopes]
+    lo, hi = conjugate_subdifferential(f, slopes)
+    assert bits(lo) == bits([w[0] for w in want])
+    assert bits(hi) == bits([w[1] for w in want])
+
+
+@pytest.mark.parametrize("domain", CROSS_CHECK_DOMAINS)
+@pytest.mark.parametrize("spec", CROSS_CHECK_SPECS.values(), ids=CROSS_CHECK_SPECS.keys())
+def test_lockstep_bisection_equals_scalar_reference(spec, domain):
+    f = build_function(spec, domain)
+    slope_lo, slope_hi = f.slope_range()
+    # the slopes on either side of each kink, and the ends of the attained
+    # range, as thresholds of their own
+    kink_slopes = [float(v) for k in f.kinks for v in subdiff_interval(f.spec, k)]
+    exact = np.abs([slope_lo, slope_hi, *kink_slopes])
+    eps = np.unique(np.concatenate([np.geomspace(1e-6, 10.0, 60), exact[exact > 0],
+                                    [2.0 * exact.max()]]))
+    # thresholds below and above every attained slope
+    assert (-eps < slope_lo).any() and (eps > slope_hi).any()
+    s = np.unique(np.concatenate([np.linspace(slope_lo, slope_hi, 33), [0.0],
+                                  kink_slopes, -eps, eps]))
+    assert_lockstep_equals_reference(f, eps, s[(s >= slope_lo) & (s <= slope_hi)])
+
+
+@pytest.mark.parametrize("spec,domain", [
+    (SymmetricPower(2.0, x_star=9000.0), (0.0, 10000.0)),
+    (AsymmetricPower(1.5, 3.0, x_star=5000.0), (-8000.0, 9000.0)),
+])
+def test_lockstep_bisection_stops_at_float_resolution(spec, domain):
+    # past |x| = 8192 floats lie 1.8e-12 apart, more than the tolerance: ends
+    # there stop when mid no longer falls between lo and hi, while ends near
+    # 0 of the same call bisect on
+    f = build_function(spec, domain)
+    assert_lockstep_equals_reference(f, np.geomspace(1e-3, 1e4, 50),
+                                     np.linspace(*f.slope_range(), 201))
+
+
+class TestArrayCalls:
+    f = build_function(PWL, D11)
+
+    def test_scalar_calls_return_python_floats(self):
+        for eps in (0.3, np.float64(0.3), 5.0):
+            assert all(type(v) is float for v in flat_set(self.f, eps))
+            assert type(modulus_numeric(self.f, eps)) is float
+        assert all(type(v) is float for v in conjugate_subdifferential(self.f, 0.3))
+
+    def test_array_keeps_its_shape(self):
+        eps = np.array([[0.1, 0.5], [1.0, 5.0]])
+        lo, hi = flat_set(self.f, eps)
+        assert lo.shape == hi.shape == modulus_numeric(self.f, eps).shape == (2, 2)
+        assert (lo[1, 1], hi[1, 1]) == flat_set(self.f, 5.0)
+        lo, hi = conjugate_subdifferential(self.f, np.array([[-0.5], [1.0]]))
+        assert lo.shape == hi.shape == (2, 1)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")])
+    def test_bad_entry_in_epsilon_array(self, bad):
+        eps = np.array([0.1, bad, 0.5])
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            flat_set(self.f, eps)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            modulus_numeric(self.f, eps)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            flat_set(self.f, bad)
+
+    @pytest.mark.parametrize("bad", [-2.0000001, 3.5, float("nan")])
+    def test_out_of_range_slope_in_array(self, bad):
+        # the PWL attains slopes -2 to 3 on D11
+        with pytest.raises(SlopeRangeError, match=repr(bad)):
+            conjugate_subdifferential(self.f, np.array([-1.0, 0.0, bad, 2.0]))
+        with pytest.raises(SlopeRangeError, match=repr(bad)):
+            conjugate_subdifferential(self.f, bad)
 
 
 class TestBigH:
