@@ -29,7 +29,6 @@ from .errors import (
     BudgetError,
     DataError,
     DomainError,
-    DomainMismatchError,
     FieldError,
     ScheduleError,
     SlopeRangeError,
@@ -55,26 +54,21 @@ from .functions import (
     AsymmetricPower,
     ConvexFunction1D,
     FunctionSpec,
-    GrowthProfile,
     PiecewiseLinear,
     SymmetricPower,
     Tilt,
     build_function,
     distance,
-    pair_dissimilarity_kappa,
-    pair_distance_d,
     spec_id,
     with_x_star,
 )
 from .modulus import (
     ModulusCurve,
     ModulusSample,
-    big_H,
     conjugate_subdifferential,
     fit_growth_exponent,
     flat_set,
     modulus_analytic,
-    modulus_bounds_from_growth,
     modulus_numeric,
     sample_modulus_curve,
 )

@@ -87,6 +87,8 @@ class SgdSpec:
             extras.append(f"scale={self.scale:g}")
         if self.iterate != "last":
             extras.append("avg")
+        if self.x0 != UNIFORM_START:
+            extras.append(f"x0={self.x0:g}")
         tail = (";" + ";".join(extras)) if extras else ""
         return f"sgd({self.schedule}{tail})"
 

@@ -245,13 +245,15 @@ def cmd_run(args) -> int:
     path = Path(args.config)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         return EXIT_USAGE
     if path.suffix == ".json":  # rerun from a manifest
         try:
             text = json.loads(text)["config_text"]
-        except (json.JSONDecodeError, KeyError) as e:
+            if not isinstance(text, str):
+                raise TypeError("config_text is not a string")
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
             print(f"error: {path} is not a run manifest: {e}", file=sys.stderr)
             return EXIT_USAGE
     try:

@@ -64,6 +64,7 @@ from .experiments import (
     FunctionFamily,
     SgdSpec,
     UniformDist,
+    repeated_algorithm,
 )
 from .functions import (
     Absolute,
@@ -406,7 +407,9 @@ def parse_config(text: str) -> RunSettings:
             initial_interval=interval,
         )
     except FieldError as e:
+        repeat = repeated_algorithm(algorithms)
         field_lines = {"T_grid": ln_grid, "replicates": run_lines["replicates"],
+                       "algorithms": 0 if repeat is None else algorithm_lines[repeat][0],
                        "sigma": oracle_lines["sigma"],
                        "initial_interval": run_lines.get("initial_interval", 0)}
         raise ConfigError(field_lines.get(e.field, 0), str(e)) from None

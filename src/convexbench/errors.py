@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """A query point lies outside the function's domain."""
 
 
-class DomainMismatchError(ValueError):
-    """Two functions that must share a domain do not."""
-
-
 class BudgetError(RuntimeError):
     """The oracle's query budget is exhausted."""
 

@@ -47,7 +47,6 @@ from .functions import (
     build_function,
     distance,
     minimizer_interval,
-    pair_distance_d,
     spec_id,
     with_x_star,
 )
@@ -114,6 +113,13 @@ class ConstantEstimator:
         return f"constant(x={self.x_hat:g})"
 
 
+def repeated_algorithm(algorithms) -> int | None:
+    """Index of the first algorithm whose id an earlier one has: the two
+    curves would merge in risk.csv."""
+    ids = [a.algorithm_id for a in algorithms]
+    return next((n for n, i in enumerate(ids) if i in ids[:n]), None)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     function: FunctionSpec | FunctionFamily
@@ -137,6 +143,10 @@ class ExperimentConfig:
             raise FieldError("algorithms", "need at least one algorithm")
         if not all(isinstance(a, AlgorithmSpec) for a in self.algorithms):
             raise FieldError("algorithms", f"not all algorithm specs: {self.algorithms}")
+        repeat = repeated_algorithm(self.algorithms)
+        if repeat is not None:
+            raise FieldError("algorithms", "two algorithms share the id "
+                             + self.algorithms[repeat].algorithm_id)
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise FieldError("sigma", f"sigma must be finite and >= 0, got {self.sigma}")
         if not self.initial_interval[0] < self.initial_interval[1]:
@@ -456,6 +466,8 @@ def superefficiency_experiment(
         )
     if T < 1:
         raise ValueError("T must be >= 1")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if not (math.isfinite(modulus_scale) and modulus_scale > 0):
@@ -485,8 +497,8 @@ def superefficiency_experiment(
         stderr_g_plus=se_p,
         risk_g_minus=risk_m,
         stderr_g_minus=se_m,
-        d_f_g_plus=pair_distance_d(f, g_plus),
-        d_f_g_minus=pair_distance_d(f, g_minus),
+        d_f_g_plus=float(distance(f.minimizer_set, g_plus.minimizer_set)),
+        d_f_g_minus=float(distance(f.minimizer_set, g_minus.minimizer_set)),
         omega_ref_plus=omega_p,
         omega_ref_minus=omega_m,
     )

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, DomainMismatchError
+from .errors import DomainError
 
 __all__ = [
     "SymmetricPower",
@@ -29,12 +29,9 @@ __all__ = [
     "PiecewiseLinear",
     "Tilt",
     "FunctionSpec",
-    "GrowthProfile",
     "ConvexFunction1D",
     "build_function",
     "distance",
-    "pair_distance_d",
-    "pair_dissimilarity_kappa",
     "spec_id",
     "with_x_star",
 ]
@@ -134,22 +131,6 @@ class Tilt:
 FunctionSpec = Union[SymmetricPower, AsymmetricPower, Absolute, PiecewiseLinear, Tilt]
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Local polynomial growth f(edge +/- d) ~ lambda * d^k on each side."""
-
-    k_l: float
-    k_r: float
-    lambda_l: float
-    lambda_r: float
-
-    def __post_init__(self):
-        if not (self.k_l > 1.0 and self.k_r > 1.0):
-            raise ValueError("growth exponents must exceed 1")
-        if not (self.lambda_l > 0.0 and self.lambda_r > 0.0):
-            raise ValueError("growth constants must be positive")
-
-
 # ---------------------------------------------------------------------------
 # core formula kernels (array-safe; scalars go through the same code)
 # ---------------------------------------------------------------------------
@@ -159,39 +140,6 @@ def _resolve_x_star(spec, x_star):
     if x_star is None:
         return spec.x_star
     return x_star
-
-
-def eval_spec(spec: FunctionSpec, x, x_star=None):
-    """Function value; ``x`` may be a float or ndarray.
-
-    ``x_star`` optionally overrides the spec's own minimizer location (used
-    to evaluate a whole family of shifted copies at once).
-    """
-    if isinstance(spec, SymmetricPower):
-        u = np.asarray(x) - _resolve_x_star(spec, x_star)
-        return np.power(np.abs(u), spec.k) / spec.k
-    if isinstance(spec, AsymmetricPower):
-        u = np.asarray(x) - _resolve_x_star(spec, x_star)
-        au = np.abs(u)
-        return np.where(u < 0, np.power(au, spec.k_l) / spec.k_l,
-                        np.power(au, spec.k_r) / spec.k_r)
-    if isinstance(spec, Absolute):
-        u = np.asarray(x) - _resolve_x_star(spec, x_star)
-        return np.abs(u)
-    if isinstance(spec, PiecewiseLinear):
-        if x_star is not None:
-            raise ValueError("PiecewiseLinear has no x_star parameter")
-        bp = np.asarray(spec.breakpoints)
-        sl = np.asarray(spec.slopes)
-        knot_vals = np.concatenate([[0.0], np.cumsum(sl[1:-1] * np.diff(bp))])
-        xa = np.asarray(x)
-        idx = np.searchsorted(bp, xa, side="right")  # segment index of x
-        left_knot = bp[np.clip(idx - 1, 0, len(bp) - 1)]
-        base_val = knot_vals[np.clip(idx - 1, 0, len(bp) - 1)]
-        return base_val + sl[idx] * (xa - left_knot)
-    if isinstance(spec, Tilt):
-        return eval_spec(spec.base, x, x_star) + spec.eps * np.asarray(x)
-    raise TypeError(f"unknown spec type {type(spec)!r}")
 
 
 def subdiff_interval(spec: FunctionSpec, x, x_star=None):
@@ -317,31 +265,6 @@ def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float], x_star=N
     return np.clip(x_star + lo, a, b), np.clip(x_star + hi, a, b)
 
 
-def kinks_of(spec: FunctionSpec) -> tuple[float, ...]:
-    """Points where the spec is not differentiable."""
-    if isinstance(spec, Absolute):
-        return (spec.x_star,)
-    if isinstance(spec, PiecewiseLinear):
-        return tuple(
-            b
-            for b, s1, s2 in zip(spec.breakpoints, spec.slopes, spec.slopes[1:])
-            if s1 != s2
-        )
-    if isinstance(spec, Tilt):
-        return kinks_of(spec.base)
-    return ()
-
-
-def growth_of(spec: FunctionSpec) -> GrowthProfile | None:
-    """Local growth profile at the minimizer, when known in closed form."""
-    if isinstance(spec, SymmetricPower):
-        lam = 1.0 / spec.k
-        return GrowthProfile(spec.k, spec.k, lam, lam)
-    if isinstance(spec, AsymmetricPower):
-        return GrowthProfile(spec.k_l, spec.k_r, 1.0 / spec.k_l, 1.0 / spec.k_r)
-    return None
-
-
 def strip_tilt(spec: FunctionSpec) -> tuple[FunctionSpec, float]:
     """Split a spec into (untilted core, total tilt)."""
     if isinstance(spec, Tilt):
@@ -403,21 +326,12 @@ class ConvexFunction1D:
     spec: FunctionSpec
     domain: tuple[float, float]
     minimizer_set: tuple[float, float]
-    growth: GrowthProfile | None
-    kinks: tuple[float, ...]
-
-    def _check(self, x: float):
-        a, b = self.domain
-        if not (a <= x <= b):
-            raise DomainError(f"x={x} outside domain [{a}, {b}]")
-
-    def eval(self, x: float) -> float:
-        self._check(x)
-        return float(eval_spec(self.spec, x))
 
     def subgrad(self, x: float) -> float:
         """Min-norm subgradient; deterministic by construction."""
-        self._check(x)
+        a, b = self.domain
+        if not (a <= x <= b):
+            raise DomainError(f"x={x} outside domain [{a}, {b}]")
         return float(subgrad_spec(self.spec, x))
 
     def slope_range(self) -> tuple[float, float]:
@@ -437,18 +351,11 @@ def build_function(spec: FunctionSpec, domain: tuple[float, float]) -> ConvexFun
     if not (a < b and np.isfinite([a, b]).all()):
         raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
     ml, mr = minimizer_interval(spec, (a, b))
-    kk = tuple(k for k in kinks_of(spec) if a <= k <= b)
-    return ConvexFunction1D(
-        spec=spec,
-        domain=(a, b),
-        minimizer_set=(float(ml), float(mr)),
-        growth=growth_of(spec),
-        kinks=kk,
-    )
+    return ConvexFunction1D(spec=spec, domain=(a, b), minimizer_set=(float(ml), float(mr)))
 
 
 # ---------------------------------------------------------------------------
-# distances and pair dissimilarities
+# distance between intervals
 # ---------------------------------------------------------------------------
 
 
@@ -457,37 +364,3 @@ def distance(p, q):
     a point x is the interval (x, x).  ``+ 0.0`` maps -0.0 to 0.0."""
     return np.maximum(0.0, np.maximum(q[0] - p[1], p[0] - q[1])) + 0.0
 
-
-def pair_distance_d(f: ConvexFunction1D, g: ConvexFunction1D) -> float:
-    """Distance between the minimizer intervals of two functions."""
-    if f.domain != g.domain:
-        raise DomainMismatchError(f"domains differ: {f.domain} vs {g.domain}")
-    return float(distance(f.minimizer_set, g.minimizer_set))
-
-
-def pair_dissimilarity_kappa(
-    f: ConvexFunction1D, g: ConvexFunction1D, n_grid: int = 100_000
-) -> float:
-    """sup over the domain of |f'(x) - g'(x)| (min-norm subgradients).
-
-    Exact for pairs that differ only by a linear tilt; otherwise a grid
-    supremum over ``n_grid`` points plus the kinks of both functions (a lower
-    bound on the true supremum in general).
-    """
-    if f.domain != g.domain:
-        raise DomainMismatchError(f"domains differ: {f.domain} vs {g.domain}")
-    if n_grid < 2:
-        raise ValueError("grid resolution must be positive (n_grid >= 2)")
-    core_f, eps_f = strip_tilt(f.spec)
-    core_g, eps_g = strip_tilt(g.spec)
-    if core_f == core_g:
-        return abs(eps_f - eps_g)
-    a, b = f.domain
-    pts = [np.linspace(a, b, n_grid)]
-    # one-sided limits at kinks carry the extreme subgradient gaps
-    side = 1e-9 * (b - a)
-    for k in set(f.kinks) | set(g.kinks):
-        pts.append(np.clip(np.array([k, k - side, k + side]), a, b))
-    xs = np.concatenate(pts)
-    gap = np.abs(subgrad_spec(f.spec, xs) - subgrad_spec(g.spec, xs))
-    return float(np.max(gap))

@@ -27,7 +27,6 @@ from .errors import DataError, SlopeRangeError
 from .functions import (
     ConvexFunction1D,
     FunctionSpec,
-    GrowthProfile,
     clamped_level_set,
     distance,
     minimizer_interval,
@@ -41,8 +40,6 @@ __all__ = [
     "modulus_numeric",
     "flat_set",
     "conjugate_subdifferential",
-    "big_H",
-    "modulus_bounds_from_growth",
     "fit_growth_exponent",
     "sample_modulus_curve",
 ]
@@ -187,40 +184,6 @@ def modulus_numeric(f: ConvexFunction1D, epsilon):
     """Larger distance from the minimizer set over the flat-set closure;
     an array ``epsilon`` gives an array."""
     return _like(epsilon, _farthest(f.minimizer_set, *flat_set(f, epsilon)))
-
-
-def big_H(f: ConvexFunction1D, epsilon: float) -> float:
-    """max of the distances from the conjugate subdifferentials at +/-epsilon
-    to the one at 0, each read off ``level_set`` and clamped to the domain as
-    in ``modulus_analytic``."""
-    _check_epsilon(epsilon)
-    base, up, dn = (clamped_level_set(f.spec, s, f.domain)
-                    for s in (0.0, epsilon, -epsilon))
-    return float(max(distance(up, base), distance(dn, base)))
-
-
-def modulus_bounds_from_growth(
-    profile: GrowthProfile, epsilon: float, C: float
-) -> tuple[float, float]:
-    """Two-sided sandwich for the modulus from a local growth profile.
-
-    Valid for small enough epsilon (the threshold is function-specific and
-    not computed here; the test suite pins an empirical range).
-    """
-    if C <= 1.0:
-        raise ValueError(f"C must exceed 1, got {C}")
-    _check_epsilon(epsilon)
-    k = max(profile.k_l, profile.k_r)
-    if profile.k_l > profile.k_r:
-        lam = profile.lambda_l
-    elif profile.k_r > profile.k_l:
-        lam = profile.lambda_r
-    else:
-        lam = max(profile.lambda_l, profile.lambda_r)
-    p = 1.0 / (k - 1.0)
-    lo = (epsilon / (C * lam * k)) ** p
-    hi = (C * epsilon / lam) ** p
-    return lo, hi
 
 
 def fit_growth_exponent(curve: ModulusCurve, min_omega: float = 0.0) -> float:

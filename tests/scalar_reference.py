@@ -8,14 +8,66 @@ same seed and the same start must reproduce these values bit for bit.
 The flat-set bisection is here too, one threshold at a time on
 ``f.subgrad``: the lockstep array bisection of ``convexbench.modulus`` must
 reproduce it bit for bit.
+
+Function values and kinks, which the package itself never needs, are here
+as references for the convexity and bisection tests.
 """
 import math
 
 import numpy as np
 
-from convexbench import SlopeRangeError, epochs_schedule
+from convexbench import (
+    Absolute,
+    AsymmetricPower,
+    PiecewiseLinear,
+    SlopeRangeError,
+    SymmetricPower,
+    Tilt,
+    epochs_schedule,
+)
 from convexbench.functions import distance
 from convexbench.modulus import _BISECTION_TOL
+
+
+def eval_spec(spec, x):
+    """Function value; ``x`` may be a float or ndarray."""
+    if isinstance(spec, SymmetricPower):
+        u = np.asarray(x) - spec.x_star
+        return np.power(np.abs(u), spec.k) / spec.k
+    if isinstance(spec, AsymmetricPower):
+        u = np.asarray(x) - spec.x_star
+        au = np.abs(u)
+        return np.where(u < 0, np.power(au, spec.k_l) / spec.k_l,
+                        np.power(au, spec.k_r) / spec.k_r)
+    if isinstance(spec, Absolute):
+        return np.abs(np.asarray(x) - spec.x_star)
+    if isinstance(spec, PiecewiseLinear):
+        bp = np.asarray(spec.breakpoints)
+        sl = np.asarray(spec.slopes)
+        knot_vals = np.concatenate([[0.0], np.cumsum(sl[1:-1] * np.diff(bp))])
+        xa = np.asarray(x)
+        idx = np.searchsorted(bp, xa, side="right")  # segment index of x
+        left_knot = bp[np.clip(idx - 1, 0, len(bp) - 1)]
+        base_val = knot_vals[np.clip(idx - 1, 0, len(bp) - 1)]
+        return base_val + sl[idx] * (xa - left_knot)
+    if isinstance(spec, Tilt):
+        return eval_spec(spec.base, x) + spec.eps * np.asarray(x)
+    raise TypeError(f"unknown spec type {type(spec)!r}")
+
+
+def kinks_of(spec):
+    """Points where the spec is not differentiable."""
+    if isinstance(spec, Absolute):
+        return (spec.x_star,)
+    if isinstance(spec, PiecewiseLinear):
+        return tuple(
+            b
+            for b, s1, s2 in zip(spec.breakpoints, spec.slopes, spec.slopes[1:])
+            if s1 != s2
+        )
+    if isinstance(spec, Tilt):
+        return kinks_of(spec.base)
+    return ()
 
 
 class ReferenceOracle:

@@ -81,11 +81,27 @@ class TestExitCodes:
         missing = tmp_path / "nowhere.cfg"
         assert cli.main(["run", str(missing)]) == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("content", ['{"kind": "something else"}', "not json"])
-    def test_non_manifest_json(self, tmp_path, content):
+    @pytest.mark.parametrize("content", ['{"kind": "something else"}', "not json",
+                                         '{"config_text": 5}', "[1, 2]", "null"])
+    def test_non_manifest_json(self, tmp_path, content, capsys):
         path = tmp_path / "other.json"
         path.write_text(content)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {path} is not a run manifest")
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(CONFIG.replace("sigma", "# \xe9\nsigma").encode("latin-1"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+
+    @pytest.mark.parametrize("estimator", ["constant", "binary-search", "sgd"])
+    @pytest.mark.parametrize("replicates", ["0", "-3"])
+    def test_superefficiency_needs_a_replicate(self, estimator, replicates, capsys):
+        rc = cli.main(["superefficiency", "--fn", "sym-power", "--k", "2", "--delta", "0.1",
+                       "--T", "100", "--estimator", estimator, "--replicates", replicates])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: replicates must be >= 1")
 
     def test_superefficiency_bad_estimator_parameter(self, capsys):
         rc = cli.main(["superefficiency", "--fn", "sym-power", "--k", "2",

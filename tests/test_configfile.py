@@ -106,6 +106,19 @@ class TestLineNumbers:
         err, ln = config_error("replicates = 50", "replicates = 0")
         assert err.line == ln
 
+    def test_repeated_algorithm_id_names_its_second_line(self):
+        # both curves would be written as sgd(1/t) and fitted as one
+        sgd = "algorithm = sgd schedule=1/t"
+        err, _ = config_error(sgd, f"{sgd}\nalgorithm = sgd scale=1 schedule=1/t")
+        assert err.line == line_of(CONFIG, "algorithm = sgd") + 1
+        assert "share the id sgd(1/t)" in str(err)
+
+    def test_numeric_start_is_part_of_the_id(self):
+        sgd = "algorithm = sgd schedule=1/t"
+        text = CONFIG.replace(sgd, f"{sgd}\n{sgd} x0=0.5")
+        ids = [a.algorithm_id for a in parse_config(text).config.algorithms]
+        assert ids == ["binary-search(r=1.5)", "sgd(1/t)", "sgd(1/t;x0=0.5)"]
+
 
 class TestAlgorithmSpecErrors:
     @pytest.mark.parametrize("line", [
@@ -325,7 +338,8 @@ algorithm_specs = st.one_of(
 configs = st.builds(
     ExperimentConfig,
     function=st.one_of(function_specs, families),
-    algorithms=st.lists(algorithm_specs, min_size=1, max_size=4).map(tuple),
+    algorithms=st.lists(algorithm_specs, min_size=1, max_size=4,
+                        unique_by=lambda a: a.algorithm_id).map(tuple),
     T_grid=st.lists(st.integers(1, 10**9), min_size=1, max_size=8,
                     unique=True).map(lambda ts: tuple(sorted(ts))),
     replicates=st.integers(1, 10**6),
@@ -359,8 +373,9 @@ def algorithm_lines(draw):
 @given(algorithm_lines())
 def test_algorithm_line_round_trip(line_and_spec):
     line, spec = line_and_spec
-    config = parse_config(CONFIG.replace("algorithm = sgd schedule=1/t", line)).config
-    assert config.algorithms[1] == spec
+    algorithms = "algorithm = binary-search r=1.5\nalgorithm = sgd schedule=1/t"
+    config = parse_config(CONFIG.replace(algorithms, line)).config
+    assert config.algorithms == (spec,)
 
 
 def test_round_trip_tilted_piecewise_linear():

@@ -260,6 +260,14 @@ def test_experiment_algorithms_must_be_algorithm_specs():
     assert info.value.field == "algorithms"
 
 
+def test_experiment_algorithm_ids_must_differ():
+    # two curves with one id would be merged in risk.csv and fitted as one
+    with pytest.raises(FieldError, match=r"share the id sgd\(1/t\)") as info:
+        ExperimentConfig(SymmetricPower(2.0), (SgdSpec("1/t"), SgdSpec("1/t")),
+                         (100,), 3, 0.1, 1)
+    assert info.value.field == "algorithms"
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("T", [100, 1000])
 @pytest.mark.parametrize("estimator", [

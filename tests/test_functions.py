@@ -1,26 +1,23 @@
-"""Tests for the convex function catalog, subgradients, and dissimilarities."""
+"""Tests for the convex function catalog, subgradients, minimizer sets and distances."""
 import math
 
 import numpy as np
 import pytest
+from scalar_reference import eval_spec
 
 from convexbench import (
     Absolute,
     AsymmetricPower,
     DomainError,
-    DomainMismatchError,
-    GrowthProfile,
     PiecewiseLinear,
     SymmetricPower,
     Tilt,
     build_function,
     distance,
-    pair_dissimilarity_kappa,
-    pair_distance_d,
     spec_id,
     with_x_star,
 )
-from convexbench.functions import eval_spec, minimizer_interval, subgrad_spec
+from convexbench.functions import minimizer_interval, subgrad_spec
 
 SHIFTABLE_SPECS = [
     SymmetricPower(1.5),
@@ -57,7 +54,7 @@ class TestMinNormSubgradient:
         with pytest.raises(DomainError):
             f.subgrad(1.5)
         with pytest.raises(DomainError):
-            f.eval(-1.0000001)
+            f.subgrad(-1.0000001)
 
     def test_piecewise_linear_breakpoint_rule(self):
         # adjacent slopes (s-, s+) with 0 inside -> 0, else endpoint nearer 0
@@ -137,10 +134,12 @@ class TestDistance:
 
 
 class TestPairDistance:
+    """Distance between the minimizer sets of a function and an alternative."""
+
     def test_tilt_moves_minimizer_by_eps_for_k2(self):
         f = build_function(SymmetricPower(k=2.0, x_star=0.0), (-2.0, 2.0))
         g = build_function(Tilt(f.spec, 0.1), (-2.0, 2.0))
-        assert pair_distance_d(f, g) == 0.1
+        assert distance(f.minimizer_set, g.minimizer_set) == 0.1
         # independent check: dense grid minimization of the tilted function
         xs = np.linspace(-2.0, 2.0, 400_001)
         grid_min = xs[np.argmin(eval_spec(g.spec, xs))]
@@ -148,7 +147,7 @@ class TestPairDistance:
 
     def test_identical_functions(self):
         f = build_function(AsymmetricPower(1.5, 3.0), (-2.0, 2.0))
-        assert pair_distance_d(f, f) == 0.0
+        assert distance(f.minimizer_set, f.minimizer_set) == 0.0
 
     def test_overlapping_intervals(self):
         f = build_function(
@@ -161,46 +160,7 @@ class TestPairDistance:
         )
         assert f.minimizer_set == (0.0, 1.0)
         assert g.minimizer_set == (0.5, 2.0)
-        assert pair_distance_d(f, g) == 0.0
-
-    def test_mismatched_domains(self):
-        f = build_function(SymmetricPower(k=2.0), (-1.0, 1.0))
-        g = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
-        with pytest.raises(DomainMismatchError):
-            pair_distance_d(f, g)
-
-
-class TestKappa:
-    def test_tilt_is_exact(self):
-        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
-        g = build_function(Tilt(f.spec, 0.05), (-2.0, 2.0))
-        assert pair_dissimilarity_kappa(f, g) == 0.05
-
-    def test_tilt_of_kinked_function_is_exact(self):
-        f = build_function(Absolute(0.0), (-2.0, 2.0))
-        g = build_function(Tilt(f.spec, 0.3), (-2.0, 2.0))
-        assert pair_dissimilarity_kappa(f, g) == 0.3
-
-    def test_identical(self):
-        f = build_function(SymmetricPower(k=3.0), (-1.0, 1.0))
-        assert pair_dissimilarity_kappa(f, f) == 0.0
-
-    def test_absolute_vs_quadratic_near_one(self):
-        f = build_function(Absolute(0.0), (-1.0, 1.0))
-        g = build_function(SymmetricPower(k=2.0, x_star=0.0), (-1.0, 1.0))
-        kappa = pair_dissimilarity_kappa(f, g)
-        # independent oracle: sup |sgn(x) - x| approached on a fine grid at 0+
-        xs = np.arange(1e-6, 1e-3, 1e-6)
-        oracle = np.max(np.abs(np.sign(xs) - xs))
-        assert abs(kappa - 1.0) <= 1e-6
-        assert abs(oracle - 1.0) <= 1e-5
-        assert kappa <= 1.0 + 1e-12
-
-    def test_mismatched_domains(self):
-        f = build_function(Absolute(0.0), (-1.0, 1.0))
-        g = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
-        with pytest.raises(DomainMismatchError):
-            pair_dissimilarity_kappa(f, g)
+        assert distance(f.minimizer_set, g.minimizer_set) == 0.0
 
 
 class TestSpecValidation:
@@ -238,12 +198,6 @@ class TestSpecValidation:
     def test_domain_must_be_finite(self, domain):
         with pytest.raises(ValueError, match="finite"):
             build_function(SymmetricPower(k=2.0), domain)
-
-    def test_growth_profile_constructor_enforced(self):
-        with pytest.raises(ValueError):
-            GrowthProfile(k_l=1.0, k_r=2.0, lambda_l=0.5, lambda_r=0.5)
-        with pytest.raises(ValueError):
-            GrowthProfile(k_l=2.0, k_r=2.0, lambda_l=0.0, lambda_r=0.5)
 
     def test_nested_tilt_collapses(self):
         t = Tilt(Tilt(SymmetricPower(k=2.0), 0.1), 0.2)
@@ -297,8 +251,8 @@ class TestConvexityStructure:
         rng = np.random.default_rng(1)
         for _ in range(200):
             x, y = rng.uniform(-2, 2, 2)
-            lhs = f.eval((x + y) / 2)
-            rhs = (f.eval(x) + f.eval(y)) / 2
+            lhs = eval_spec(f.spec, (x + y) / 2)
+            rhs = (eval_spec(f.spec, x) + eval_spec(f.spec, y)) / 2
             assert lhs <= rhs + 1e-12
 
     @pytest.mark.parametrize("spec", CATALOG, ids=spec_id)
@@ -307,7 +261,8 @@ class TestConvexityStructure:
         rng = np.random.default_rng(2)
         for _ in range(200):
             x, y = rng.uniform(-2, 2, 2)
-            assert f.eval(y) >= f.eval(x) + f.subgrad(x) * (y - x) - 1e-9
+            fx, fy = eval_spec(f.spec, x), eval_spec(f.spec, y)
+            assert fy >= fx + f.subgrad(x) * (y - x) - 1e-9
 
     @pytest.mark.parametrize("spec", CATALOG, ids=spec_id)
     def test_subgradient_sign_around_minimizer(self, spec):

@@ -1,5 +1,4 @@
 """Modulus computations: closed forms, flat sets, conjugate intervals, fits."""
-import math
 
 import numpy as np
 import pytest
@@ -9,20 +8,17 @@ from convexbench import (
     Absolute,
     AsymmetricPower,
     DataError,
-    GrowthProfile,
     ModulusCurve,
     ModulusSample,
     PiecewiseLinear,
     SlopeRangeError,
     SymmetricPower,
     Tilt,
-    big_H,
     build_function,
     conjugate_subdifferential,
     fit_growth_exponent,
     flat_set,
     modulus_analytic,
-    modulus_bounds_from_growth,
     modulus_numeric,
     sample_modulus_curve,
 )
@@ -248,7 +244,8 @@ def test_lockstep_bisection_equals_scalar_reference(spec, domain):
     slope_lo, slope_hi = f.slope_range()
     # the slopes on either side of each kink, and the ends of the attained
     # range, as thresholds of their own
-    kink_slopes = [float(v) for k in f.kinks for v in subdiff_interval(f.spec, k)]
+    kinks = [k for k in ref.kinks_of(spec) if domain[0] <= k <= domain[1]]
+    kink_slopes = [float(v) for k in kinks for v in subdiff_interval(spec, k)]
     exact = np.abs([slope_lo, slope_hi, *kink_slopes])
     eps = np.unique(np.concatenate([np.geomspace(1e-6, 10.0, 60), exact[exact > 0],
                                     [2.0 * exact.max()]]))
@@ -306,86 +303,6 @@ class TestArrayCalls:
             conjugate_subdifferential(self.f, np.array([-1.0, 0.0, bad, 2.0]))
         with pytest.raises(SlopeRangeError, match=repr(bad)):
             conjugate_subdifferential(self.f, bad)
-
-
-class TestBigH:
-    def test_quadratic(self):
-        f = build_function(SymmetricPower(k=2.0), D11)
-        assert big_H(f, 0.01) == pytest.approx(0.01, abs=1e-10)
-
-    def test_absolute_is_zero(self):
-        f = build_function(Absolute(0.0), D11)
-        assert big_H(f, 0.5) <= 1e-10
-
-    def test_asymmetric_dominated_by_flat_side(self):
-        f = build_function(AsymmetricPower(1.5, 3.0), D11)
-        assert big_H(f, 0.01) == pytest.approx(0.1, abs=1e-9)
-
-    def test_H_below_modulus(self):
-        for spec in (SymmetricPower(k=2.0), SymmetricPower(k=3.0),
-                     AsymmetricPower(1.5, 3.0), Absolute(0.1),
-                     PiecewiseLinear((-0.3, 0.4), (-1.0, 0.0, 1.0)),
-                     Tilt(SymmetricPower(k=2.0), 0.3)):
-            f = build_function(spec, D11)
-            # eps = 2 and 5 exceed every slope the domain attains
-            for eps in (1e-4, 1e-3, 1e-2, 0.05, 0.5, 2.0, 5.0):
-                assert big_H(f, eps) <= modulus_numeric(f, eps) + 1e-9
-
-    def test_H_equals_modulus_for_strictly_convex(self):
-        for spec in (SymmetricPower(k=1.5), SymmetricPower(k=2.0),
-                     AsymmetricPower(2.0, 3.0)):
-            f = build_function(spec, D11)
-            for eps in (1e-4, 1e-2, 2.0):
-                assert big_H(f, eps) == pytest.approx(
-                    modulus_numeric(f, eps), abs=1e-9
-                )
-
-
-class TestGrowthBounds:
-    def test_half_quadratic_example(self):
-        profile = GrowthProfile(k_l=2.0, k_r=2.0, lambda_l=0.5, lambda_r=0.5)
-        lo, hi = modulus_bounds_from_growth(profile, 0.01, C=2.0)
-        assert lo == pytest.approx(0.005, rel=1e-12)
-        assert hi == pytest.approx(0.04, rel=1e-12)
-
-    def test_cubic_example(self):
-        profile = GrowthProfile(k_l=3.0, k_r=3.0, lambda_l=1 / 3, lambda_r=1 / 3)
-        lo, hi = modulus_bounds_from_growth(profile, 1e-4, C=2.0)
-        assert lo == pytest.approx(math.sqrt(5e-5), rel=1e-12)
-        assert hi == pytest.approx(math.sqrt(6e-4), rel=1e-12)
-        # the sandwich contains the numeric modulus
-        f = build_function(SymmetricPower(k=3.0), D11)
-        assert lo <= modulus_numeric(f, 1e-4) <= hi
-
-    def test_strict_ordering(self):
-        profile = GrowthProfile(k_l=1.7, k_r=2.4, lambda_l=0.9, lambda_r=0.3)
-        lo, hi = modulus_bounds_from_growth(profile, 0.03, C=1.0 + 1e-9)
-        assert lo < hi
-
-    def test_lambda_case_table(self):
-        # flatter side wins the exponent; its lambda is used
-        p = GrowthProfile(k_l=3.0, k_r=2.0, lambda_l=0.25, lambda_r=9.0)
-        lo, hi = modulus_bounds_from_growth(p, 1e-3, C=2.0)
-        assert lo == pytest.approx((1e-3 / (2 * 0.25 * 3)) ** 0.5, rel=1e-12)
-        assert hi == pytest.approx((2 * 1e-3 / 0.25) ** 0.5, rel=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        p = GrowthProfile(2.0, 2.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            modulus_bounds_from_growth(p, 0.01, C=1.0)
-        with pytest.raises(ValueError):
-            modulus_bounds_from_growth(p, 0.0, C=2.0)
-
-    def test_sandwich_on_catalog(self):
-        for spec in (SymmetricPower(k=1.5), SymmetricPower(k=2.0),
-                     SymmetricPower(k=3.0), AsymmetricPower(1.5, 3.0),
-                     AsymmetricPower(2.0, 3.0)):
-            f = build_function(spec, D11)
-            assert f.growth is not None
-            for eps in np.geomspace(1e-6, 1e-3, 10):
-                lo, hi = modulus_bounds_from_growth(f.growth, float(eps), C=2.0)
-                w = modulus_numeric(f, float(eps))
-                assert lo <= w <= hi
 
 
 class TestFitGrowthExponent:
