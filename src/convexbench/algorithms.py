@@ -47,6 +47,10 @@ __all__ = [
 UNIFORM_START = "uniform"
 
 
+def _id_number(x: float) -> str:
+    return repr(float(x)).removesuffix(".0")  # shortest round trip; 1.0 as 1
+
+
 @dataclass(frozen=True)
 class BinarySearchSpec:
     r: float  # round-count coefficient: E = floor(r ln T) rounds
@@ -60,7 +64,8 @@ class BinarySearchSpec:
 
     @property
     def algorithm_id(self) -> str:
-        return f"binary-search(r={self.r:g})"
+        delta = "" if self.delta == 0.05 else f";delta={_id_number(self.delta)}"
+        return f"binary-search(r={_id_number(self.r)}{delta})"
 
 
 @dataclass(frozen=True)
@@ -84,11 +89,11 @@ class SgdSpec:
     def algorithm_id(self) -> str:
         extras = []
         if self.scale != 1.0:
-            extras.append(f"scale={self.scale:g}")
+            extras.append(f"scale={_id_number(self.scale)}")
         if self.iterate != "last":
             extras.append("avg")
         if self.x0 != UNIFORM_START:
-            extras.append(f"x0={self.x0:g}")
+            extras.append(f"x0={_id_number(self.x0)}")
         tail = (";" + ";".join(extras)) if extras else ""
         return f"sgd({self.schedule}{tail})"
 
@@ -145,9 +150,11 @@ def run_binary_search(
 
     Each round queries the midpoint of every replicate's current interval
     T0 times, keeps the left half where the average reading is positive and
-    the right half otherwise (ties go right).  The schedule (E, T0) comes
-    from the batch's budget.  Returns the midpoints of the final intervals,
-    shape (R,).  When ``trace`` is a list, each round appends
+    the right half otherwise (ties go right).  ``query_block_all`` returns
+    those averages without holding all R x T0 readings at once, so a round's
+    memory is O(R + max(CHUNK_VALUES, T0)) whatever the budget.  The schedule
+    (E, T0) comes from the batch's budget.  Returns the midpoints of the
+    final intervals, shape (R,).  When ``trace`` is a list, each round appends
     (query points, mean readings, left ends after the update, width).
     """
     a0, b0 = _checked_interval(interval)
@@ -156,7 +163,7 @@ def run_binary_search(
     width = b0 - a0
     for _ in range(E):
         x = a + 0.5 * width
-        z_bar = batch.query_block_all(x, T0).mean(axis=1)
+        z_bar = batch.query_block_all(x, T0)
         width = width * 0.5  # exact
         a = np.where(z_bar > 0, a, x)
         if trace is not None:

@@ -35,6 +35,7 @@ from .algorithms import (
     UNIFORM_START,
     BinarySearchSpec,
     SgdSpec,
+    _id_number,
     epochs_schedule,
     run_binary_search,
     run_sgd,
@@ -110,7 +111,7 @@ class ConstantEstimator:
 
     @property
     def algorithm_id(self) -> str:
-        return f"constant(x={self.x_hat:g})"
+        return f"constant(x={_id_number(self.x_hat)})"
 
 
 def repeated_algorithm(algorithms) -> int | None:

@@ -11,10 +11,10 @@ function of (master_seed, replicate index) via ``numpy.random.SeedSequence``
 spawn keys, whose words ``replicate_seeds`` computes for a whole cell at
 once.  Budget, domain and NaN checks and noise draws live there only;
 ``OracleSession`` is the one-replicate batch with scalar ``query`` and
-``query_block``.  Step noise (``begin_steps``) is drawn ahead in chunks of
-at most ``STEP_CHUNK`` steps and at most ``CHUNK_VALUES`` values, so a batch
-holds at most about ``CHUNK_VALUES`` step noises whatever its budget and
-however many replicates it runs; sigma scales each chunk once as it is drawn.
+``query_block``.  Step noise (``begin_steps``) comes in chunks of at most
+``STEP_CHUNK`` steps and ``CHUNK_VALUES`` values, n-query block noise in tiles
+of at most max(``CHUNK_VALUES``, n) values, so noise memory is bounded whatever
+the budget and replicates; sigma scales each chunk or tile once as it is drawn.
 """
 from __future__ import annotations
 
@@ -151,11 +151,14 @@ class OracleBatch:
         self._steps = np.empty((0, self.n_replicates))  # drawn step noise, (chunk, R)
         self._step_pos = 0  # next unread row of _steps
         self._steps_ahead = 0  # reserved steps whose noise is not drawn yet
+        self._block = np.empty(0)  # block readings of one tile, reused
 
     def remaining_budget(self) -> int:
         return self.budget - self.queries_used
 
     def _take(self, n: int):
+        if n < 1:
+            raise ValueError(f"need at least one query, got {n}")
         if self.queries_used + n > self.budget:
             raise BudgetError(
                 f"budget exhausted: {self.queries_used} used of {self.budget}, "
@@ -168,31 +171,44 @@ class OracleBatch:
             bad = x[~((x >= a) & (x <= b))][0]
             raise DomainError(f"x={bad} outside domain [{a}, {b}]")
 
-    def _noise_rows(self, n: int, gens: list[np.random.Generator]) -> np.ndarray:
-        """Next n noise values of each generator, one row per generator."""
-        z = np.empty((len(gens), n))
+    def _noise_rows(self, z: np.ndarray, first: int) -> np.ndarray:
+        """Draw replicate first + j's next noise into row j of z; returns them."""
+        gens = self._gens[first:first + len(z)]
         for row, g in zip(z, gens):
             g.standard_normal(out=row)
-        return z
+        return z[:len(gens)]
 
     def _step_chunk(self, n: int) -> np.ndarray:
         """Next n step noises per replicate, step-major: row j is step j's."""
         z = np.empty((n, self.n_replicates))
         for i in range(0, self.n_replicates, _TILE):
-            z[:, i:i + _TILE] = self._noise_rows(n, self._gens[i:i + _TILE]).T
+            rows = np.empty((min(_TILE, self.n_replicates - i), n))
+            z[:, i:i + _TILE] = self._noise_rows(rows, i).T
         return z
 
-    def query_block_all(self, x: np.ndarray, n: int) -> np.ndarray:
-        """n queries at per-replicate points x (shape (R,)); returns (R, n)."""
+    def _block_tiles(self, x: np.ndarray, n: int):
+        """Check and charge n queries at points x (shape (R,)), then yield
+        (rows, readings) per tile of at most max(CHUNK_VALUES, n) values."""
         self._take(n)
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
         g = self._subgrad(x)
-        z = self._noise_rows(n, self._gens)
         self.queries_used += n
-        z *= self.sigma
-        z += g[:, None]
-        return z
+        tile = min(max(CHUNK_VALUES // n, 1), self.n_replicates)
+        if self._block.size < tile * n:
+            self._block = np.empty(tile * n)
+        for i in range(0, self.n_replicates, tile):
+            z = self._noise_rows(self._block[:tile * n].reshape(tile, n), i)
+            z *= self.sigma
+            z += g[i:i + tile, None]
+            yield slice(i, i + tile), z
+
+    def query_block_all(self, x: np.ndarray, n: int) -> np.ndarray:
+        """n queries at per-replicate points x (shape (R,)); returns the means."""
+        means = np.empty(self.n_replicates)
+        for rows, z in self._block_tiles(x, n):
+            z.mean(axis=1, out=means[rows])
+        return means
 
     def begin_steps(self, n: int):
         """Reserve the next n single-point queries per replicate.
@@ -263,4 +279,5 @@ class OracleSession:
 
     def query_block(self, x: float, n: int) -> np.ndarray:
         """n queries at the same point, identical to n query() calls."""
-        return self.batch.query_block_all(np.array([x], dtype=float), n)[0]
+        [(_, z)] = self.batch._block_tiles(np.array([x], dtype=float), n)
+        return z[0].copy()

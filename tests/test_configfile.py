@@ -119,6 +119,15 @@ class TestLineNumbers:
         ids = [a.algorithm_id for a in parse_config(text).config.algorithms]
         assert ids == ["binary-search(r=1.5)", "sgd(1/t)", "sgd(1/t;x0=0.5)"]
 
+    def test_exact_r_and_delta_are_part_of_the_id(self):
+        bs = "algorithm = binary-search r=1.5"
+        text = CONFIG.replace(bs, f"{bs}\n{bs}000001\n{bs} delta=0.1")
+        config = parse_config(text).config
+        assert [a.algorithm_id for a in config.algorithms] == [
+            "binary-search(r=1.5)", "binary-search(r=1.5000001)",
+            "binary-search(r=1.5;delta=0.1)", "sgd(1/t)"]
+        assert parse_config(serialize_config(config)).config == config
+
 
 class TestAlgorithmSpecErrors:
     @pytest.mark.parametrize("line", [

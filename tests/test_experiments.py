@@ -268,6 +268,18 @@ def test_experiment_algorithm_ids_must_differ():
     assert info.value.field == "algorithms"
 
 
+@pytest.mark.parametrize("a, b", [
+    (BinarySearchSpec(r=1.5), BinarySearchSpec(r=1.5000001)),
+    (BinarySearchSpec(r=1.5), BinarySearchSpec(r=1.5, delta=0.1)),
+    (SgdSpec("1/t", scale=2.0), SgdSpec("1/t", scale=2.0000001)),
+    (SgdSpec("1/t", x0=0.1), SgdSpec("1/t", x0=0.1000001)),
+    (ConstantEstimator(0.1), ConstantEstimator(0.1000001)),
+])
+def test_distinct_specs_have_distinct_ids(a, b):
+    # six significant digits, or an id without delta, would merge these
+    assert a.algorithm_id != b.algorithm_id
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("T", [100, 1000])
 @pytest.mark.parametrize("estimator", [

@@ -7,6 +7,7 @@ import scalar_reference as ref
 from scipy import stats
 
 from convexbench import (
+    BinarySearchSpec,
     BudgetError,
     DomainError,
     FunctionFamily,
@@ -17,8 +18,11 @@ from convexbench import (
     SymmetricPower,
     UniformDist,
     build_function,
+    epochs_schedule,
     replicate_seed,
+    run_binary_search,
 )
+from convexbench import oracle
 from convexbench.experiments import replicate_runs
 from convexbench.oracle import _TILE, CHUNK_VALUES, STEP_CHUNK, replicate_seeds
 
@@ -152,8 +156,7 @@ class TestOracleBatch:
         got = batch.query_block_all(x, n)
         for r in range(R):
             s = ref.ReferenceOracle(F, 0.1, seeds[r])
-            want = s.query_block(float(x[r]), n)
-            assert np.array_equal(got[r], want)
+            assert got[r] == np.mean(s.query_block(float(x[r]), n))
 
     def test_single_queries_match_scalar(self):
         R = 4
@@ -180,18 +183,72 @@ class TestOracleBatch:
         with pytest.raises(DomainError):
             batch.query_all(np.array([0.0, 3.0]))
 
-    @pytest.mark.parametrize("query", ["query_all", "query_block_all"])
-    def test_nan_point_raises_without_using_budget(self, query):
-        seeds = [replicate_seed(8, r) for r in range(3)]
-        batch = OracleBatch(F.spec, None, F.domain, 0.1, 5, seeds)
-        ask = getattr(batch, query)
-        args = () if query == "query_all" else (2,)
-        with pytest.raises(DomainError):
-            ask(np.array([0.0, np.nan, 0.5]), *args)
+    # T = 100, r = 1.5: six rounds of T0 = 16 queries.  40 values make tiles
+    # of 2, 2 and 1 replicates; 10 < T0 make one replicate per tile
+    @pytest.mark.parametrize("chunk_values, R", [(40, 5), (10, 3)])
+    def test_block_means_equal_reference_across_tiles(self, monkeypatch,
+                                                      chunk_values, R):
+        monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk_values)
+        T, sigma, spec = 100, 0.3, BinarySearchSpec(r=1.5)
+        _, T0 = epochs_schedule(T, spec.r)
+        seeds = replicate_seeds(4, (1,), R, 0)
+        x = np.linspace(-1.0, 1.0, R)
+        batch = OracleBatch(F.spec, None, F.domain, sigma, T0, seeds)
+        got = batch.query_block_all(x, T0)
+        want = []
+        for r, seed in enumerate(seeds):
+            z = np.random.Generator(np.random.PCG64(seed)).standard_normal(T0)
+            want.append((sigma * z + float(F.subgrad(x[r]))).mean())
+        assert np.array_equal(got, want)
+
+        est = run_binary_search(OracleBatch(F.spec, None, F.domain, sigma, T, seeds),
+                                spec, (-2.0, 1.5))
+        want = [ref.binary_search(ref.ReferenceOracle(F, sigma, seed), T, spec.r,
+                                  (-2.0, 1.5)) for seed in seeds]
+        assert np.array_equal(est, want)
+
+    @pytest.mark.parametrize("path", ["query_block_all", "query_all", "query_block"])
+    @pytest.mark.parametrize("point, n, error", [
+        (np.nan, 2, DomainError), (2.5, 2, DomainError), (0.25, 5, BudgetError),
+    ])
+    def test_rejected_call_charges_and_draws_nothing(self, path, point, n, error):
+        def fresh():
+            if path == "query_block":
+                return make_session(budget=4, seed=8)
+            return OracleBatch(F.spec, None, F.domain, 0.1, 4,
+                               replicate_seeds(8, (), 3, 0))
+
+        def ask(target, point, n):
+            if path == "query_block":
+                return target.query_block(point, n)
+            x = np.array([0.5, point, -0.5])
+            if path == "query_all":
+                return target.query_all(x)
+            return target.query_block_all(x, n)
+
+        target, twin = fresh(), fresh()
+        if path == "query_all" and error is BudgetError:
+            for t in (target, twin):  # spend the budget: one query is too many
+                t.query_block_all(np.zeros(3), 4)
+        used = target.queries_used
+        with pytest.raises(error):
+            ask(target, point, n)
+        assert target.queries_used == used
+        streams = [[g.bit_generator.state for g in getattr(t, "batch", t)._gens]
+                   for t in (target, twin)]
+        assert streams[0] == streams[1]
+        if target.remaining_budget():
+            assert np.array_equal(ask(target, 0.25, 2), ask(twin, 0.25, 2))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_block_needs_a_positive_count(self, n):
+        batch = OracleBatch(F.spec, None, F.domain, 0.1, 4,
+                            replicate_seeds(8, (), 3, 0))
+        with pytest.raises(ValueError, match="at least one query"):
+            batch.query_block_all(np.zeros(3), n)
+        with pytest.raises(ValueError, match="at least one query"):
+            make_session(budget=4).query_block(0.0, n)
         assert batch.queries_used == 0
-        fresh = OracleBatch(F.spec, None, F.domain, 0.1, 5, seeds)
-        x = np.array([0.0, 0.25, 0.5])
-        assert np.array_equal(ask(x, *args), getattr(fresh, query)(x, *args))
 
     def test_step_noise_follows_each_stream_across_chunks(self):
         # more replicates than one transpose tile, more steps than one chunk,
@@ -266,3 +323,20 @@ def test_sgd_cell_memory_does_not_grow_with_budget():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2 * R * STEP_CHUNK * 8
+
+
+def test_binary_search_cell_memory_does_not_grow_with_budget(monkeypatch):
+    # holding a round's R x T0 readings at once would add R * dT0 * 8 bytes
+    # (9 MB, T0 = 100 -> 5882); tiled, one buffer of at most
+    # max(CHUNK_VALUES, T0) values holds them, reused round after round
+    monkeypatch.setattr(oracle, "CHUNK_VALUES", 2**14)
+    R, family = 200, FunctionFamily(SymmetricPower(2.0), UniformDist(-1.0, 1.0))
+    peaks = []
+    for T in (10**3, 10**5):
+        tracemalloc.start()
+        try:
+            replicate_runs(family, (-2.0, 2.0), 0.1, T, BinarySearchSpec(1.5), R, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * oracle.CHUNK_VALUES * 8
