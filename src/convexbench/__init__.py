@@ -9,7 +9,7 @@ Monte-Carlo risk harness with risk-floor and superefficiency experiments.
 Each algorithm has one implementation, over a batch of replicates
 (``run_binary_search``, ``run_sgd``), and one parameter type
 (``BinarySearchSpec``, ``SgdSpec``); there is one oracle, ``OracleBatch``,
-of which ``OracleSession`` is the one-replicate case.
+and a single run is its one-replicate case.
 """
 
 from .algorithms import (
@@ -72,6 +72,6 @@ from .modulus import (
     modulus_numeric,
     sample_modulus_curve,
 )
-from .oracle import OracleBatch, OracleConfig, OracleSession, replicate_seed
+from .oracle import OracleBatch, replicate_seed
 
 __version__ = "0.1.0"

@@ -7,10 +7,9 @@ stochastic gradient descent with 1/t or 1/sqrt(t) step sizes.
 Each is written once, as ``run_binary_search`` and ``run_sgd``, over an
 ``OracleBatch`` of R independent replicates advanced in lockstep.  The
 experiment harness calls them with R replicates; ``sign_test_binary_search``
-and ``sgd`` run them on an ``OracleSession`` (the R = 1 batch) and turn the
-optional trace into ``RoundRecord``s.  ``BinarySearchSpec`` and ``SgdSpec``
-are the only parameter types; the search or projection interval is an
-argument of the run.
+and ``sgd`` run them on a one-replicate batch and turn the optional trace
+into ``RoundRecord``s.  ``BinarySearchSpec`` and ``SgdSpec`` are the only
+parameter types; the search or projection interval is an argument of the run.
 
 The binary search stores its interval as (left endpoint, width) and halves
 the width each round with an exact multiply by 0.5, so the width after round
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import ScheduleError
 from .functions import ConvexFunction1D
 from .modulus import flat_set
-from .oracle import OracleBatch, OracleSession
+from .oracle import OracleBatch
 
 __all__ = [
     "BinarySearchSpec",
@@ -122,8 +121,8 @@ def epochs_schedule(T: int, r: float) -> tuple[int, int]:
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"r must be positive and finite, got {r}")
     E = math.floor(r * math.log(T))
     if E < 1:
         raise ScheduleError(f"floor(r*ln T) = 0 for T={T}, r={r}: budget too small")
@@ -214,18 +213,20 @@ def run_sgd(
 
 
 def sign_test_binary_search(
-    session: OracleSession, spec: BinarySearchSpec, interval: tuple[float, float]
+    batch: OracleBatch, spec: BinarySearchSpec, interval: tuple[float, float]
 ) -> RunResult:
-    """``run_binary_search`` on one session; the trace has one entry per round."""
-    used = session.queries_used
+    """``run_binary_search`` on one replicate; the trace has one entry per round."""
+    if batch.n_replicates != 1:
+        raise ValueError(f"need a one-replicate batch, got {batch.n_replicates} replicates")
+    used = batch.queries_used
     rounds = []
-    estimate = run_binary_search(session.batch, spec, interval, trace=rounds)
+    estimate = run_binary_search(batch, spec, interval, trace=rounds)
     records = tuple(
         RoundRecord(round=e, query_point=float(x[0]), mean_gradient=float(z_bar[0]),
                     interval=(float(a[0]), float(a[0]) + width), width=width)
         for e, (x, z_bar, a, width) in enumerate(rounds, start=1)
     )
-    return RunResult(float(estimate[0]), session.queries_used - used, records)
+    return RunResult(float(estimate[0]), batch.queries_used - used, records)
 
 
 def flat_set_diagnostics(
@@ -262,26 +263,27 @@ def flat_set_diagnostics(
 
 
 def sgd(
-    session: OracleSession,
+    batch: OracleBatch,
     spec: SgdSpec,
     interval: tuple[float, float],
     record_trace: bool = False,
 ) -> RunResult:
-    """``run_sgd`` on one session from the numeric start ``spec.x0``; with
-    ``record_trace`` the trace has one entry per step."""
+    """``run_sgd`` on a one-replicate batch from the numeric start ``spec.x0``;
+    with ``record_trace`` the trace has one entry per step."""
+    if batch.n_replicates != 1:
+        raise ValueError(f"need a one-replicate batch, got {batch.n_replicates} replicates")
+    used = batch.queries_used
     if isinstance(spec.x0, str):
         raise ValueError(
             "spec.x0 must be a number before calling sgd(); draw the uniform "
             "start in the harness"
         )
-    used = session.queries_used
     steps = [] if record_trace else None
-    estimate = run_sgd(session.batch, (spec,), np.array([float(spec.x0)]), interval,
-                       trace=steps)
+    estimate = run_sgd(batch, (spec,), np.array([float(spec.x0)]), interval, trace=steps)
     lo, hi = interval
     records = tuple(
         RoundRecord(round=t, query_point=float(x[0]), mean_gradient=float(v[0]),
                     interval=(lo, hi), width=hi - lo)
         for t, (x, v) in enumerate(steps or (), start=1)
     )
-    return RunResult(float(estimate[0]), session.queries_used - used, records)
+    return RunResult(float(estimate[0]), batch.queries_used - used, records)

@@ -81,8 +81,8 @@ class UniformDist:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got ({self.lo}, {self.hi})")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError(f"need finite lo < hi, got ({self.lo}, {self.hi})")
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class ExperimentConfig:
 def function_id(function: FunctionSpec | FunctionFamily) -> str:
     if isinstance(function, FunctionFamily):
         d = function.x_star
-        return f"{spec_id(function.template)};x*~U({d.lo:g},{d.hi:g})"
+        return f"{spec_id(function.template)};x*~U({_id_number(d.lo)},{_id_number(d.hi)})"
     return spec_id(function)
 
 
@@ -381,6 +381,8 @@ def two_point_floor(d: float, kappa: float, T: int, sigma: float) -> float:
     subgradient separation kappa can push the worse of its two risks below
     this value.
     """
+    if not all(map(math.isfinite, (d, kappa, T, sigma))):
+        raise ValueError("d, kappa, T and sigma must be finite")
     if d < 0 or kappa < 0:
         raise ValueError("d and kappa must be nonnegative")
     if T < 0:

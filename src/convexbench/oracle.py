@@ -9,31 +9,30 @@ There is one oracle, ``OracleBatch``: R independent replicates advanced in
 lockstep, replicate r answering from its own stream seeded by a pure
 function of (master_seed, replicate index) via ``numpy.random.SeedSequence``
 spawn keys, whose words ``replicate_seeds`` computes for a whole cell at
-once.  Budget, domain and NaN checks and noise draws live there only;
-``OracleSession`` is the one-replicate batch with scalar ``query`` and
-``query_block``.  Step noise (``begin_steps``) comes in chunks of at most
-``STEP_CHUNK`` steps and ``CHUNK_VALUES`` values, n-query block noise in tiles
-of at most max(``CHUNK_VALUES``, n) values, so noise memory is bounded whatever
-the budget and replicates; sigma scales each chunk or tile once as it is drawn.
+once.  Sigma, budget, domain and NaN checks and noise draws live there only;
+a single run is the one-replicate batch.  Step noise (``begin_steps``) comes
+in chunks of at most ``STEP_CHUNK`` steps and ``CHUNK_VALUES`` values, n-query
+block noise in tiles of at most max(``CHUNK_VALUES``, n) values, so noise
+memory is bounded whatever the budget and replicates; sigma scales each chunk
+or tile once as it is drawn.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .functions import ConvexFunction1D, FunctionSpec, subgrad_spec
+from .functions import FunctionSpec, subgrad_spec
 
 if TYPE_CHECKING:
     from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["OracleConfig", "OracleSession", "OracleBatch", "replicate_seed",
-           "replicate_seeds", "STEP_CHUNK", "CHUNK_VALUES"]
+__all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "STEP_CHUNK",
+           "CHUNK_VALUES"]
 
 # steps of noise that OracleBatch draws at once for begin_steps, and the most
 # noise values (steps * replicates) one such chunk may hold
@@ -42,19 +41,6 @@ CHUNK_VALUES = 2**19
 
 # replicates whose chunk rows are transposed together into step-major order
 _TILE = 64
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    sigma: float
-    budget: int
-    master_seed: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
 
 
 def replicate_seed(master_seed: int, *indices: int) -> np.random.SeedSequence:
@@ -123,11 +109,11 @@ def replicate_seeds(master_seed: int, key: tuple[int, ...], replicates: int,
 
 
 class OracleBatch:
-    """Many independent oracle sessions advanced in lockstep.
+    """Many independent oracles advanced in lockstep.
 
     Replicate r answers from its own stream seeded by ``seeds[r]``, as if it
-    were queried alone.  The budget applies per replicate (all replicates
-    consume together).
+    were queried alone, so the same seeds and query points replay bit for
+    bit.  The budget applies per replicate (all replicates consume together).
     """
 
     def __init__(
@@ -144,6 +130,10 @@ class OracleBatch:
         self.domain = (float(domain[0]), float(domain[1]))
         self.sigma = float(sigma)
         self.budget = int(budget)
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
         self.queries_used = 0
         self._gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         self.n_replicates = len(seeds)
@@ -152,9 +142,6 @@ class OracleBatch:
         self._step_pos = 0  # next unread row of _steps
         self._steps_ahead = 0  # reserved steps whose noise is not drawn yet
         self._block = np.empty(0)  # block readings of one tile, reused
-
-    def remaining_budget(self) -> int:
-        return self.budget - self.queries_used
 
     def _take(self, n: int):
         if n < 1:
@@ -186,9 +173,13 @@ class OracleBatch:
             z[:, i:i + _TILE] = self._noise_rows(rows, i).T
         return z
 
-    def _block_tiles(self, x: np.ndarray, n: int):
-        """Check and charge n queries at points x (shape (R,)), then yield
-        (rows, readings) per tile of at most max(CHUNK_VALUES, n) values."""
+    def query_block_all(self, x: np.ndarray, n: int) -> np.ndarray:
+        """n queries at per-replicate points x (shape (R,)); returns the means.
+
+        Checks and charges the n queries before any draw, then draws the
+        readings in tiles of at most max(CHUNK_VALUES, n) values, one reused
+        buffer, and averages each tile's rows into the result.
+        """
         self._take(n)
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
@@ -197,17 +188,12 @@ class OracleBatch:
         tile = min(max(CHUNK_VALUES // n, 1), self.n_replicates)
         if self._block.size < tile * n:
             self._block = np.empty(tile * n)
+        means = np.empty(self.n_replicates)
         for i in range(0, self.n_replicates, tile):
             z = self._noise_rows(self._block[:tile * n].reshape(tile, n), i)
             z *= self.sigma
             z += g[i:i + tile, None]
-            yield slice(i, i + tile), z
-
-    def query_block_all(self, x: np.ndarray, n: int) -> np.ndarray:
-        """n queries at per-replicate points x (shape (R,)); returns the means."""
-        means = np.empty(self.n_replicates)
-        for rows, z in self._block_tiles(x, n):
-            z.mean(axis=1, out=means[rows])
+            z.mean(axis=1, out=means[i:i + tile])
         return means
 
     def begin_steps(self, n: int):
@@ -244,40 +230,3 @@ class OracleBatch:
         self.queries_used += 1
         z += g
         return z
-
-
-class OracleSession:
-    """One function, one noise stream, one budget: the one-replicate batch.
-
-    Replayable: the same (seed, sequence of query points) produces the same
-    sequence of returned values, bit for bit.  Not thread-safe; use one
-    session per concurrent run.
-    """
-
-    def __init__(
-        self,
-        config: OracleConfig,
-        function: ConvexFunction1D,
-        seed: ISeedSequence | None = None,
-    ):
-        self.config = config
-        self.function = function
-        ss = seed if seed is not None else np.random.SeedSequence(config.master_seed)
-        self.batch = OracleBatch(function.spec, None, function.domain, config.sigma,
-                                 config.budget, [ss])
-
-    @property
-    def queries_used(self) -> int:
-        return self.batch.queries_used
-
-    def remaining_budget(self) -> int:
-        return self.batch.remaining_budget()
-
-    def query(self, x: float) -> float:
-        """Noisy subgradient at x; counts one query."""
-        return float(self.batch.query_all(np.array([x], dtype=float))[0])
-
-    def query_block(self, x: float, n: int) -> np.ndarray:
-        """n queries at the same point, identical to n query() calls."""
-        [(_, z)] = self.batch._block_tiles(np.array([x], dtype=float), n)
-        return z[0].copy()

@@ -9,8 +9,7 @@ from convexbench import (
     Absolute,
     BinarySearchSpec,
     BudgetError,
-    OracleConfig,
-    OracleSession,
+    OracleBatch,
     ScheduleError,
     SgdSpec,
     SymmetricPower,
@@ -21,12 +20,14 @@ from convexbench import (
     sgd,
     sign_test_binary_search,
 )
+from convexbench.experiments import replicate_runs
+from convexbench.oracle import replicate_seeds
+from one_replicate import one_replicate
 
 
-def session_for(spec, sigma, budget, seed=202, domain=(-2.0, 2.0)):
+def batch_for(spec, sigma, budget, seed=202, domain=(-2.0, 2.0)):
     f = build_function(spec, domain)
-    cfg = OracleConfig(sigma=sigma, budget=budget, master_seed=seed)
-    return OracleSession(cfg, f), f
+    return one_replicate(f, sigma, budget, seed), f
 
 
 class TestEpochsSchedule:
@@ -60,12 +61,20 @@ class TestEpochsSchedule:
         with pytest.raises(ValueError):
             epochs_schedule(100, 0.0)
 
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_r_must_be_finite(self, r):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            epochs_schedule(100, r)
+        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            flat_set_diagnostics(f, T=100, r=r, delta=0.05, sigma=0.1)
+
 
 class TestBinarySearch:
     def test_noiseless_convergence_bound(self):
         # E = 10 rounds: floor(r ln 100) = 10 with r = 10/ln(100)
         r = 10.0 / math.log(100) + 1e-12
-        s, f = session_for(SymmetricPower(k=2.0, x_star=0.25), 0.0, 100)
+        s, f = batch_for(SymmetricPower(k=2.0, x_star=0.25), 0.0, 100)
         res = sign_test_binary_search(
             s, BinarySearchSpec(r=r), (-2.0, 2.0)
         )
@@ -74,7 +83,7 @@ class TestBinarySearch:
 
     def test_single_round_step(self):
         # midpoint 0, subgradient f'(0) = -0.25 < 0 -> keep right half (0, 2)
-        s, f = session_for(SymmetricPower(k=2.0, x_star=0.25), 0.0, 8)
+        s, f = batch_for(SymmetricPower(k=2.0, x_star=0.25), 0.0, 8)
         res = sign_test_binary_search(
             s, BinarySearchSpec(r=0.5), (-2.0, 2.0)
         )  # E = floor(0.5 ln 8) = 1
@@ -89,7 +98,7 @@ class TestBinarySearch:
         for _ in range(50):
             a0 = float(rng.uniform(-3, 0))
             b0 = float(rng.uniform(0.5, 3))
-            s, f = session_for(
+            s, f = batch_for(
                 SymmetricPower(k=2.0, x_star=0.1), 0.3, 200, domain=(-3.0, 3.0)
             )
             res = sign_test_binary_search(
@@ -99,7 +108,7 @@ class TestBinarySearch:
                 assert rec.width == (b0 - a0) * 0.5**rec.round
 
     def test_estimate_is_midpoint_of_final_interval(self):
-        s, f = session_for(SymmetricPower(k=2.0), 0.1, 500)
+        s, f = batch_for(SymmetricPower(k=2.0), 0.1, 500)
         res = sign_test_binary_search(
             s, BinarySearchSpec(r=1.0), (-2.0, 2.0)
         )
@@ -107,7 +116,7 @@ class TestBinarySearch:
         assert res.estimate == lo + 0.5 * res.trace[-1].width
 
     def test_query_accounting_exact(self):
-        s, f = session_for(SymmetricPower(k=3.0), 0.1, 1000)
+        s, f = batch_for(SymmetricPower(k=3.0), 0.1, 1000)
         res = sign_test_binary_search(
             s, BinarySearchSpec(r=1.5), (-2.0, 2.0)
         )
@@ -115,22 +124,22 @@ class TestBinarySearch:
         assert res.queries_used == E * T0 == s.queries_used
 
     def test_budget_error_propagates(self):
-        s, f = session_for(SymmetricPower(k=2.0), 0.1, 100)
-        s.query_block(0.0, 99)  # leave less than E*T0
+        s, f = batch_for(SymmetricPower(k=2.0), 0.1, 100)
+        s.query_block_all(np.zeros(1), 99)  # leave less than E*T0
         with pytest.raises(BudgetError):
             sign_test_binary_search(
                 s, BinarySearchSpec(r=1.0), (-2.0, 2.0)
             )
 
     def test_schedule_error_propagates(self):
-        s, f = session_for(SymmetricPower(k=2.0), 0.1, 2)
+        s, f = batch_for(SymmetricPower(k=2.0), 0.1, 2)
         with pytest.raises(ScheduleError):
             sign_test_binary_search(
                 s, BinarySearchSpec(r=0.5), (-2.0, 2.0)
             )
 
     def test_minimizer_outside_interval_converges_to_endpoint(self):
-        s, f = session_for(SymmetricPower(k=2.0, x_star=1.5), 0.0, 100)
+        s, f = batch_for(SymmetricPower(k=2.0, x_star=1.5), 0.0, 100)
         res = sign_test_binary_search(
             s, BinarySearchSpec(r=2.0), (-2.0, 0.0)
         )
@@ -147,7 +156,7 @@ class TestBinarySearch:
                 E, T0 = epochs_schedule(T, r)
             except ScheduleError:
                 continue
-            s, f = session_for(SymmetricPower(k=2.0, x_star=x_star), 0.0, T)
+            s, f = batch_for(SymmetricPower(k=2.0, x_star=x_star), 0.0, T)
             res = sign_test_binary_search(
                 s, BinarySearchSpec(r=r), (-2.0, 2.0)
             )
@@ -207,7 +216,7 @@ class TestFlatSetDiagnostics:
         fails = 0
         for i in range(n):
             x_star = float(rng.uniform(-1, 1))
-            s, f = session_for(
+            s, f = batch_for(
                 SymmetricPower(k=2.0, x_star=x_star), sigma, T, seed=1000 + i
             )
             res = sign_test_binary_search(
@@ -222,20 +231,20 @@ class TestFlatSetDiagnostics:
 class TestSgd:
     def test_first_step_cancels_exactly_for_quadratic(self):
         # eta(1) = 1 and the subgradient at x equals x - x_star
-        s, f = session_for(SymmetricPower(k=2.0, x_star=0.0), 0.0, 2)
+        s, f = batch_for(SymmetricPower(k=2.0, x_star=0.0), 0.0, 2)
         spec = SgdSpec(schedule="1/t", x0=0.7)
         res = sgd(s, spec, (-2.0, 2.0), record_trace=True)
         assert res.trace[0].query_point == 0.7
         assert res.trace[1].query_point == 0.0
 
     def test_start_point_projected_before_first_query(self):
-        s, f = session_for(SymmetricPower(k=2.0), 0.0, 1)
+        s, f = batch_for(SymmetricPower(k=2.0), 0.0, 1)
         spec = SgdSpec(schedule="1/t", x0=-3.0)
         res = sgd(s, spec, (-2.0, 2.0), record_trace=True)
         assert res.trace[0].query_point == -2.0
 
     def test_every_query_inside_projection_interval(self):
-        s, f = session_for(SymmetricPower(k=3.0), 0.5, 400)
+        s, f = batch_for(SymmetricPower(k=3.0), 0.5, 400)
         spec = SgdSpec(schedule="1/sqrt(t)", x0=1.9)
         res = sgd(s, spec, (-2.0, 2.0), record_trace=True)
         assert len(res.trace) == 400
@@ -244,20 +253,19 @@ class TestSgd:
         assert -2.0 <= res.estimate <= 2.0
 
     def test_consumes_exactly_budget(self):
-        s, f = session_for(SymmetricPower(k=2.0), 0.1, 123)
+        s, f = batch_for(SymmetricPower(k=2.0), 0.1, 123)
         res = sgd(s, SgdSpec(schedule="1/t", x0=0.5), (-2.0, 2.0))
-        assert res.queries_used == 123 == s.queries_used
-        assert s.remaining_budget() == 0
+        assert res.queries_used == 123 == s.queries_used == s.budget
 
     def test_average_iterate(self):
-        s, f = session_for(SymmetricPower(k=2.0), 0.0, 3)
+        s, f = batch_for(SymmetricPower(k=2.0), 0.0, 3)
         spec = SgdSpec(schedule="1/t", iterate="average", x0=0.9)
         res = sgd(s, spec, (-2.0, 2.0), record_trace=True)
         pts = [rec.query_point for rec in res.trace]
         assert res.estimate == pytest.approx(np.mean(pts), rel=1e-15)
 
     def test_unresolved_uniform_start_rejected(self):
-        s, f = session_for(SymmetricPower(k=2.0), 0.1, 10)
+        s, f = batch_for(SymmetricPower(k=2.0), 0.1, 10)
         with pytest.raises(ValueError):
             sgd(s, SgdSpec(schedule="1/t"), (-2.0, 2.0))
 
@@ -266,7 +274,7 @@ class TestSgd:
             SgdSpec(schedule="1/t^2")
         with pytest.raises(ValueError):
             SgdSpec(schedule="1/t", scale=0.0)
-        s, f = session_for(SymmetricPower(k=2.0), 0.1, 10)
+        s, f = batch_for(SymmetricPower(k=2.0), 0.1, 10)
         with pytest.raises(ValueError, match="a < b"):
             sgd(s, SgdSpec(schedule="1/t", x0=0.0), (2.0, -2.0))
         with pytest.raises(ValueError):
@@ -290,7 +298,7 @@ class TestSpecValidation:
             BinarySearchSpec(**kwargs)
 
     def test_binary_search_interval_checked(self):
-        s, f = session_for(SymmetricPower(k=2.0), 0.1, 100)
+        s, f = batch_for(SymmetricPower(k=2.0), 0.1, 100)
         with pytest.raises(ValueError, match="a < b"):
             sign_test_binary_search(s, BinarySearchSpec(r=1.0), (1.0, 1.0))
         assert s.queries_used == 0
@@ -301,7 +309,7 @@ class TestAdaptersMatchScalarReference:
 
     def test_binary_search(self):
         for seed in range(5):
-            s, f = session_for(SymmetricPower(k=1.5, x_star=0.3), 0.1, 1000, seed=seed)
+            s, f = batch_for(SymmetricPower(k=1.5, x_star=0.3), 0.1, 1000, seed=seed)
             got = sign_test_binary_search(s, BinarySearchSpec(r=1.5), (-2.0, 2.0))
             oracle = ref.ReferenceOracle(f, 0.1, np.random.SeedSequence(seed))
             assert got.estimate == ref.binary_search(oracle, 1000, 1.5, (-2.0, 2.0))
@@ -310,10 +318,44 @@ class TestAdaptersMatchScalarReference:
     @pytest.mark.parametrize("iterate", ["last", "average"])
     def test_sgd(self, schedule, iterate):
         for seed in range(3):
-            s, f = session_for(SymmetricPower(k=3.0, x_star=-0.2), 0.1, 1500,
+            s, f = batch_for(SymmetricPower(k=3.0, x_star=-0.2), 0.1, 1500,
                                seed=seed)
             spec = SgdSpec(schedule, scale=0.5, iterate=iterate, x0=1.2)
             got = sgd(s, spec, (-2.0, 2.0), record_trace=True)
             oracle = ref.ReferenceOracle(f, 0.1, np.random.SeedSequence(seed))
             assert got.estimate == ref.sgd(oracle, 1500, schedule, 0.5, iterate,
                                            1.2, (-2.0, 2.0))
+
+
+class TestAdaptersOnOneReplicate:
+    """The R = 1 adapters take a one-replicate batch and no other."""
+
+    @pytest.mark.parametrize("run, alg", [
+        (sign_test_binary_search, BinarySearchSpec(r=1.0)),
+        (sgd, SgdSpec("1/t", x0=0.5)),
+    ])
+    @pytest.mark.parametrize("R", [0, 2])
+    def test_other_sizes_rejected(self, run, alg, R):
+        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
+        seeds = replicate_seeds(1, (), R, 1)
+        batch = OracleBatch(f.spec, None, f.domain, 0.1, 100, seeds)
+        with pytest.raises(ValueError, match="one-replicate"):
+            run(batch, alg, (-2.0, 2.0))
+        assert batch.queries_used == 0
+
+    # 600 replicates cap a cell's step chunks at 873 steps, one replicate at
+    # 1024, so the chunk boundaries differ
+    @pytest.mark.parametrize("alg", [
+        BinarySearchSpec(r=1.5),
+        SgdSpec("1/t", x0=0.5),
+        SgdSpec("1/sqrt(t)", scale=0.5, iterate="average", x0=-0.3),
+    ])
+    def test_replay_a_replicate_of_a_cell(self, alg):
+        spec, interval = SymmetricPower(k=1.5, x_star=0.3), (-2.0, 2.0)
+        sigma, T, R = 0.1, 2000, 600
+        cell, _ = replicate_runs(spec, interval, sigma, T, alg, R, 7, (3, 1))
+        seeds = replicate_seeds(7, (3, 1), R, 1)
+        run = sign_test_binary_search if isinstance(alg, BinarySearchSpec) else sgd
+        for r in (0, 17, R - 1):
+            batch = OracleBatch(spec, None, interval, sigma, T, [seeds[r]])
+            assert run(batch, alg, interval).estimate == cell[r]

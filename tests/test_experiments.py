@@ -280,6 +280,33 @@ def test_distinct_specs_have_distinct_ids(a, b):
     assert a.algorithm_id != b.algorithm_id
 
 
+def test_family_ids_write_exact_bounds():
+    # six significant digits would give both families the id ...x*~U(-1,1)
+    a = FunctionFamily(SymmetricPower(2.0), UniformDist(-1.0, 1.0))
+    b = FunctionFamily(SymmetricPower(2.0), UniformDist(-1.0, 1.0000001))
+    assert function_id(a) == "sym-power(k=2.0;x*=0.0);x*~U(-1,1)"  # fig2, bisect-deep
+    assert function_id(b) == "sym-power(k=2.0;x*=0.0);x*~U(-1,1.0000001)"
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0),
+])
+def test_uniform_bounds_must_be_finite(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        UniformDist(lo, hi)
+
+
+@pytest.mark.parametrize("args", [
+    (-1.0, 0.1, 100, 0.1), (1.0, -0.1, 100, 0.1), (1.0, 0.1, -1, 0.1),
+    (1.0, 0.1, 100, 0.0), (1.0, 0.1, 100, math.nan), (math.nan, 0.1, 100, 0.1),
+    (math.inf, 0.1, 100, 0.1), (1.0, math.nan, 100, 0.1), (1.0, 0.1, math.inf, 0.1),
+    (1.0, 0.1, 100, math.inf),
+])
+def test_two_point_floor_rejects_bad_arguments(args):
+    with pytest.raises(ValueError):
+        two_point_floor(*args)
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("T", [100, 1000])
 @pytest.mark.parametrize("estimator", [

@@ -12,8 +12,6 @@ from convexbench import (
     DomainError,
     FunctionFamily,
     OracleBatch,
-    OracleConfig,
-    OracleSession,
     SgdSpec,
     SymmetricPower,
     UniformDist,
@@ -25,23 +23,31 @@ from convexbench import (
 from convexbench import oracle
 from convexbench.experiments import replicate_runs
 from convexbench.oracle import _TILE, CHUNK_VALUES, STEP_CHUNK, replicate_seeds
+from one_replicate import one_replicate, query
 
 F = build_function(SymmetricPower(k=2.0, x_star=0.0), (-2.0, 2.0))
 
 
-def make_session(sigma=0.1, budget=1000, seed=12345):
-    return OracleSession(OracleConfig(sigma=sigma, budget=budget, master_seed=seed), F)
+def make_oracle(sigma=0.1, budget=1000, seed=12345):
+    return one_replicate(F, sigma, budget, seed)
+
+
+def readings(batch, x, n):
+    """n single queries per replicate at x, shape (n, R)."""
+    batch.begin_steps(n)
+    x = np.full(batch.n_replicates, x)
+    return np.array([batch.query_all(x) for _ in range(n)])
 
 
 class TestQuery:
     def test_zero_noise_returns_exact_subgradient(self):
-        s = make_session(sigma=0.0)
-        assert s.query(1.0) == 1.0  # f'(x) = x for the quadratic
-        assert s.query(-0.5) == -0.5
+        s = make_oracle(sigma=0.0)
+        assert query(s, 1.0) == 1.0  # f'(x) = x for the quadratic
+        assert query(s, -0.5) == -0.5
 
     def test_fixed_seed_value_replays(self):
-        a = make_session().query(1.0)
-        b = make_session().query(1.0)
+        a = query(make_oracle(), 1.0)
+        b = query(make_oracle(), 1.0)
         assert a == b
         z = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(12345))
@@ -50,97 +56,85 @@ class TestQuery:
 
     def test_large_sample_mean_near_subgradient(self):
         # four standard errors at n = 1e6, sigma = 0.1
-        s = make_session(sigma=0.1, budget=1_000_000, seed=777)
-        vals = s.query_block(1.0, 1_000_000)
-        assert abs(np.mean(vals) - 1.0) < 4 * (0.1 / 1000.0)
+        s = make_oracle(sigma=0.1, budget=1_000_000, seed=777)
+        mean = s.query_block_all(np.array([1.0]), 1_000_000)[0]
+        assert abs(mean - 1.0) < 4 * (0.1 / 1000.0)
 
     def test_increments_counter(self):
-        s = make_session()
-        s.query(0.3)
+        s = make_oracle()
+        query(s, 0.3)
         assert s.queries_used == 1
-        s.query_block(0.3, 10)
+        s.query_block_all(np.array([0.3]), 10)
         assert s.queries_used == 11
 
     def test_domain_error_does_not_consume_budget(self):
-        s = make_session(budget=5)
+        s = make_oracle(budget=5)
         with pytest.raises(DomainError):
-            s.query(10.0)
-        assert s.remaining_budget() == 5
+            query(s, 10.0)
+        assert s.queries_used == 0
 
 
 class TestBudget:
-    def test_remaining_budget_fresh(self):
-        assert make_session(budget=100).remaining_budget() == 100
-
-    def test_remaining_budget_after_queries(self):
-        s = make_session(budget=100)
-        for _ in range(3):
-            s.query(0.0)
-        assert s.remaining_budget() == 97
-
-    def test_remaining_budget_after_exhaustion(self):
-        s = make_session(budget=4)
-        s.query_block(0.1, 4)
-        assert s.remaining_budget() == 0
-
     def test_budget_error_is_distinct_from_domain_error(self):
-        s = make_session(budget=1)
-        s.query(0.0)
+        s = make_oracle(budget=1)
+        query(s, 0.0)
         with pytest.raises(BudgetError):
-            s.query(0.0)
+            query(s, 0.0)
         assert not issubclass(BudgetError, DomainError)
 
     def test_block_overrun_rejected_without_partial_consumption(self):
-        s = make_session(budget=10)
+        s = make_oracle(budget=10)
         with pytest.raises(BudgetError):
-            s.query_block(0.0, 11)
-        assert s.remaining_budget() == 10
+            s.query_block_all(np.array([0.0]), 11)
+        assert s.queries_used == 0
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(sigma=-0.1, budget=10, master_seed=0)
-        with pytest.raises(ValueError):
-            OracleConfig(sigma=0.1, budget=0, master_seed=0)
+    @pytest.mark.parametrize("sigma, budget, match", [
+        (-0.1, 10, "sigma"), (0.1, 0, "budget"), (0.1, -4, "budget"),
+    ])
+    def test_config_validation(self, sigma, budget, match):
+        with pytest.raises(ValueError, match=match):
+            make_oracle(sigma=sigma, budget=budget)
 
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
     def test_sigma_must_be_finite(self, sigma):
         with pytest.raises(ValueError, match="finite"):
-            OracleConfig(sigma=sigma, budget=10, master_seed=0)
+            make_oracle(sigma=sigma, budget=10)
 
 
 class TestReplay:
     def test_identical_seed_and_queries_bitwise_identical(self):
         pts = [0.1, -0.7, 0.3, 0.3, 1.9]
-        out1 = [make_session(seed=99).query(p) for p in [pts[0]]]
-        s1, s2 = make_session(seed=99), make_session(seed=99)
-        a = [s1.query(p) for p in pts]
-        b = [s2.query(p) for p in pts]
+        out1 = [query(make_oracle(seed=99), p) for p in [pts[0]]]
+        s1, s2 = make_oracle(seed=99), make_oracle(seed=99)
+        a = [query(s1, p) for p in pts]
+        b = [query(s2, p) for p in pts]
         assert a == b
         assert out1[0] == a[0]
 
     def test_block_matches_scalar_stream(self):
-        s1, s2 = make_session(seed=5), make_session(seed=5)
-        block = s1.query_block(0.4, 8)
-        singles = np.array([s2.query(0.4) for _ in range(8)])
-        assert np.array_equal(block, singles)
+        s1, s2 = make_oracle(seed=5), make_oracle(seed=5)
+        block = s1.query_block_all(np.array([0.4]), 40)
+        singles = [query(s2, 0.4) for _ in range(40)]
+        assert block[0] == np.mean(singles)
         # the stream continues identically after a block
-        assert s1.query(-0.2) == s2.query(-0.2)
+        assert query(s1, -0.2) == query(s2, -0.2)
 
     def test_different_seeds_differ(self):
-        assert make_session(seed=1).query(0.5) != make_session(seed=2).query(0.5)
+        assert query(make_oracle(seed=1), 0.5) != query(make_oracle(seed=2), 0.5)
 
 
 class TestStatistics:
     def test_empirical_variance_within_5_percent(self):
-        s = make_session(sigma=0.1, budget=1_000_000, seed=2024)
-        vals = s.query_block(0.7, 1_000_000)
+        n = 100_000
+        vals = readings(make_oracle(sigma=0.1, budget=n, seed=2024), 0.7, n)
         assert np.var(vals, ddof=1) == pytest.approx(0.01, rel=0.05)
 
     def test_welch_means_agree_across_seeds(self):
+        # the streams of seeds 11 and 22, one replicate each, read in lockstep
         n = 100_000
-        a = make_session(sigma=0.1, budget=n, seed=11).query_block(1.0, n)
-        b = make_session(sigma=0.1, budget=n, seed=22).query_block(1.0, n)
-        t = stats.ttest_ind(a, b, equal_var=False)
+        seeds = [np.random.SeedSequence(11), np.random.SeedSequence(22)]
+        vals = readings(OracleBatch(F.spec, None, F.domain, 0.1, n, seeds), 1.0, n)
+        t = stats.ttest_ind(vals[:, 0], vals[:, 1], equal_var=False)
         assert t.pvalue > 0.001
 
 
@@ -207,20 +201,16 @@ class TestOracleBatch:
                                   (-2.0, 1.5)) for seed in seeds]
         assert np.array_equal(est, want)
 
-    @pytest.mark.parametrize("path", ["query_block_all", "query_all", "query_block"])
+    @pytest.mark.parametrize("path", ["query_block_all", "query_all"])
     @pytest.mark.parametrize("point, n, error", [
         (np.nan, 2, DomainError), (2.5, 2, DomainError), (0.25, 5, BudgetError),
     ])
     def test_rejected_call_charges_and_draws_nothing(self, path, point, n, error):
         def fresh():
-            if path == "query_block":
-                return make_session(budget=4, seed=8)
             return OracleBatch(F.spec, None, F.domain, 0.1, 4,
                                replicate_seeds(8, (), 3, 0))
 
         def ask(target, point, n):
-            if path == "query_block":
-                return target.query_block(point, n)
             x = np.array([0.5, point, -0.5])
             if path == "query_all":
                 return target.query_all(x)
@@ -234,10 +224,9 @@ class TestOracleBatch:
         with pytest.raises(error):
             ask(target, point, n)
         assert target.queries_used == used
-        streams = [[g.bit_generator.state for g in getattr(t, "batch", t)._gens]
-                   for t in (target, twin)]
+        streams = [[g.bit_generator.state for g in t._gens] for t in (target, twin)]
         assert streams[0] == streams[1]
-        if target.remaining_budget():
+        if target.queries_used < target.budget:
             assert np.array_equal(ask(target, 0.25, 2), ask(twin, 0.25, 2))
 
     @pytest.mark.parametrize("n", [0, -3])
@@ -246,8 +235,6 @@ class TestOracleBatch:
                             replicate_seeds(8, (), 3, 0))
         with pytest.raises(ValueError, match="at least one query"):
             batch.query_block_all(np.zeros(3), n)
-        with pytest.raises(ValueError, match="at least one query"):
-            make_session(budget=4).query_block(0.0, n)
         assert batch.queries_used == 0
 
     def test_step_noise_follows_each_stream_across_chunks(self):
