@@ -129,6 +129,33 @@ class TestLineNumbers:
         assert parse_config(serialize_config(config)).config == config
 
 
+@pytest.mark.parametrize("old,new,key,at", [
+    ("sigma = 0.1\n", "", "sigma", None),
+    ("master_seed = 7\n", "", "master_seed", None),
+    ("replicates = 50\n", "", "replicates", None),
+    ("T = 100 215 464\n", "", "T", None),
+    ("T = 100 215 464", "T = 100 215 464\nT_log_range = 100 1000 3", "T_log_range",
+     "T_log_range"),
+    ("T = 100 215 464", "T =", "T", "T ="),
+    ("T = 100 215 464", "T_log_range = 100 1000", "T_log_range", "T_log_range"),
+    ("master_seed = 7", "master_seed = 7.5", "master_seed", "master_seed"),
+    ("replicates = 50", "replicates = 5e1", "replicates", "replicates"),
+    ("master_seed = 7", "master_seed = -1", "master_seed", "master_seed"),
+    ("master_seed = 7", f"master_seed = {2**64}", "master_seed", "master_seed"),
+    ("algorithm = binary-search r=1.5\nalgorithm = sgd schedule=1/t\n", "",
+     "algorithm", None),
+], ids=["no-sigma", "no-master_seed", "no-replicates", "no-T", "T-and-T_log_range",
+        "empty-T", "two-number-T_log_range", "fractional-seed", "float-replicates",
+        "seed-minus-1", "seed-2^64", "no-algorithms"])
+def test_run_setting_error_names_its_line_and_key(old, new, key, at):
+    text = CONFIG.replace(old, new)
+    assert text != CONFIG
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.line == (0 if at is None else line_of(text, at))
+    assert key in str(info.value)
+
+
 class TestAlgorithmSpecErrors:
     @pytest.mark.parametrize("line", [
         "algorithm = binary-search r=-1",
