@@ -349,20 +349,13 @@ def cmd_modulus(parser, args) -> int:
 
 
 def cmd_reproduce_fig2(parser, args) -> int:
-    # a config file's bounds on master_seed and replicates: every manifest reruns
-    if not 0 <= args.seed < 2**64:
-        parser.error(f"argument --seed: must fit in 64 unsigned bits, got {args.seed}")
-    if args.replicates < 1:
-        parser.error(f"argument --replicates: must be >= 1, got {args.replicates}")
-    out_base = _resolve_out(args.out, "fig2")
     algorithms = (
         BinarySearchSpec(r=FIG2_ROUND_COEFFICIENT),
         SgdSpec(schedule="1/t"),
         SgdSpec(schedule="1/sqrt(t)"),
     )
-    status = EXIT_OK
-    for name, spec in FIG2_PANELS:
-        config = ExperimentConfig(
+    try:  # every panel's config before any panel runs
+        panels = [RunSettings(ExperimentConfig(
             function=FunctionFamily(spec, UniformDist(-1.0, 1.0)),
             algorithms=algorithms,
             T_grid=DEFAULT_T_GRID,
@@ -370,11 +363,16 @@ def cmd_reproduce_fig2(parser, args) -> int:
             sigma=0.1,
             master_seed=args.seed,
             initial_interval=(-2.0, 2.0),
-        )
-        settings = RunSettings(config=config, output_dir=name)
-        rc = _execute_run(settings, out_base / name, args.jobs)
-        status = max(status, rc)
-        print(f"panel {name}: artifacts in {out_base / name}", file=sys.stderr)
+        ), name) for name, spec in FIG2_PANELS]
+    except FieldError as e:
+        flag = {"master_seed": "--seed", "replicates": "--replicates"}[e.field]
+        parser.error(f"argument {flag}: {e}")
+    out_base = _resolve_out(args.out, "fig2")
+    status = EXIT_OK
+    for settings in panels:
+        out_dir = out_base / settings.output_dir
+        status = max(status, _execute_run(settings, out_dir, args.jobs))
+        print(f"panel {settings.output_dir}: artifacts in {out_dir}", file=sys.stderr)
     return status
 
 

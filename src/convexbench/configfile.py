@@ -49,13 +49,22 @@ iterate, x0).  Each key is given at most once and is required unless its
 field has a default.  A value is read by its field's type: a finite number,
 text as written, or for x0 a finite number when it reads as one and
 otherwise a word its class checks (``uniform``).
+
+Each ``[oracle]``, ``[grid]`` and ``[run]`` key sets an ``ExperimentConfig``
+field, whose class checks its bounds, or ``RunSettings.output_dir``.  A key
+without a default is required; ``T_log_range`` sets T to ``default_t_grid``'s:
+
+    [oracle] sigma = <number>          master_seed = <integer>
+    [grid]   T = <integer> ...         or T_log_range = <lo> <hi> <count>
+    [run]    replicates = <integer>    output_dir = <text>, default out
+             initial_interval = <a> <b> (numbers), default -2.0 2.0
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import FieldError
 from .experiments import (
@@ -99,7 +108,7 @@ class RunSettings:
     """A parsed config plus presentation metadata (where to write output)."""
 
     config: ExperimentConfig
-    output_dir: str
+    output_dir: str = "out"
 
 
 class ConfigError(ValueError):
@@ -147,19 +156,30 @@ def spec_keys(kinds=tuple(SPEC_KINDS), prefix: str = "") -> tuple[str, ...]:
     return tuple(keys)
 
 
-_KNOWN_KEYS = {
-    "function": {*spec_keys(), "x_star_distribution"},
-    "oracle": {"sigma", "master_seed"},
-    "algorithms": {"algorithm"},
-    "grid": {"T", "T_log_range"},
-    "run": {"replicates", "output_dir", "initial_interval"},
+# run-setting key -> (section, the field it sets, the type its text reads as);
+# a field is written under its first key
+_SETTINGS = {
+    "sigma": ("oracle", "sigma", float),
+    "master_seed": ("oracle", "master_seed", int),
+    "T": ("grid", "T_grid", tuple[int, ...]),
+    "T_log_range": ("grid", "T_grid", tuple[int, int, int]),
+    "replicates": ("run", "replicates", int),
+    "output_dir": ("run", "output_dir", str),
+    "initial_interval": ("run", "initial_interval", tuple[float, float]),
 }
+_KEY_OF = {field: key for key, (_, field, _) in reversed(_SETTINGS.items())}
+_CONFIG_FIELDS = {f.name: f.default is MISSING for f in fields(ExperimentConfig)}
+_KNOWN_KEYS = {section: {key for key, (s, _, _) in _SETTINGS.items() if s == section}
+               for section in ("function", "oracle", "algorithms", "grid", "run")}
+_KNOWN_KEYS["function"] = {*spec_keys(), "x_star_distribution"}
+_KNOWN_KEYS["algorithms"] = {"algorithm"}
+
 
 def default_t_grid(lo: int = 100, hi: int = 10000, count: int = 7) -> tuple[int, ...]:
     """``count`` log-spaced integer budgets from lo to hi, floored, strictly
     increasing; ValueError when flooring leaves fewer than ``count``."""
-    if lo < 1 or hi <= lo or count < 2:
-        raise ValueError("need 1 <= lo < hi and count >= 2")
+    if lo < 1 or hi <= lo or not 2 <= count <= hi - lo + 1:  # before the loop
+        raise ValueError("need 1 <= lo < hi and 2 <= count <= hi - lo + 1")
     ratio = (hi / lo) ** (1.0 / (count - 1))
     out = []
     for i in range(count):
@@ -222,26 +242,21 @@ def _number(key: str, text: str) -> float:
     return v
 
 
-def _to_float(ln: int, key: str, value: str) -> float:
-    try:
-        return _number(key, value)
-    except FieldError as e:
-        raise ConfigError(ln, str(e)) from None
-
-
-def _to_int(ln: int, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(ln, f"{key}: expected an integer, got {value!r}") from None
-
-
 def _value(key: str, hint, text: str):
-    """A field's value, read from its text by the field's type."""
+    """A field's value, read from its text by the field's type: a tuple's
+    items are space-separated and a fixed-length tuple needs all of them."""
     if hint is str:
         return text
-    if hint == tuple[float, ...]:
-        return tuple(_number(key, p) for p in text.split())
+    if hint is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise FieldError(key, f"{key}: expected an integer, got {text!r}") from None
+    if get_origin(hint) is tuple:
+        parts, types = text.split(), get_args(hint)
+        if types[-1] is not Ellipsis and len(parts) != len(types):
+            raise FieldError(key, f"{key} must be {len(types)} numbers, got {text!r}")
+        return tuple(_value(key, types[0], p) for p in parts)
     if hint == float | str:
         try:
             float(text)
@@ -296,11 +311,16 @@ def spec_fields(spec, prefix: str = "") -> dict[str, str]:
         value = getattr(spec, name)
         if hint not in _TEXT_TYPES:
             nested = spec_fields(value, f"{prefix}{name}_")
-        elif isinstance(value, tuple):
-            out[prefix + name] = " ".join(repr(v) for v in value)
         else:
-            out[prefix + name] = value if isinstance(value, str) else repr(value)
+            out[prefix + name] = _text(value)
     return out | nested
+
+
+def _text(value) -> str:
+    """The text ``_value`` reads back as ``value``."""
+    if isinstance(value, tuple):
+        return " ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def _parse_algorithm(ln: int, value: str):
@@ -338,82 +358,37 @@ def parse_config(text: str) -> RunSettings:
         parts = distribution.split()
         if len(parts) != 3 or parts[0] != "uniform":
             raise ConfigError(ln, "x_star_distribution must be 'uniform <lo> <hi>'")
-        lo, hi = (_to_float(ln, "x_star_distribution", p) for p in parts[1:])
         try:
+            lo, hi = (_number("x_star_distribution", p) for p in parts[1:])
             function = FunctionFamily(spec, UniformDist(lo, hi))
         except ValueError as e:
             raise ConfigError(ln, str(e)) from None
 
-    oracle_vals, oracle_lines = vals["oracle"], lines["oracle"]
-    if "sigma" not in oracle_vals:
-        raise ConfigError(0, "missing key sigma in [oracle]")
-    if "master_seed" not in oracle_vals:
-        raise ConfigError(0, "missing key master_seed in [oracle]")
-    sigma = _to_float(oracle_lines["sigma"], "sigma", oracle_vals["sigma"])
-    seed = _to_int(oracle_lines["master_seed"], "master_seed",
-                   oracle_vals["master_seed"])
-    if seed < 0 or seed >= 2**64:
-        raise ConfigError(oracle_lines["master_seed"],
-                          "master_seed must fit in 64 unsigned bits")
-
-    if not algorithms:
-        raise ConfigError(0, "section [algorithms] lists no algorithms")
-
-    grid, grid_lines = vals["grid"], lines["grid"]
-    if "T" in grid and "T_log_range" in grid:
-        raise ConfigError(grid_lines["T_log_range"],
-                          "give either T or T_log_range, not both")
-    if "T" in grid:
-        ln_grid = grid_lines["T"]
-        t_grid = tuple(_to_int(ln_grid, "T", p) for p in grid["T"].split())
-        if not t_grid:
-            raise ConfigError(ln_grid, "T list is empty")
-    elif "T_log_range" in grid:
-        ln_grid = grid_lines["T_log_range"]
-        parts = grid["T_log_range"].split()
-        if len(parts) != 3:
-            raise ConfigError(ln_grid, "T_log_range must be '<lo> <hi> <count>'")
-        lo, hi, count = (_to_int(ln_grid, "T_log_range", p) for p in parts)
+    settings, field_lines = {}, {}
+    for key, (section, field, hint) in _SETTINGS.items():
+        if key not in vals[section]:
+            continue
+        ln = lines[section][key]
+        if field in field_lines:
+            raise ConfigError(ln, f"give either {_KEY_OF[field]} or {key}, not both")
+        field_lines[field] = ln
         try:
-            t_grid = default_t_grid(lo, hi, count)
+            value = _value(key, hint, vals[section][key])
+            settings[field] = default_t_grid(*value) if key == "T_log_range" else value
         except ValueError as e:
-            raise ConfigError(ln_grid, str(e)) from None
-    else:
-        raise ConfigError(0, "section [grid] needs T or T_log_range")
-
-    run_vals, run_lines = vals["run"], lines["run"]
-    if "replicates" not in run_vals:
-        raise ConfigError(0, "missing key replicates in [run]")
-    replicates = _to_int(run_lines["replicates"], "replicates",
-                         run_vals["replicates"])
-    output_dir = run_vals.get("output_dir", "out")
-    interval = (-2.0, 2.0)
-    if "initial_interval" in run_vals:
-        ln = run_lines["initial_interval"]
-        parts = [_to_float(ln, "initial_interval", p)
-                 for p in run_vals["initial_interval"].split()]
-        if len(parts) != 2:
-            raise ConfigError(ln, "initial_interval must be '<a> <b>'")
-        interval = (parts[0], parts[1])
-
+            raise ConfigError(ln, str(e)) from None
+    for section, field, _ in _SETTINGS.values():
+        if _CONFIG_FIELDS.get(field) and field not in settings:
+            either = " or ".join(k for k, v in _SETTINGS.items() if v[1] == field)
+            raise ConfigError(0, f"missing key {either} in [{section}]")
+    run = {f: settings.pop(f) for f in [*settings] if f not in _CONFIG_FIELDS}
     try:
-        config = ExperimentConfig(
-            function=function,
-            algorithms=tuple(algorithms),
-            T_grid=t_grid,
-            replicates=replicates,
-            sigma=sigma,
-            master_seed=seed,
-            initial_interval=interval,
-        )
+        config = ExperimentConfig(function, tuple(algorithms), **settings)
     except FieldError as e:
         repeat = repeated_algorithm(algorithms)
-        field_lines = {"T_grid": ln_grid, "replicates": run_lines["replicates"],
-                       "algorithms": 0 if repeat is None else algorithm_lines[repeat][0],
-                       "sigma": oracle_lines["sigma"],
-                       "initial_interval": run_lines.get("initial_interval", 0)}
+        field_lines["algorithms"] = 0 if repeat is None else algorithm_lines[repeat][0]
         raise ConfigError(field_lines.get(e.field, 0), str(e)) from None
-    return RunSettings(config=config, output_dir=output_dir)
+    return RunSettings(config, **run)
 
 
 def _algorithm_line(alg) -> str:
@@ -431,13 +406,11 @@ def serialize_config(config: ExperimentConfig, output_dir: str = "out") -> str:
     if family:
         d = config.function.x_star
         lines.append(f"x_star_distribution = uniform {d.lo!r} {d.hi!r}")
-    lines += ["", "[oracle]", f"sigma = {config.sigma!r}",
-              f"master_seed = {config.master_seed}"]
-    lines += ["", "[algorithms]"]
-    lines += [_algorithm_line(a) for a in config.algorithms]
-    lines += ["", "[grid]", "T = " + " ".join(str(t) for t in config.T_grid)]
-    a0, b0 = config.initial_interval
-    lines += ["", "[run]", f"replicates = {config.replicates}",
-              f"output_dir = {output_dir}",
-              f"initial_interval = {a0!r} {b0!r}", ""]
-    return "\n".join(lines)
+    values = vars(RunSettings(config, output_dir)) | vars(config)
+    for section in ("oracle", "algorithms", "grid", "run"):
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_text(values[field])}" for key, (s, field, _)
+                  in _SETTINGS.items() if s == section and _KEY_OF[field] == key]
+        if section == "algorithms":
+            lines += [_algorithm_line(a) for a in config.algorithms]
+    return "\n".join(lines + [""])

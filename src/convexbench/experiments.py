@@ -150,9 +150,11 @@ class ExperimentConfig:
                              + self.algorithms[repeat].algorithm_id)
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise FieldError("sigma", f"sigma must be finite and >= 0, got {self.sigma}")
-        if not self.initial_interval[0] < self.initial_interval[1]:
-            raise FieldError("initial_interval",
-                             f"initial_interval needs a < b, got {self.initial_interval}")
+        if not 0 <= self.master_seed < 2**64:  # the seeds a manifest can rerun
+            raise FieldError("master_seed", "master_seed must fit in 64 unsigned bits")
+        if not -math.inf < self.initial_interval[0] < self.initial_interval[1] < math.inf:
+            raise FieldError("initial_interval", "initial_interval needs finite a < b, "
+                             f"got {self.initial_interval}")
 
 
 def function_id(function: FunctionSpec | FunctionFamily) -> str:

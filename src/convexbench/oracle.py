@@ -127,13 +127,15 @@ class OracleBatch:
     ):
         self.spec = spec
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
-        self.domain = (float(domain[0]), float(domain[1]))
+        a, b = self.domain = (float(domain[0]), float(domain[1]))
+        if not -math.inf < a < b < math.inf:
+            raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
         self.sigma = float(sigma)
-        self.budget = int(budget)
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
+        if not (budget >= 1 and budget % 1 == 0):  # false on NaN, inf and 2.5
+            raise ValueError(f"budget must be an integer >= 1, got {budget}")
+        self.budget = int(budget)
         self.queries_used = 0
         self._gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         self.n_replicates = len(seeds)

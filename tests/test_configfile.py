@@ -75,6 +75,12 @@ class TestDefaultTGrid:
         with pytest.raises(ValueError):
             default_t_grid(100, 101, 3)
 
+    def test_huge_count_rejected_before_the_loop(self):
+        with pytest.raises(ValueError):
+            default_t_grid(1, 10, 10**12)
+        err, ln = config_error("T = 100 215 464", "T_log_range = 1 10 1000000000000")
+        assert err.line == ln
+
     def test_log_range_error_names_its_line(self):
         err, ln = config_error("T = 100 215 464", "T_log_range = 100 101 3")
         assert err.line == ln
@@ -256,7 +262,8 @@ class TestFunctionErrors:
 
 class TestInitialInterval:
     @pytest.mark.parametrize("interval", [(2.0, -2.0), (1.0, 1.0),
-                                          (float("nan"), 1.0)])
+                                          (float("nan"), 1.0), (-float("inf"), 2.0),
+                                          (-1.0, float("inf"))])
     def test_config_rejects_empty_interval(self, interval):
         config = parse_config(CONFIG).config
         with pytest.raises(FieldError) as info:

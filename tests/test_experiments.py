@@ -253,6 +253,15 @@ def test_experiment_sigma_must_be_finite(sigma):
     assert info.value.field == "sigma"
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_experiment_seed_must_fit_in_64_unsigned_bits(seed):
+    # serialize_config would write a manifest that parse_config cannot rerun
+    with pytest.raises(FieldError) as info:
+        ExperimentConfig(SymmetricPower(2.0), (BinarySearchSpec(r=1.5),), (100,), 3, 0.1,
+                         seed)
+    assert info.value.field == "master_seed"
+
+
 def test_experiment_algorithms_must_be_algorithm_specs():
     # a ConstantEstimator has no cell to run and no config line
     with pytest.raises(FieldError) as info:

@@ -90,10 +90,18 @@ class TestBudget:
 
     @pytest.mark.parametrize("sigma, budget, match", [
         (-0.1, 10, "sigma"), (0.1, 0, "budget"), (0.1, -4, "budget"),
+        (0.1, float("inf"), "budget"), (0.1, float("nan"), "budget"),
+        (0.1, 2.5, "budget"),  # not truncated to 2
     ])
     def test_config_validation(self, sigma, budget, match):
         with pytest.raises(ValueError, match=match):
             make_oracle(sigma=sigma, budget=budget)
+
+    @pytest.mark.parametrize("domain", [(1.0, -1.0), (0.0, 0.0), (-np.inf, 1.0),
+                                        (-1.0, np.nan)])
+    def test_domain_must_be_finite_with_a_below_b(self, domain):
+        with pytest.raises(ValueError, match="domain"):
+            OracleBatch(F.spec, None, domain, 0.1, 10, [np.random.SeedSequence(0)])
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
     def test_sigma_must_be_finite(self, sigma):
