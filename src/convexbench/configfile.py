@@ -50,9 +50,9 @@ field has a default.  A value is read by its field's type: a finite number,
 text as written, or for x0 a finite number when it reads as one and
 otherwise a word its class checks (``uniform``).
 
-Each ``[oracle]``, ``[grid]`` and ``[run]`` key sets an ``ExperimentConfig``
-field, whose class checks its bounds, or ``RunSettings.output_dir``.  A key
-without a default is required; ``T_log_range`` sets T to ``default_t_grid``'s:
+Each ``[oracle]``, ``[grid]`` and ``[run]`` key sets a field of ``RunSettings``
+or of ``ExperimentConfig``, which checks its bounds.  Keys without a default
+are required; ``T_log_range`` sets T to ``default_t_grid(lo, hi, count)``:
 
     [oracle] sigma = <number>          master_seed = <integer>
     [grid]   T = <integer> ...         or T_log_range = <lo> <hi> <count>
@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 from .errors import FieldError
 from .experiments import (
@@ -252,16 +252,16 @@ def _value(key: str, hint, text: str):
             return int(text)
         except ValueError:
             raise FieldError(key, f"{key}: expected an integer, got {text!r}") from None
-    if get_origin(hint) is tuple:
-        parts, types = text.split(), get_args(hint)
-        if types[-1] is not Ellipsis and len(parts) != len(types):
-            raise FieldError(key, f"{key} must be {len(types)} numbers, got {text!r}")
-        return tuple(_value(key, types[0], p) for p in parts)
     if hint == float | str:
         try:
             float(text)
         except ValueError:
             return text  # a word, which the spec class checks
+    elif hint is not float:  # a tuple
+        parts, types = text.split(), hint.__args__
+        if types[-1] is not Ellipsis and len(parts) != len(types):
+            raise FieldError(key, f"{key} must be {len(types)} numbers, got {text!r}")
+        return tuple(_value(key, types[0], p) for p in parts)
     return _number(key, text)
 
 
