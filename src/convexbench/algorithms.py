@@ -151,10 +151,11 @@ def run_binary_search(
     T0 times, keeps the left half where the average reading is positive and
     the right half otherwise (ties go right).  ``query_block_all`` returns
     those averages without holding all R x T0 readings at once, so a round's
-    memory is O(R + max(CHUNK_VALUES, T0)) whatever the budget.  The schedule
-    (E, T0) comes from the batch's budget.  Returns the midpoints of the
-    final intervals, shape (R,).  When ``trace`` is a list, each round appends
-    (query points, mean readings, left ends after the update, width).
+    memory is O(R + max(CHUNK_VALUES, T0)) whatever the budget and however
+    many threads draw it.  The schedule (E, T0) comes from the batch's budget.
+    Returns the midpoints of the final intervals, shape (R,).  When ``trace``
+    is a list, each round appends (query points, mean readings, left ends
+    after the update, width).
     """
     a0, b0 = _checked_interval(interval)
     E, T0 = epochs_schedule(batch.budget, spec.r)

@@ -61,6 +61,7 @@ from .functions import (
     strip_tilt,
 )
 from .modulus import sample_modulus_curve
+from .oracle import usable_cores
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -453,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a config file (or rerun a manifest)")
     p_run.add_argument("config", help="path to config file or manifest.json")
     p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p_mod = sub.add_parser("modulus", help="emit a modulus curve CSV on stdout")
     _add_function_flags(p_mod)
@@ -465,7 +465,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--replicates", type=int, default=1000)
     p_fig.add_argument("--out", help="output base directory")
     p_fig.add_argument("--seed", type=int, default=20250810)
-    p_fig.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    for p in (p_run, p_fig):
+        p.add_argument("--jobs", type=int, default=usable_cores(),
+                       help="worker processes; a long block read also draws on "
+                            "every usable core of its process")
 
     p_sup = sub.add_parser("superefficiency",
                            help="risk of an estimator at a target and its tilts")
@@ -492,6 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     if args.command == "run":
         return cmd_run(args)
     if args.command == "modulus":

@@ -184,11 +184,10 @@ def default_t_grid(lo: int = 100, hi: int = 10000, count: int = 7) -> tuple[int,
     out = []
     for i in range(count):
         t = int(lo * ratio**i)
-        if not out or t > out[-1]:
-            out.append(t)
-    if len(out) < count:
-        raise ValueError(
-            f"{count} floored log-spaced budgets from {lo} to {hi} are not distinct")
+        if out and t <= out[-1]:  # at the first repeat, not after count steps
+            raise ValueError(
+                f"{count} floored log-spaced budgets from {lo} to {hi} are not distinct")
+        out.append(t)
     out[-1] = hi
     return tuple(out)
 

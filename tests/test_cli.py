@@ -17,6 +17,7 @@ from convexbench import (
     Tilt,
     build_function,
     cli,
+    oracle,
     sample_modulus_curve,
 )
 
@@ -244,6 +245,8 @@ def test_bad_function_flag_is_a_usage_error(command, flags, bad_flag, capsys):
     ("--seed", "-1"),
     ("--seed", str(2**64)),  # a manifest with this seed would not rerun
     ("--replicates", "0"),
+    ("--jobs", "0"),
+    ("--jobs", "-3"),
 ])
 def test_bad_fig2_flag_is_a_usage_error(flag, value, tmp_path, capsys):
     argv = ["reproduce-fig2", "--replicates", "2", "--jobs", "1",
@@ -253,6 +256,26 @@ def test_bad_fig2_flag_is_a_usage_error(flag, value, tmp_path, capsys):
     assert info.value.code == cli.EXIT_USAGE
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_jobs_below_one_is_a_usage_error(jobs, tmp_path, capsys):
+    # a count below 1 used to run in-process without a word
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, CONFIG, "out", "--jobs", jobs)
+    assert info.value.code == cli.EXIT_USAGE
+    assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "reproduce-fig2"])
+def test_jobs_defaults_to_the_usable_cores(command, monkeypatch):
+    # the cores this process may use, read by the one helper the oracle's
+    # block reads also use
+    assert cli.usable_cores is oracle.usable_cores
+    monkeypatch.setattr(cli, "usable_cores", lambda: 5)
+    argv = [command, "x.cfg"] if command == "run" else [command]
+    assert cli._build_parser().parse_args(argv).jobs == 5
 
 
 @pytest.mark.parametrize("command", [

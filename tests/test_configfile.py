@@ -1,6 +1,7 @@
 """Config files: budget grids, errors that name the offending line, and
 the serialize/parse round trip."""
 from dataclasses import MISSING, fields, replace
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,17 @@ class TestDefaultTGrid:
     def test_log_range_error_names_its_line(self):
         err, ln = config_error("T = 100 215 464", "T_log_range = 100 101 3")
         assert err.line == ln
+
+    def test_repeated_budget_rejected_at_once(self):
+        # a billion budgets from 1 to 1e18 repeat at the second; walking on to
+        # the count would stall the parse for minutes
+        t0 = perf_counter()
+        err, ln = config_error("T = 100 215 464",
+                               "T_log_range = 1 1000000000000000000 1000000000")
+        assert perf_counter() - t0 < 1.0
+        assert err.line == ln
+        assert "1000000000 floored log-spaced budgets" in str(err)
+        assert str(err).endswith("are not distinct")
 
 
 class TestLineNumbers:

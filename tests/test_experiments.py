@@ -262,6 +262,19 @@ def test_experiment_seed_must_fit_in_64_unsigned_bits(seed):
     assert info.value.field == "master_seed"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("replicates", 2.5), ("master_seed", 1.5), ("T_grid", (100.5,)),
+    ("T_grid", (100, 215.0)), ("replicates", np.int64(3)),
+])
+def test_experiment_counts_must_be_integers(field, value):
+    # serialize_config would write text that parse_config rejects
+    config = dict(function=SymmetricPower(2.0), algorithms=(BinarySearchSpec(r=1.5),),
+                  T_grid=(100,), replicates=3, sigma=0.1, master_seed=1)
+    with pytest.raises(FieldError, match="needs integers") as info:
+        ExperimentConfig(**config | {field: value})
+    assert info.value.field == field
+
+
 def test_experiment_algorithms_must_be_algorithm_specs():
     # a ConstantEstimator has no cell to run and no config line
     with pytest.raises(FieldError) as info:

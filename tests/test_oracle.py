@@ -1,4 +1,6 @@
 """Oracle tests: exactness at zero noise, replay, budget, statistics."""
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -264,6 +266,112 @@ class TestOracleBatch:
         for r, seed in enumerate(seeds):
             want = np.random.Generator(np.random.PCG64(seed)).standard_normal(n + 1)
             assert np.array_equal(got[:, r], want)
+
+
+class TestThreadedBlockReads:
+    # 4 * 1029 values make tiles of 4 rows at n = 1024 and 1029, so with
+    # R = 7 one core reads tiles of 4 and 3, two cores shares of 3 and 4 in
+    # tiles of 2 (the first share's last one partial), three cores shares of
+    # 2, 2 and 3 in tiles of 1
+    R = 7
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_VALUES", 4 * 1029)
+
+    def read(self, monkeypatch, cores, n, seeds):
+        monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
+        batch = OracleBatch(F.spec, None, F.domain, 0.3, 2 * n, seeds)
+        x = np.linspace(-1.0, 1.0, self.R)
+        means = [batch.query_block_all(x, n), batch.query_block_all(-x, n)]
+        return means, [g.bit_generator.state for g in batch._gens]
+
+    @pytest.mark.parametrize("n", [1024, 1029])
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_means_and_streams_equal_the_one_core_read(self, monkeypatch, cores, n):
+        seeds = replicate_seeds(6, (2,), self.R, 0)
+        want, want_states = self.read(monkeypatch, 1, n, seeds)
+        threads = threading.active_count()
+        got, got_states = self.read(monkeypatch, cores, n, seeds)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got_states == want_states
+        assert threading.active_count() == threads  # no thread outlives a read
+
+    @pytest.mark.parametrize("cores, n, threads", [(2, 1029, 2), (3, 1024, 3),
+                                                   (5, 1024, 4), (3, 4 * 1029, 1)])
+    def test_each_thread_reads_its_share_through_its_own_slice(self, monkeypatch,
+                                                               cores, n, threads):
+        # one thread per core, but no more than a tile has rows (4, or 1 when
+        # a row fills CHUNK_VALUES); the shares cover every replicate once
+        calls = []
+        read_share = OracleBatch._read_share
+
+        def record(batch, tile, lo, hi, *args):
+            calls.append((lo, hi, tile, batch._block, threading.get_ident()))
+            read_share(batch, tile, lo, hi, *args)
+
+        monkeypatch.setattr(OracleBatch, "_read_share", record)
+        self.read(monkeypatch, cores, n, replicate_seeds(6, (2,), self.R, 0))
+        calls = sorted(calls[:len(calls) // 2], key=lambda c: c[0])  # the first read
+        assert [(lo, hi) for lo, hi, *_ in calls] == [
+            (self.R * k // threads, self.R * (k + 1) // threads) for k in range(threads)]
+        assert calls[0][4] == threading.get_ident()  # the caller reads share 0
+        block = calls[0][3]
+        assert block.size <= max(oracle.CHUNK_VALUES, n)
+        for i, (_, _, tile, *_) in enumerate(calls):
+            assert np.shares_memory(tile, block) and tile.shape[1] == n
+            assert not any(np.shares_memory(tile, c[2]) for c in calls[i + 1:])
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_binary_search_equals_scalar_reference(self, monkeypatch, cores):
+        monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
+        T, sigma, spec = 20000, 0.3, BinarySearchSpec(r=1.5)
+        assert epochs_schedule(T, spec.r)[1] >= oracle.THREAD_MIN_ROW
+        seeds = replicate_seeds(4, (1,), self.R, 0)
+        est = run_binary_search(OracleBatch(F.spec, None, F.domain, sigma, T, seeds),
+                                spec, (-2.0, 1.5))
+        want = [ref.binary_search(ref.ReferenceOracle(F, sigma, seed), T, spec.r,
+                                  (-2.0, 1.5)) for seed in seeds]
+        assert np.array_equal(est, want)
+
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        # eight threads, each through four tiles of two rows, hand the
+        # interpreter over every microsecond for 40 reads; a thread writing
+        # into another's rows or means would break the equality
+        monkeypatch.setattr(oracle, "CHUNK_VALUES", 16 * 1024)
+        R, seeds = 64, replicate_seeds(6, (3,), 64, 0)
+        x = np.linspace(-1.0, 1.0, R)
+        means = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cores in (1, 8):
+                monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
+                batch = OracleBatch(F.spec, None, F.domain, 0.3, 40 * 1024, seeds)
+                means[cores] = [batch.query_block_all(x, 1024) for _ in range(40)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(means[1], means[8]))
+
+    def test_short_rows_start_no_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
+        seeds = replicate_seeds(6, (2,), self.R, 0)
+        batch = OracleBatch(F.spec, None, F.domain, 0.3, 2048, seeds)
+        batch.query_block_all(np.zeros(self.R), oracle.THREAD_MIN_ROW - 1)
+        with pytest.raises(AssertionError, match="thread pool"):  # the patch is live
+            batch.query_block_all(np.zeros(self.R), oracle.THREAD_MIN_ROW)
+
+
+def test_usable_cores_reads_the_affinity_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+    assert oracle.usable_cores() == 2
+    monkeypatch.delattr(oracle.os, "sched_getaffinity")
+    assert oracle.usable_cores() == 8
 
 
 class TestReplicateSeeds:
