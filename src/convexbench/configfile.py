@@ -184,7 +184,7 @@ def default_t_grid(lo: int = 100, hi: int = 10000, count: int = 7) -> tuple[int,
     out = []
     for i in range(count):
         t = int(lo * ratio**i)
-        if out and t <= out[-1]:  # at the first repeat, not after count steps
+        if out and t <= out[-1]:  # stop at the first repeat: count may be huge
             raise ValueError(
                 f"{count} floored log-spaced budgets from {lo} to {hi} are not distinct")
         out.append(t)

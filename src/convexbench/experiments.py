@@ -134,7 +134,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, values in (("replicates", (self.replicates,)), ("T_grid", self.T_grid),
                              ("master_seed", (self.master_seed,))):
-            if any(type(v) is not int for v in values):  # its text would not parse
+            if any(type(v) is not int for v in values):  # its text would not parse back
                 raise FieldError(name, f"{name} needs integers, got {vars(self)[name]!r}")
         if self.replicates < 1:
             raise FieldError("replicates", "replicates must be >= 1")
