@@ -13,6 +13,7 @@ from convexbench import (
     SymmetricPower,
     build_function,
     sample_modulus_curve,
+    spec_id,
 )
 
 DOMAIN = (-1.0, 1.0)
@@ -38,7 +39,7 @@ def main():
         expected = "n/a" if alpha_true is None else f"{alpha_true:.4f}"
         fitted = "n/a" if curve.fitted_alpha is None else f"{curve.fitted_alpha:.4f}"
         print(
-            f"{f.id:46s} omega({lo.epsilon:.0e})={lo.omega:.3e}  "
+            f"{spec_id(f.spec):46s} omega({lo.epsilon:.0e})={lo.omega:.3e}  "
             f"omega({hi.epsilon:.0e})={hi.omega:.3e}  "
             f"alpha_hat={fitted} (exact {expected})"
         )

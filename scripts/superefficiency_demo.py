@@ -21,9 +21,10 @@ def show(report, label):
     print(f"--- {label}")
     print(f"  target {report.function}, eps_T = {report.epsilon_T:.3e}")
     print(f"  risk at f        : {report.risk_f:.3e}")
-    print(f"  risk at g+ / g-  : {report.risk_g_plus:.3e} / {report.risk_g_minus:.3e}")
-    print(f"  d(f, g+/-)       : {report.d_f_g_plus:.3e} / {report.d_f_g_minus:.3e}")
-    print(f"  omega_g(eps_T)   : {report.omega_ref_plus:.3e} / {report.omega_ref_minus:.3e}")
+    plus, minus = report.alternatives
+    print(f"  risk at g+ / g-  : {plus.risk:.3e} / {minus.risk:.3e}")
+    print(f"  d(f, g+/-)       : {plus.d:.3e} / {minus.d:.3e}")
+    print(f"  omega_g(eps_T)   : {plus.omega_ref:.3e} / {minus.omega_ref:.3e}")
     print(f"  bound constant   : {report.lower_constant:.4f} (reference)")
 
 

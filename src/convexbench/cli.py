@@ -214,10 +214,20 @@ def _resolve_out(flag_value: str | None, config_dir: str) -> Path:
     return Path(base) / config_dir
 
 
+def _make_dirs(*dirs: Path) -> bool:
+    """Create the output directories; False, after an error line, if one cannot be."""
+    for d in dirs:
+        try:
+            d.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            print(f"error: cannot create {d}: {e}", file=sys.stderr)
+            return False
+    return True
+
+
 def _execute_run(settings: RunSettings, out_dir: Path, jobs: int) -> int:
     config = settings.config
     table = estimate_risk(config, jobs=jobs)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "risk.csv").write_text(risk_csv_text(table))
     slopes_text, unfit = slopes_csv_text(table)
     (out_dir / "slopes.csv").write_text(slopes_text)
@@ -263,6 +273,8 @@ def cmd_run(args) -> int:
         print(f"error: {path}: {e}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = _resolve_out(args.out, settings.output_dir)
+    if not _make_dirs(out_dir):
+        return EXIT_USAGE
     return _execute_run(settings, out_dir, args.jobs)
 
 
@@ -369,9 +381,11 @@ def cmd_reproduce_fig2(parser, args) -> int:
         flag = {"master_seed": "--seed", "replicates": "--replicates"}[e.field]
         parser.error(f"argument {flag}: {e}")
     out_base = _resolve_out(args.out, "fig2")
+    out_dirs = [out_base / settings.output_dir for settings in panels]
+    if not _make_dirs(*out_dirs):  # every panel's directory before any panel runs
+        return EXIT_USAGE
     status = EXIT_OK
-    for settings in panels:
-        out_dir = out_base / settings.output_dir
+    for settings, out_dir in zip(panels, out_dirs):
         status = max(status, _execute_run(settings, out_dir, args.jobs))
         print(f"panel {settings.output_dir}: artifacts in {out_dir}", file=sys.stderr)
     return status
@@ -382,15 +396,10 @@ def superefficiency_csv_text(report: SuperefficiencyReport) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["target", "epsilon_T", "risk_f", "risk_g_plus", "risk_g_minus",
                 "d_fg", "omega_ref"])
-    w.writerow([
-        report.function,
-        repr(report.epsilon_T),
-        repr(report.risk_f),
-        repr(report.risk_g_plus),
-        repr(report.risk_g_minus),
-        repr(max(report.d_f_g_plus, report.d_f_g_minus)),
-        repr(max(report.omega_ref_plus, report.omega_ref_minus)),
-    ])
+    plus, minus = report.alternatives
+    w.writerow([report.function, *map(repr, (
+        report.epsilon_T, report.risk_f, plus.risk, minus.risk,
+        max(plus.d, minus.d), max(plus.omega_ref, minus.omega_ref)))])
     return buf.getvalue()
 
 
@@ -425,13 +434,14 @@ def cmd_superefficiency(parser, args) -> int:
         return EXIT_USAGE
     text = superefficiency_csv_text(report)
     sys.stdout.write(text)
+    plus, minus = report.alternatives
+    scale = f"{report.modulus_scale:g}*eps_T"
     print(
         f"# estimator={report.estimator} delta={report.delta:g} T={report.T} "
         f"sigma={report.sigma:g}\n"
         f"# tilt size epsilon_T={report.epsilon_T!r}\n"
-        f"# d(f,g+)={report.d_f_g_plus!r} d(f,g-)={report.d_f_g_minus!r}\n"
-        f"# omega_g+({report.modulus_scale:g}*eps_T)={report.omega_ref_plus!r} "
-        f"omega_g-({report.modulus_scale:g}*eps_T)={report.omega_ref_minus!r}\n"
+        f"# d(f,g+)={plus.d!r} d(f,g-)={minus.d!r}\n"
+        f"# omega_g+({scale})={plus.omega_ref!r} omega_g-({scale})={minus.omega_ref!r}\n"
         f"# tilted-risk lower-bound constant (4-sqrt(2))/4="
         f"{report.lower_constant!r} (reference only, not asserted)",
         file=sys.stderr,

@@ -10,11 +10,12 @@ the whole cell at once with ``oracle.replicate_seeds``.  Cells are therefore
 independent of execution order and worker count, and replicate reductions
 use numpy's pairwise summation in canonical replicate order.
 
-The unit of work is a budget group: at each budget T, the cells of every
-``SgdSpec`` run as one ``OracleBatch`` of R replicates per spec, in
-contiguous per-spec blocks, while each ``BinarySearchSpec`` cell runs on a
-batch of its own.  Replicates run in lockstep through the algorithms' only
-implementations, ``algorithms.run_binary_search`` and ``algorithms.run_sgd``.
+A unit of work is a tuple of cells that share one ``OracleBatch``, R
+replicates per cell in contiguous per-cell blocks: at each budget T, the
+cells of every ``SgdSpec`` form one unit (a budget group), while each
+``BinarySearchSpec`` cell is a unit of its own.  Replicates run in lockstep
+through the algorithms' only implementations, ``algorithms.run_binary_search``
+and ``algorithms.run_sgd``.
 A replicate's result does not depend on how many replicates share its batch;
 the test suite checks it against plain scalar reference loops kept in
 ``tests/``.  ``estimate_risk`` hands units to its process pool longest
@@ -65,6 +66,7 @@ __all__ = [
     "RiskTable",
     "SlopeFit",
     "SuperefficiencyReport",
+    "TiltedAlternative",
     "estimate_risk",
     "fit_loglog_slope",
     "replicate_runs",
@@ -192,7 +194,7 @@ class SlopeFit:
 
 
 # ---------------------------------------------------------------------------
-# replicate runs: one OracleBatch per (algorithm, budget) cell
+# replicate runs: one OracleBatch per unit of work
 # ---------------------------------------------------------------------------
 
 
@@ -235,66 +237,45 @@ def replicate_runs(
     initial_interval: tuple[float, float],
     sigma: float,
     T: int,
-    alg: AlgorithmSpec | tuple[SgdSpec, ...],
+    algs: tuple[BinarySearchSpec] | tuple[SgdSpec, ...],
     replicates: int,
     master_seed: int,
-    key: tuple = (),
+    keys: tuple[tuple[int, ...], ...],
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run one (algorithm, budget) cell over seeded replicates, in lockstep.
+    """Run one unit of work over seeded replicates, in lockstep.
 
-    ``alg`` is one spec and ``key`` its cell key, or ``alg`` is a tuple of
-    SgdSpecs and ``key`` a tuple of their cell keys: a budget group, whose
-    cells run as contiguous blocks of one batch.  Replicate r of the cell
-    with key k draws its environment and noise from the streams
-    ``SeedSequence(master_seed, spawn_key=(*k, r, 0|1))``, whose words
-    ``replicate_seeds`` computes for the whole cell at once.  Returns
-    (estimates, minimizer draws or None), of shape (replicates,) for one
-    cell and (cells, replicates) for a group; each replicate's estimate is
-    the one it would get run alone on its own seeds.  Raises ScheduleError
-    when the budget cannot support the round schedule.
+    ``algs`` holds one BinarySearchSpec or the SgdSpecs of one budget group,
+    and ``keys`` one cell key per spec; the cells run as contiguous blocks of
+    one batch.  Replicate r of the cell with key k draws its environment and
+    noise from the streams ``SeedSequence(master_seed, spawn_key=(*k, r,
+    0|1))``, whose words ``replicate_seeds`` computes for the whole cell at
+    once.  Returns (estimates, minimizer draws or None), each of shape
+    (cells, replicates); each replicate's estimate is the one it would get
+    run alone on its own seeds.  Raises ScheduleError when the budget cannot
+    support the round schedule.
     """
-    group = isinstance(alg, tuple)
-    algs, keys = (alg, key) if group else ((alg,), (key,))
-    if isinstance(alg, BinarySearchSpec):
-        epochs_schedule(T, alg.r)  # fail fast before drawing anything
+    if isinstance(algs[0], BinarySearchSpec):
+        (bs,) = algs  # a binary search runs on a batch of its own
+        epochs_schedule(T, bs.r)  # fail fast before drawing anything
     env_seeds, noise_seeds = (
         [ss for k in keys for ss in replicate_seeds(master_seed, k, replicates, stream)]
         for stream in (0, 1))
     xstar, x0 = _draw_environment(function, algs, initial_interval, env_seeds)
     template = function.template if isinstance(function, FunctionFamily) else function
-    batch = OracleBatch(
-        spec=template,
-        x_star=xstar,
-        domain=initial_interval,
-        sigma=sigma,
-        budget=T,
-        seeds=noise_seeds,
-    )
-    if isinstance(alg, BinarySearchSpec):
-        estimates = run_binary_search(batch, alg, initial_interval)
+    batch = OracleBatch(template, xstar, initial_interval, sigma, T, noise_seeds)
+    if isinstance(algs[0], BinarySearchSpec):
+        estimates = run_binary_search(batch, algs[0], initial_interval)
     else:
         estimates = run_sgd(batch, algs, x0, initial_interval)
-    if group:
-        estimates = estimates.reshape(len(algs), replicates)
-        xstar = None if xstar is None else xstar.reshape(len(algs), replicates)
-    return estimates, xstar
+    shape = (len(algs), replicates)
+    return estimates.reshape(shape), None if xstar is None else xstar.reshape(shape)
 
 
-def _replicate_errors(
-    function: FunctionSpec | FunctionFamily,
-    initial_interval: tuple[float, float],
-    sigma: float,
-    T: int,
-    alg: AlgorithmSpec | tuple[SgdSpec, ...],
-    replicates: int,
-    master_seed: int,
-    key: tuple,
-) -> np.ndarray:
-    """Per-replicate distances to the minimizer for one cell or budget group,
-    shaped like the estimates ``replicate_runs`` returns."""
-    estimates, xstar = replicate_runs(
-        function, initial_interval, sigma, T, alg, replicates, master_seed, key
-    )
+def _replicate_errors(function: FunctionSpec | FunctionFamily,
+                      initial_interval: tuple[float, float], *args) -> np.ndarray:
+    """Per-replicate distances to the minimizer of the estimates of
+    ``replicate_runs(function, initial_interval, *args)``, of their shape."""
+    estimates, xstar = replicate_runs(function, initial_interval, *args)
     if isinstance(function, FunctionFamily):
         minimizers = minimizer_interval(function.template, initial_interval, xstar)
     else:  # one interval, broadcast over the replicates
@@ -313,19 +294,17 @@ def _unit_rows(config: ExperimentConfig, a_idxs: tuple[int, ...],
                t_idx: int) -> list[RiskRow]:
     """Risk rows of one unit of work at budget index t_idx: the cell of one
     binary search, or the budget group of the SGD algorithms a_idxs."""
-    algs = [config.algorithms[a] for a in a_idxs]
-    alg, key = algs[0], (a_idxs[0], t_idx)
-    if isinstance(alg, SgdSpec):
-        alg, key = tuple(algs), tuple((a, t_idx) for a in a_idxs)
+    algs = tuple(config.algorithms[a] for a in a_idxs)
     T = config.T_grid[t_idx]
     fn_id = function_id(config.function)
     try:
         errs = _replicate_errors(config.function, config.initial_interval, config.sigma,
-                                 T, alg, config.replicates, config.master_seed, key)
+                                 T, algs, config.replicates, config.master_seed,
+                                 tuple((a, t_idx) for a in a_idxs))
     except ScheduleError:
         return [RiskRow(fn_id, alg.algorithm_id, T, None, None, 0) for alg in algs]
     return [RiskRow(fn_id, alg.algorithm_id, T, *_mean_stderr(e), len(e))
-            for alg, e in zip(algs, np.reshape(errs, (len(algs), -1)))]
+            for alg, e in zip(algs, errs)]
 
 
 def estimate_risk(config: ExperimentConfig, jobs: int = 1) -> RiskTable:
@@ -410,7 +389,21 @@ LOWER_BOUND_CONSTANT = (4.0 - math.sqrt(2.0)) / 4.0
 
 
 @dataclass(frozen=True)
+class TiltedAlternative:
+    """An estimator's risk and its stderr at g = f + tilt * x, the distance d
+    of g's minimizer set from f's, and g's reference modulus omega_ref."""
+
+    tilt: float
+    risk: float
+    stderr: float
+    d: float
+    omega_ref: float
+
+
+@dataclass(frozen=True)
 class SuperefficiencyReport:
+    """An estimator's risk at f and at its alternatives g+ and g-, in order."""
+
     function: str
     estimator: str
     delta: float
@@ -420,33 +413,19 @@ class SuperefficiencyReport:
     modulus_scale: float
     risk_f: float
     stderr_f: float
-    risk_g_plus: float
-    stderr_g_plus: float
-    risk_g_minus: float
-    stderr_g_minus: float
-    d_f_g_plus: float
-    d_f_g_minus: float
-    omega_ref_plus: float
-    omega_ref_minus: float
+    alternatives: tuple[TiltedAlternative, TiltedAlternative]
     lower_constant: float = field(default=LOWER_BOUND_CONSTANT)
 
 
-def _estimator_risk(
-    target: ConvexFunction1D,
-    estimator,
-    sigma: float,
-    T: int,
-    replicates: int,
-    master_seed: int,
-    key: tuple[int, ...],
-) -> tuple[float, float]:
+def _estimator_risk(target: ConvexFunction1D, estimator, sigma: float, T: int,
+                    replicates: int, master_seed: int,
+                    key: tuple[int, ...]) -> tuple[float, float]:
     if isinstance(estimator, ConstantEstimator):
         x = estimator.x_hat
         return float(distance((x, x), target.minimizer_set)), 0.0
-    return _mean_stderr(_replicate_errors(
-        target.spec, target.domain, sigma, T, estimator, replicates,
-        master_seed, key,
-    ))
+    (errs,) = _replicate_errors(target.spec, target.domain, sigma, T, (estimator,),
+                                replicates, master_seed, (key,))
+    return _mean_stderr(errs)
 
 
 def superefficiency_experiment(
@@ -464,10 +443,12 @@ def superefficiency_experiment(
 
     The tilt size eps_T = sqrt(sigma^2 * ln(1/(8 delta^2)) / T) is the one at
     which beating the difficulty benchmark at the target by a factor delta
-    forces inflated risk at one of the tilted functions.  The report carries
-    the reference modulus values of the tilted functions (at
-    modulus_scale * eps_T) for comparison; nothing about the bound is
-    asserted, it is descriptive output.
+    forces inflated risk at one of the tilted functions.  The report holds
+    one ``TiltedAlternative`` row for g+ = f + eps_T * x and one for g- =
+    f - eps_T * x, built in one loop; each carries its reference modulus (at
+    modulus_scale * eps_T) for comparison.  Nothing about the bound is
+    asserted, it is descriptive output.  The estimator's replicates at f, g+
+    and g- draw from the streams of cell keys (0,), (1,) and (2,).
     """
     if not 0.0 < delta < DELTA_MAX:
         raise ValueError(
@@ -482,19 +463,21 @@ def superefficiency_experiment(
     if not (math.isfinite(modulus_scale) and modulus_scale > 0):
         raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
-    f, g_plus, g_minus = (build_function(s, initial_interval)
-                          for s in (spec, Tilt(spec, eps_t), Tilt(spec, -eps_t)))
-    (risk_f, se_f), (risk_p, se_p), (risk_m, se_m) = (
-        _estimator_risk(g, estimator, sigma, T, replicates, master_seed, key=(i,))
-        for i, g in enumerate((f, g_plus, g_minus)))
-
+    f = build_function(spec, initial_interval)
+    risk_f, se_f = _estimator_risk(f, estimator, sigma, T, replicates, master_seed, (0,))
     ref_eps = modulus_scale * eps_t  # 0 when sigma is 0: no flat set to measure
-    omega_p = modulus_numeric(g_plus, ref_eps) if ref_eps > 0 else 0.0
-    omega_m = modulus_numeric(g_minus, ref_eps) if ref_eps > 0 else 0.0
-    est_id = estimator.algorithm_id
+    alternatives = []
+    for i, tilt in ((1, eps_t), (2, -eps_t)):
+        g = build_function(Tilt(spec, tilt), initial_interval)
+        alternatives.append(TiltedAlternative(
+            tilt,
+            *_estimator_risk(g, estimator, sigma, T, replicates, master_seed, (i,)),
+            d=float(distance(f.minimizer_set, g.minimizer_set)),
+            omega_ref=modulus_numeric(g, ref_eps) if ref_eps > 0 else 0.0,
+        ))
     return SuperefficiencyReport(
         function=spec_id(spec),
-        estimator=est_id,
+        estimator=estimator.algorithm_id,
         delta=delta,
         T=T,
         sigma=sigma,
@@ -502,12 +485,5 @@ def superefficiency_experiment(
         modulus_scale=modulus_scale,
         risk_f=risk_f,
         stderr_f=se_f,
-        risk_g_plus=risk_p,
-        stderr_g_plus=se_p,
-        risk_g_minus=risk_m,
-        stderr_g_minus=se_m,
-        d_f_g_plus=float(distance(f.minimizer_set, g_plus.minimizer_set)),
-        d_f_g_minus=float(distance(f.minimizer_set, g_minus.minimizer_set)),
-        omega_ref_plus=omega_p,
-        omega_ref_minus=omega_m,
+        alternatives=tuple(alternatives),
     )

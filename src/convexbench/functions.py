@@ -196,23 +196,32 @@ def subgrad_spec(spec: FunctionSpec, x, x_star=None):
     return min_norm_from_interval(lo, hi)
 
 
+def _root(s: float, k: float) -> float:
+    """|s|^(1/(k-1)), or inf past the float range."""
+    try:
+        return abs(s) ** (1.0 / (k - 1.0))
+    except OverflowError:
+        return np.inf
+
+
 def level_set(spec: FunctionSpec, s: float) -> tuple[float, float]:
     """{x in R : s in subdifferential(x)} as (lo, hi).
 
-    Endpoints may be +/-inf for specs that are eventually affine.  The set is
-    empty for a slope below every slope of the spec, given as (-inf, -inf),
-    and for one above every slope, given as (inf, inf): clamped to a domain,
-    each lands on the end where the subgradient comes nearest to s.
+    Endpoints may be +/-inf for specs that are eventually affine or past the
+    float range.  The set is empty for a slope below every slope of the spec,
+    given as (-inf, -inf), and for one above every slope, given as (inf,
+    inf): clamped to a domain, each lands on the end where the subgradient
+    comes nearest to s.
     """
     if isinstance(spec, SymmetricPower):
-        u = float(np.sign(s)) * abs(s) ** (1.0 / (spec.k - 1.0))
+        u = float(np.sign(s)) * _root(s, spec.k)
         p = spec.x_star + u
         return (p, p)
     if isinstance(spec, AsymmetricPower):
         if s < 0:
-            p = spec.x_star - abs(s) ** (1.0 / (spec.k_l - 1.0))
+            p = spec.x_star - _root(s, spec.k_l)
         elif s > 0:
-            p = spec.x_star + s ** (1.0 / (spec.k_r - 1.0))
+            p = spec.x_star + _root(s, spec.k_r)
         else:
             p = spec.x_star
         return (p, p)
@@ -340,10 +349,6 @@ class ConvexFunction1D:
         lo_a, _ = subdiff_interval(self.spec, a)
         _, hi_b = subdiff_interval(self.spec, b)
         return float(lo_a), float(hi_b)
-
-    @property
-    def id(self) -> str:
-        return spec_id(self.spec)
 
 
 def build_function(spec: FunctionSpec, domain: tuple[float, float]) -> ConvexFunction1D:

@@ -169,6 +169,8 @@ class OracleBatch:
             )
 
     def _check_domain(self, x: np.ndarray):
+        if x.shape != (self.n_replicates,):  # one point per replicate
+            raise ValueError(f"x needs shape ({self.n_replicates},), got {x.shape}")
         a, b = self.domain
         if not (x.min() >= a and x.max() <= b):  # also false on NaN
             bad = x[~((x >= a) & (x <= b))][0]

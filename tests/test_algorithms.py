@@ -353,7 +353,7 @@ class TestAdaptersOnOneReplicate:
     def test_replay_a_replicate_of_a_cell(self, alg):
         spec, interval = SymmetricPower(k=1.5, x_star=0.3), (-2.0, 2.0)
         sigma, T, R = 0.1, 2000, 600
-        cell, _ = replicate_runs(spec, interval, sigma, T, alg, R, 7, (3, 1))
+        (cell,), _ = replicate_runs(spec, interval, sigma, T, (alg,), R, 7, ((3, 1),))
         seeds = replicate_seeds(7, (3, 1), R, 1)
         run = sign_test_binary_search if isinstance(alg, BinarySearchSpec) else sgd
         for r in (0, 17, R - 1):

@@ -311,3 +311,37 @@ def test_superefficiency_modulus_scale_must_be_finite_and_positive(scale, capsys
     captured = capsys.readouterr()
     assert captured.err.startswith("error: modulus_scale must be finite and > 0")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--fn", "sym-power", "--k", "1.001"],
+                                   ["--fn", "asym-power", "--kl", "2", "--kr", "1.001"]])
+def test_modulus_of_a_nearly_linear_power_exits_zero(flags, capsys):
+    # the closed form's level sets at eps = 3 lie beyond the float range and
+    # clamp to the domain's ends, where the bisection also stops
+    assert cli.main(["modulus", *flags, "--eps", "1e-6:3:5"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-3:-1] == ["3.0,1.0,analytic,", "3.0,1.0,numeric,"]
+
+
+@pytest.mark.parametrize("command", ["run", "reproduce-fig2"])
+def test_unusable_output_directory_fails_before_any_cell(command, tmp_path, monkeypatch,
+                                                         capsys):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "estimate_risk", no_cell)
+    if command == "run":  # a regular file where a parent directory should be
+        (tmp_path / "file").write_text("")
+        blocked = tmp_path / "file" / "sub"
+        (tmp_path / "c.cfg").write_text(CONFIG)
+        argv = ["run", str(tmp_path / "c.cfg"), "--out", str(blocked)]
+    else:  # the last panel's directory, while the others can be made
+        (tmp_path / "fig2").mkdir()
+        blocked = tmp_path / "fig2" / cli.FIG2_PANELS[-1][0]
+        blocked.write_text("")
+        argv = ["reproduce-fig2", "--replicates", "2", "--jobs", "1",
+                "--out", str(tmp_path / "fig2")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot create {blocked}: ")
+    assert captured.out == ""

@@ -98,7 +98,7 @@ class TestReplicateRuns:
     @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES)
     def test_matches_scalar_sessions_bitwise(self, family, alg, T):
         def batched():
-            return replicate_runs(family, INTERVAL, SIGMA, T, alg, R, SEED, KEY)
+            return replicate_runs(family, INTERVAL, SIGMA, T, (alg,), R, SEED, (KEY,))
 
         if isinstance(alg, BinarySearchSpec) and T == 1:
             with pytest.raises(ScheduleError):
@@ -106,7 +106,7 @@ class TestReplicateRuns:
             with pytest.raises(ScheduleError):
                 scalar_run(family, alg, T, 0)
             return
-        estimates, x_stars = batched()
+        (estimates,), (x_stars,) = batched()
         want = [scalar_run(family, alg, T, rep) for rep in range(R)]
         assert np.array_equal(x_stars, [w[1] for w in want])
         assert np.array_equal(estimates, [w[0] for w in want])
@@ -116,7 +116,8 @@ class TestReplicateRuns:
     @pytest.mark.parametrize("seed, key", SEEDINGS.values(), ids=SEEDINGS)
     def test_seedings_match_scalar_sessions_bitwise(self, seed, key, alg):
         family, T = FAMILIES["asym-1.5-3"], 100
-        estimates, x_stars = replicate_runs(family, INTERVAL, SIGMA, T, alg, R, seed, key)
+        (estimates,), (x_stars,) = replicate_runs(family, INTERVAL, SIGMA, T, (alg,), R,
+                                                  seed, (key,))
         want = [scalar_run(family, alg, T, rep, seed, key) for rep in range(R)]
         assert np.array_equal(x_stars, [w[1] for w in want])
         assert np.array_equal(estimates, [w[0] for w in want])
@@ -182,7 +183,8 @@ class TestBudgetGroups:
                                             keys)
         assert estimates.shape == x_stars.shape == (len(algs), R)
         for alg, key, est, xs in zip(algs, keys, estimates, x_stars):
-            alone = replicate_runs(family, INTERVAL, SIGMA, T, alg, R, SEED, key)
+            alone = [v[0] for v in replicate_runs(family, INTERVAL, SIGMA, T, (alg,), R,
+                                                  SEED, (key,))]
             assert np.array_equal(est, alone[0])
             assert np.array_equal(xs, alone[1])
 
@@ -341,7 +343,6 @@ def test_tilted_pair_risks_respect_two_point_floor(k, T, estimator):
     sigma = 0.1
     rep = superefficiency_experiment(SymmetricPower(k), estimator, 0.05, T, sigma,
                                      400, SEED)
-    for risk_g, d in [(rep.risk_g_plus, rep.d_f_g_plus),
-                      (rep.risk_g_minus, rep.d_f_g_minus)]:
+    for risk_g, d in [(g.risk, g.d) for g in rep.alternatives]:
         assert d > 0
         assert max(rep.risk_f, risk_g) >= two_point_floor(d, rep.epsilon_T, T, sigma)

@@ -202,6 +202,9 @@ CROSS_CHECK_SPECS = {
     "tilt-asym": Tilt(AsymmetricPower(3.0, 1.5), -0.05),
     "tilt-absolute": Tilt(Absolute(0.4), 0.3),
     "tilt-piecewise-linear": Tilt(PWL, 2.5),
+    # level sets beyond the float range at large thresholds
+    "sym-k1.001": SymmetricPower(k=1.001),
+    "tilt-asym-k1.001": Tilt(AsymmetricPower(1.001, 2.0), 0.5),
 }
 
 

@@ -214,6 +214,9 @@ class TestOracleBatch:
     @pytest.mark.parametrize("path", ["query_block_all", "query_all"])
     @pytest.mark.parametrize("point, n, error", [
         (np.nan, 2, DomainError), (2.5, 2, DomainError), (0.25, 5, BudgetError),
+        # a 1-tuple holds all the points, of a shape other than (3,)
+        ((np.zeros(4),), 2, ValueError), ((0.5,), 2, ValueError),
+        ((np.zeros((3, 1)),), 2, ValueError),
     ])
     def test_rejected_call_charges_and_draws_nothing(self, path, point, n, error):
         def fresh():
@@ -221,7 +224,7 @@ class TestOracleBatch:
                                replicate_seeds(8, (), 3, 0))
 
         def ask(target, point, n):
-            x = np.array([0.5, point, -0.5])
+            x = point[0] if isinstance(point, tuple) else np.array([0.5, point, -0.5])
             if path == "query_all":
                 return target.query_all(x)
             return target.query_block_all(x, n)
@@ -421,7 +424,7 @@ def test_sgd_cell_memory_does_not_grow_with_budget():
     for T in (10**3, 10**5):
         tracemalloc.start()
         try:
-            replicate_runs(family, (-2.0, 2.0), 0.1, T, SgdSpec("1/t"), R, 3)
+            replicate_runs(family, (-2.0, 2.0), 0.1, T, (SgdSpec("1/t"),), R, 3, ((),))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -438,7 +441,8 @@ def test_binary_search_cell_memory_does_not_grow_with_budget(monkeypatch):
     for T in (10**3, 10**5):
         tracemalloc.start()
         try:
-            replicate_runs(family, (-2.0, 2.0), 0.1, T, BinarySearchSpec(1.5), R, 3)
+            replicate_runs(family, (-2.0, 2.0), 0.1, T, (BinarySearchSpec(1.5),), R, 3,
+                           ((),))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
