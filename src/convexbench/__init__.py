@@ -44,6 +44,7 @@ from .experiments import (
     SuperefficiencyReport,
     UniformDist,
     estimate_risk,
+    estimate_risks,
     fit_loglog_slope,
     function_id,
     superefficiency_experiment,

@@ -5,10 +5,11 @@ derivative readings at the interval midpoint each round, and projected
 stochastic gradient descent with 1/t or 1/sqrt(t) step sizes.
 
 Each is written once, as ``run_binary_search`` and ``run_sgd``, over an
-``OracleBatch`` of R independent replicates advanced in lockstep.  The
-experiment harness calls them with R replicates; ``sign_test_binary_search``
-and ``sgd`` run them on a one-replicate batch and turn the optional trace
-into ``RoundRecord``s.  ``BinarySearchSpec`` and ``SgdSpec`` are the only
+``OracleBatch`` of R independent replicates advanced in lockstep, on arrays
+of the batch's ``shape``: (R,), or (P, R) when P functions share the batch's
+noise.  The experiment harness calls them with R replicates;
+``sign_test_binary_search`` and ``sgd`` run them on a one-replicate batch and
+turn the optional trace into ``RoundRecord``s.  ``BinarySearchSpec`` and ``SgdSpec`` are the only
 parameter types; the search or projection interval is an argument of the run.
 
 The binary search stores its interval as (left endpoint, width) and halves
@@ -153,13 +154,13 @@ def run_binary_search(
     those averages without holding all R x T0 readings at once, so a round's
     memory is O(R + max(CHUNK_VALUES, T0)) whatever the budget and however
     many threads draw it.  The schedule (E, T0) comes from the batch's budget.
-    Returns the midpoints of the final intervals, shape (R,).  When ``trace``
-    is a list, each round appends (query points, mean readings, left ends
-    after the update, width).
+    Returns the midpoints of the final intervals, of the batch's shape (one
+    search per function and replicate).  When ``trace`` is a list, each round
+    appends (query points, mean readings, left ends after the update, width).
     """
     a0, b0 = _checked_interval(interval)
     E, T0 = epochs_schedule(batch.budget, spec.r)
-    a = np.full(batch.n_replicates, a0)
+    a = np.full(batch.shape, a0)
     width = b0 - a0
     for _ in range(E):
         x = a + 0.5 * width
@@ -181,20 +182,22 @@ def run_sgd(
     """Projected stochastic gradient descent using the whole oracle budget.
 
     The batch's replicates form one contiguous block of equal size per spec
-    in ``specs``, each block following its own spec.  Step t (starting at 1)
-    queries each replicate's current iterate and moves against the returned
-    noisy subgradient with its spec's step size scale/t or scale/sqrt(t).
-    Starts ``x0`` (shape (R,)) and iterates are projected onto the interval
-    before every query.  Returns the last iterates, or the running averages
-    of the query points for blocks whose spec has iterate == "average".
+    in ``specs``, along the last axis of the batch's shape, each block
+    following its own spec.  Step t (starting at 1) queries each replicate's
+    current iterate and moves against the returned noisy subgradient with its
+    spec's step size scale/t or scale/sqrt(t).  Starts ``x0`` (shape (R,),
+    broadcast to the batch's shape) and iterates are projected onto the
+    interval before every query.  Returns the last iterates, or the running
+    averages of the query points for blocks whose spec has iterate ==
+    "average", of the batch's shape.
     When ``trace`` is a list, each step appends (query points, readings).
     """
     lo, hi = _checked_interval(interval)
     T = batch.budget
     size = batch.n_replicates // len(specs)
-    blocks = [(slice(j * size, (j + 1) * size), spec) for j, spec in enumerate(specs)]
+    blocks = [(np.s_[..., j * size:(j + 1) * size], spec) for j, spec in enumerate(specs)]
     averaged = [block for block, spec in blocks if spec.iterate == "average"]
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    x = np.clip(np.full(batch.shape, x0, dtype=float), lo, hi)
     total = np.zeros_like(x)
     batch.begin_steps(T)
     for t in range(1, T + 1):

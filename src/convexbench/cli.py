@@ -48,7 +48,9 @@ from .experiments import (
     SgdSpec,
     SuperefficiencyReport,
     UniformDist,
+    check_superefficiency_inputs,
     estimate_risk,
+    estimate_risks,
     fit_loglog_slope,
     function_id,
     superefficiency_experiment,
@@ -225,9 +227,9 @@ def _make_dirs(*dirs: Path) -> bool:
     return True
 
 
-def _execute_run(settings: RunSettings, out_dir: Path, jobs: int) -> int:
+def _write_run(settings: RunSettings, table: RiskTable, out_dir: Path, jobs: int) -> int:
+    """Write a run's risk table, slopes, plot script and manifest; the exit code."""
     config = settings.config
-    table = estimate_risk(config, jobs=jobs)
     (out_dir / "risk.csv").write_text(risk_csv_text(table))
     slopes_text, unfit = slopes_csv_text(table)
     (out_dir / "slopes.csv").write_text(slopes_text)
@@ -275,7 +277,8 @@ def cmd_run(args) -> int:
     out_dir = _resolve_out(args.out, settings.output_dir)
     if not _make_dirs(out_dir):
         return EXIT_USAGE
-    return _execute_run(settings, out_dir, args.jobs)
+    return _write_run(settings, estimate_risk(settings.config, jobs=args.jobs), out_dir,
+                      args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +387,11 @@ def cmd_reproduce_fig2(parser, args) -> int:
     out_dirs = [out_base / settings.output_dir for settings in panels]
     if not _make_dirs(*out_dirs):  # every panel's directory before any panel runs
         return EXIT_USAGE
+    # the panels differ only in function: each unit runs once, over all six
+    tables = estimate_risks([settings.config for settings in panels], jobs=args.jobs)
     status = EXIT_OK
-    for settings, out_dir in zip(panels, out_dirs):
-        status = max(status, _execute_run(settings, out_dir, args.jobs))
+    for settings, table, out_dir in zip(panels, tables, out_dirs):
+        status = max(status, _write_run(settings, table, out_dir, args.jobs))
         print(f"panel {settings.output_dir}: artifacts in {out_dir}", file=sys.stderr)
     return status
 
@@ -418,6 +423,11 @@ def cmd_superefficiency(parser, args) -> int:
             estimator = BinarySearchSpec(r=args.r)
         else:
             estimator = SgdSpec(schedule=args.schedule)
+        check_superefficiency_inputs(estimator, args.delta, args.T, args.sigma,
+                                     args.replicates, args.modulus_scale)
+        # the directory before the run, and only once the inputs are known good
+        if args.out and not _make_dirs(Path(args.out)):
+            return EXIT_USAGE
         report = superefficiency_experiment(
             spec,
             estimator,
@@ -447,9 +457,7 @@ def cmd_superefficiency(parser, args) -> int:
         file=sys.stderr,
     )
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "superefficiency.csv").write_text(text)
+        (Path(args.out) / "superefficiency.csv").write_text(text)
     return EXIT_OK
 
 
@@ -471,7 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="epsilon grid as lo:hi:count (log-spaced)")
 
     p_fig = sub.add_parser("reproduce-fig2",
-                           help="run the six risk panels at sigma=0.1")
+                           help="run the six risk panels at sigma=0.1; each "
+                                "(algorithm, budget) unit runs once over all "
+                                "six, whose replicates share their noise")
     p_fig.add_argument("--replicates", type=int, default=1000)
     p_fig.add_argument("--out", help="output base directory")
     p_fig.add_argument("--seed", type=int, default=20250810)

@@ -13,21 +13,28 @@ use numpy's pairwise summation in canonical replicate order.
 A unit of work is a tuple of cells that share one ``OracleBatch``, R
 replicates per cell in contiguous per-cell blocks: at each budget T, the
 cells of every ``SgdSpec`` form one unit (a budget group), while each
-``BinarySearchSpec`` cell is a unit of its own.  Replicates run in lockstep
+``BinarySearchSpec`` cell is a unit of its own.  A unit also spans every
+config of an ``estimate_risks`` call, which differ only in their function:
+the spawn keys carry no function or panel index, and the draw counts (T steps,
+or E * T0 block queries) do not depend on the function, so those configs'
+replicates already draw the same minimizer locations, SGD starts and noise.
+The unit draws them once, on the batch's functions axis, and each function
+adds its own f'; no output byte changes.  Replicates run in lockstep
 through the algorithms' only implementations, ``algorithms.run_binary_search``
 and ``algorithms.run_sgd``.
-A replicate's result does not depend on how many replicates share its batch;
-the test suite checks it against plain scalar reference loops kept in
-``tests/``.  ``estimate_risk`` hands units to its process pool longest
-first, by T times the number of cells, so that no large unit starts last;
-rows come back in canonical (algorithm, budget) order.  ``BinarySearchSpec``
-and ``SgdSpec`` are defined in ``algorithms`` and re-exported here.
+A replicate's result does not depend on how many replicates or functions
+share its batch; the test suite checks it against plain scalar reference
+loops kept in ``tests/``.  ``estimate_risks`` hands units to one process
+pool of at most one worker per unit, longest first, by T times the number of
+cells, so that no large unit starts last; rows come back in canonical
+(algorithm, budget) order.  ``BinarySearchSpec`` and ``SgdSpec`` are defined
+in ``algorithms`` and re-exported here.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -67,7 +74,9 @@ __all__ = [
     "SlopeFit",
     "SuperefficiencyReport",
     "TiltedAlternative",
+    "check_superefficiency_inputs",
     "estimate_risk",
+    "estimate_risks",
     "fit_loglog_slope",
     "replicate_runs",
     "two_point_floor",
@@ -198,8 +207,18 @@ class SlopeFit:
 # ---------------------------------------------------------------------------
 
 
+def _minimizers_drawn(functions: tuple[FunctionSpec | FunctionFamily, ...]) -> bool:
+    """Whether the functions draw their minimizers per replicate (families),
+    which they must do all alike: a family's replicates draw one value more."""
+    drawn = {isinstance(f, FunctionFamily) for f in functions}
+    if len(drawn) != 1:
+        raise ValueError("functions that share replicates must all be families "
+                         "or all be fixed specs")
+    return drawn.pop()
+
+
 def _draw_environment(
-    function: FunctionSpec | FunctionFamily,
+    functions: tuple[FunctionSpec | FunctionFamily, ...],
     algs: tuple[AlgorithmSpec, ...],
     initial_interval: tuple[float, float],
     env_seeds,
@@ -210,10 +229,13 @@ def _draw_environment(
     replicate: the minimizer location first (families only), then the SGD
     starting point (uniform starts only).  Each draw is ``Generator.uniform``
     computed from one raw PCG64 output: lo + (hi - lo) * (top 53 bits / 2^53).
+    Every function reads the same raw outputs; the minimizer draws have one
+    row per function.
     """
     R = len(env_seeds) // len(algs)
     uniform = [isinstance(alg, SgdSpec) and alg.x0 == UNIFORM_START for alg in algs]
-    n = isinstance(function, FunctionFamily) + any(uniform)
+    family = _minimizers_drawn(functions)
+    n = family + any(uniform)
     if n:  # a replicate whose start is fixed leaves its last draw unused
         raw = np.array([np.random.PCG64(ss).random_raw(n) for ss in env_seeds])
         u = (raw >> 11) * 2.0**-53
@@ -222,8 +244,8 @@ def _draw_environment(
         return float(lo) + (float(hi) - float(lo)) * u[:, col]
 
     xstar = None
-    if isinstance(function, FunctionFamily):
-        xstar = draws(function.x_star.lo, function.x_star.hi, 0)
+    if family:
+        xstar = np.array([draws(f.x_star.lo, f.x_star.hi, 0) for f in functions])
     if not isinstance(algs[0], SgdSpec):
         return xstar, None
     starts = draws(*initial_interval, n - 1) if any(uniform) else None
@@ -233,7 +255,7 @@ def _draw_environment(
 
 
 def replicate_runs(
-    function: FunctionSpec | FunctionFamily,
+    functions: tuple[FunctionSpec | FunctionFamily, ...],
     initial_interval: tuple[float, float],
     sigma: float,
     T: int,
@@ -246,13 +268,17 @@ def replicate_runs(
 
     ``algs`` holds one BinarySearchSpec or the SgdSpecs of one budget group,
     and ``keys`` one cell key per spec; the cells run as contiguous blocks of
-    one batch.  Replicate r of the cell with key k draws its environment and
-    noise from the streams ``SeedSequence(master_seed, spawn_key=(*k, r,
-    0|1))``, whose words ``replicate_seeds`` computes for the whole cell at
-    once.  Returns (estimates, minimizer draws or None), each of shape
-    (cells, replicates); each replicate's estimate is the one it would get
-    run alone on its own seeds.  Raises ScheduleError when the budget cannot
-    support the round schedule.
+    one batch.  ``functions`` are the functions the unit runs on, all
+    families or all fixed specs; one function is the P = 1 case.  Replicate
+    r of the cell with key k draws its environment and noise from the streams
+    ``SeedSequence(master_seed, spawn_key=(*k, r, 0|1))``, whose words
+    ``replicate_seeds`` computes for the whole cell at once; the key names no
+    function, so one draw serves every function, on the batch's functions
+    axis.  Returns (estimates, minimizer draws or None), each of shape
+    (functions, cells, replicates); each replicate's estimate is the one it
+    would get run alone, on one function and its own seeds.  Raises
+    ScheduleError when the budget cannot support the round schedule, and
+    ValueError when the functions mix families with fixed specs.
     """
     if isinstance(algs[0], BinarySearchSpec):
         (bs,) = algs  # a binary search runs on a batch of its own
@@ -260,27 +286,30 @@ def replicate_runs(
     env_seeds, noise_seeds = (
         [ss for k in keys for ss in replicate_seeds(master_seed, k, replicates, stream)]
         for stream in (0, 1))
-    xstar, x0 = _draw_environment(function, algs, initial_interval, env_seeds)
-    template = function.template if isinstance(function, FunctionFamily) else function
-    batch = OracleBatch(template, xstar, initial_interval, sigma, T, noise_seeds)
+    xstar, x0 = _draw_environment(functions, algs, initial_interval, env_seeds)
+    specs = tuple(f.template if isinstance(f, FunctionFamily) else f for f in functions)
+    batch = OracleBatch(specs, xstar, initial_interval, sigma, T, noise_seeds)
     if isinstance(algs[0], BinarySearchSpec):
         estimates = run_binary_search(batch, algs[0], initial_interval)
     else:
         estimates = run_sgd(batch, algs, x0, initial_interval)
-    shape = (len(algs), replicates)
+    shape = (len(functions), len(algs), replicates)
     return estimates.reshape(shape), None if xstar is None else xstar.reshape(shape)
 
 
-def _replicate_errors(function: FunctionSpec | FunctionFamily,
+def _replicate_errors(functions: tuple[FunctionSpec | FunctionFamily, ...],
                       initial_interval: tuple[float, float], *args) -> np.ndarray:
     """Per-replicate distances to the minimizer of the estimates of
-    ``replicate_runs(function, initial_interval, *args)``, of their shape."""
-    estimates, xstar = replicate_runs(function, initial_interval, *args)
-    if isinstance(function, FunctionFamily):
-        minimizers = minimizer_interval(function.template, initial_interval, xstar)
-    else:  # one interval, broadcast over the replicates
-        minimizers = minimizer_interval(function, initial_interval)
-    return distance((estimates, estimates), minimizers)
+    ``replicate_runs(functions, initial_interval, *args)``, of their shape."""
+    estimates, xstar = replicate_runs(functions, initial_interval, *args)
+    errors = np.empty_like(estimates)
+    for p, function in enumerate(functions):
+        if isinstance(function, FunctionFamily):
+            minimizers = minimizer_interval(function.template, initial_interval, xstar[p])
+        else:  # one interval, broadcast over the replicates
+            minimizers = minimizer_interval(function, initial_interval)
+        errors[p] = distance((estimates[p], estimates[p]), minimizers)
+    return errors
 
 
 def _mean_stderr(errs: np.ndarray) -> tuple[float, float]:
@@ -290,44 +319,67 @@ def _mean_stderr(errs: np.ndarray) -> tuple[float, float]:
     return float(np.mean(errs)), stderr
 
 
-def _unit_rows(config: ExperimentConfig, a_idxs: tuple[int, ...],
-               t_idx: int) -> list[RiskRow]:
-    """Risk rows of one unit of work at budget index t_idx: the cell of one
-    binary search, or the budget group of the SGD algorithms a_idxs."""
-    algs = tuple(config.algorithms[a] for a in a_idxs)
-    T = config.T_grid[t_idx]
-    fn_id = function_id(config.function)
+def _unit_rows(configs: tuple[ExperimentConfig, ...], a_idxs: tuple[int, ...],
+               t_idx: int) -> list[list[RiskRow]]:
+    """Risk rows, per config, of one unit of work at budget index t_idx: the
+    cell of one binary search, or the budget group of the SGD algorithms
+    a_idxs, on every config's function at once."""
+    first = configs[0]
+    algs = tuple(first.algorithms[a] for a in a_idxs)
+    T = first.T_grid[t_idx]
+    fn_ids = [function_id(c.function) for c in configs]
     try:
-        errs = _replicate_errors(config.function, config.initial_interval, config.sigma,
-                                 T, algs, config.replicates, config.master_seed,
+        errs = _replicate_errors(tuple(c.function for c in configs),
+                                 first.initial_interval, first.sigma, T, algs,
+                                 first.replicates, first.master_seed,
                                  tuple((a, t_idx) for a in a_idxs))
     except ScheduleError:
-        return [RiskRow(fn_id, alg.algorithm_id, T, None, None, 0) for alg in algs]
-    return [RiskRow(fn_id, alg.algorithm_id, T, *_mean_stderr(e), len(e))
-            for alg, e in zip(algs, errs)]
+        return [[RiskRow(fn_id, alg.algorithm_id, T, None, None, 0) for alg in algs]
+                for fn_id in fn_ids]
+    return [[RiskRow(fn_id, alg.algorithm_id, T, *_mean_stderr(e), len(e))
+             for alg, e in zip(algs, fn_errs)] for fn_id, fn_errs in zip(fn_ids, errs)]
 
 
-def estimate_risk(config: ExperimentConfig, jobs: int = 1) -> RiskTable:
-    """Monte-Carlo risk table over all (algorithm, budget) cells.
+def estimate_risks(configs, jobs: int = 1) -> list[RiskTable]:
+    """Monte-Carlo risk tables, one per config in order, of configs that
+    differ only in their function.
 
-    Deterministic given the master seed: independent of ``jobs`` and of the
-    order in which units of work run.  Cells whose schedule is infeasible
-    appear with mean_err = None rather than crashing the run.
+    Each (algorithm, budget) unit runs once, over every config's function,
+    and each table equals its config's ``estimate_risk``.  Deterministic
+    given the master seed: independent of ``jobs`` and of the order in which
+    units of work run.  Cells whose schedule is infeasible appear with
+    mean_err = None rather than crashing the run.  Raises ValueError when the
+    configs differ in anything but ``function``, or mix families with fixed
+    specs.
     """
-    n_a, n_t = len(config.algorithms), len(config.T_grid)
-    sgd = tuple(a for a in range(n_a) if isinstance(config.algorithms[a], SgdSpec))
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    first = configs[0]
+    if any(replace(c, function=first.function) != first for c in configs):
+        raise ValueError("configs that share their runs may differ only in function")
+    n_a, n_t = len(first.algorithms), len(first.T_grid)
+    sgd = tuple(a for a in range(n_a) if isinstance(first.algorithms[a], SgdSpec))
     units = [((a,), t) for a in range(n_a) if a not in sgd for t in range(n_t)]
     units += [(sgd, t) for t in range(n_t)] if sgd else []
     # longest first, so that no large unit starts last and leaves cores idle
-    units.sort(key=lambda u: config.T_grid[u[1]] * len(u[0]), reverse=True)
+    units.sort(key=lambda u: first.T_grid[u[1]] * len(u[0]), reverse=True)
     if jobs <= 1 or len(units) <= 1:
-        results = [_unit_rows(config, a_idxs, t) for a_idxs, t in units]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(partial(_unit_rows, config), *zip(*units)))
-    rows = {(a, t): row for (a_idxs, t), unit in zip(units, results)
-            for a, row in zip(a_idxs, unit)}
-    return RiskTable(tuple(rows[a, t] for a in range(n_a) for t in range(n_t)))
+        results = [_unit_rows(configs, a_idxs, t) for a_idxs, t in units]
+    else:  # fork starts every worker at once: no more than there are units
+        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as ex:
+            results = list(ex.map(partial(_unit_rows, configs), *zip(*units)))
+    rows = {(p, a, t): row for (a_idxs, t), unit in zip(units, results)
+            for p, fn_rows in enumerate(unit) for a, row in zip(a_idxs, fn_rows)}
+    return [RiskTable(tuple(rows[p, a, t] for a in range(n_a) for t in range(n_t)))
+            for p in range(len(configs))]
+
+
+def estimate_risk(config: ExperimentConfig, jobs: int = 1) -> RiskTable:
+    """Monte-Carlo risk table over all (algorithm, budget) cells of one
+    config: the one-config case of ``estimate_risks``."""
+    (table,) = estimate_risks((config,), jobs)
+    return table
 
 
 def fit_loglog_slope(
@@ -423,9 +475,31 @@ def _estimator_risk(target: ConvexFunction1D, estimator, sigma: float, T: int,
     if isinstance(estimator, ConstantEstimator):
         x = estimator.x_hat
         return float(distance((x, x), target.minimizer_set)), 0.0
-    (errs,) = _replicate_errors(target.spec, target.domain, sigma, T, (estimator,),
-                                replicates, master_seed, (key,))
+    ((errs,),) = _replicate_errors((target.spec,), target.domain, sigma, T, (estimator,),
+                                   replicates, master_seed, (key,))
     return _mean_stderr(errs)
+
+
+def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
+                                 replicates: int, modulus_scale: float = 1.0):
+    """Raise ValueError for inputs ``superefficiency_experiment`` cannot run,
+    before anything is drawn: a delta outside (0, DELTA_MAX), a budget below
+    1, no replicate, a sigma or modulus_scale out of range, or a budget too
+    small for a binary search's rounds."""
+    if not 0.0 < delta < DELTA_MAX:
+        raise ValueError(
+            f"delta must lie in (0, {DELTA_MAX:.6f}), got {delta}"
+        )
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not (math.isfinite(modulus_scale) and modulus_scale > 0):
+        raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
+    if isinstance(estimator, BinarySearchSpec):
+        epochs_schedule(T, estimator.r)
 
 
 def superefficiency_experiment(
@@ -450,18 +524,7 @@ def superefficiency_experiment(
     asserted, it is descriptive output.  The estimator's replicates at f, g+
     and g- draw from the streams of cell keys (0,), (1,) and (2,).
     """
-    if not 0.0 < delta < DELTA_MAX:
-        raise ValueError(
-            f"delta must lie in (0, {DELTA_MAX:.6f}), got {delta}"
-        )
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if not (math.isfinite(modulus_scale) and modulus_scale > 0):
-        raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
+    check_superefficiency_inputs(estimator, delta, T, sigma, replicates, modulus_scale)
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
     f = build_function(spec, initial_interval)
     risk_f, se_f = _estimator_risk(f, estimator, sigma, T, replicates, master_seed, (0,))

@@ -10,15 +10,20 @@ lockstep, replicate r answering from its own stream seeded by a pure
 function of (master_seed, replicate index) via ``numpy.random.SeedSequence``
 spawn keys, whose words ``replicate_seeds`` computes for a whole cell at
 once.  Sigma, budget, domain and NaN checks and noise draws live there only;
-a single run is the one-replicate batch.  Step noise (``begin_steps``) comes
+a single run is the one-replicate batch.  A batch may also carry a functions
+axis: given a tuple of P specs it takes points of shape (P, R), and replicate
+r's one noise draw per query serves all P functions, function p adding its
+own f' at its own point (common random numbers: each function reads exactly
+what it would read in a batch of its own).  Step noise (``begin_steps``) comes
 in chunks of at most ``STEP_CHUNK`` steps and ``CHUNK_VALUES`` values, n-query
-block noise in tiles of at most max(``CHUNK_VALUES``, n) values, so noise
-memory is bounded whatever the budget and replicates; sigma scales each chunk
-or tile once as it is drawn.  Rows of at least ``THREAD_MIN_ROW`` queries are
-read on one thread per usable core, each filling its own slice of the buffer
-(numpy drops the GIL as it draws); results do not depend on the thread count.
-On two cores, two threads drew rows of 262 values at 0.6x the speed of one, of
-769 at 1.5x and of 2,048 at 1.7x.
+block noise in tiles of at most max(``CHUNK_VALUES``, n) values, shared with
+the readings of one function when P > 1, so noise memory is bounded whatever
+the budget, replicates and functions; sigma scales each chunk or tile once as
+it is drawn.  Rows of at least ``THREAD_MIN_ROW`` queries are read on one
+thread per usable core, each filling its own slice of the buffer (numpy drops
+the GIL as it draws); results do not depend on the thread count.  On two
+cores, two threads drew rows of 262 values at 0.6x the speed of one, of 769 at
+1.5x and of 2,048 at 1.7x.
 """
 from __future__ import annotations
 
@@ -122,17 +127,31 @@ def replicate_seeds(master_seed: int, key: tuple[int, ...], replicates: int,
     return list(map(_replicate_seed_type(), words))
 
 
+def _subgrads(specs: tuple[FunctionSpec, ...], x_star: np.ndarray | None,
+              x: np.ndarray) -> np.ndarray:
+    """Row p: spec p's min-norm subgradient at row p of x, its minimizer moved
+    to row p of x_star when x_star is given; a fresh (P, R) array."""
+    g = np.empty_like(x)
+    for p, spec in enumerate(specs):
+        g[p] = subgrad_spec(spec, x[p], None if x_star is None else x_star[p])
+    return g
+
+
 class OracleBatch:
     """Many independent oracles advanced in lockstep.
 
     Replicate r answers from its own stream seeded by ``seeds[r]``, as if it
     were queried alone, so the same seeds and query points replay bit for
     bit.  The budget applies per replicate (all replicates consume together).
+    ``spec`` is one function, queried at points of shape (R,), or a tuple of
+    P functions, queried at points of shape (P, R) that share each noise
+    draw; ``x_star``, when given, moves each minimizer and has the points'
+    shape.  Readings take the shape of the points, ``shape``.
     """
 
     def __init__(
         self,
-        spec: FunctionSpec,
+        spec: FunctionSpec | tuple[FunctionSpec, ...],
         x_star: np.ndarray | None,
         domain: tuple[float, float],
         sigma: float,
@@ -140,7 +159,13 @@ class OracleBatch:
         seeds: list[ISeedSequence],
     ):
         self.spec = spec
+        many = isinstance(spec, tuple)
+        specs = spec if many else (spec,)
+        self.n_replicates = len(seeds)
+        self.shape = (len(specs), self.n_replicates) if many else (self.n_replicates,)
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
+        if self.x_star is not None and self.x_star.shape != self.shape:
+            raise ValueError(f"x_star needs shape {self.shape}, got {self.x_star.shape}")
         a, b = self.domain = (float(domain[0]), float(domain[1]))
         if not -math.inf < a < b < math.inf:
             raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
@@ -152,12 +177,13 @@ class OracleBatch:
         self.budget = int(budget)
         self.queries_used = 0
         self._gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-        self.n_replicates = len(seeds)
-        self._subgrad = partial(subgrad_spec, spec, x_star=self.x_star)
+        x_rows = None if x_star is None else self.x_star.reshape(len(specs), -1)
+        # a module function, not a method: the batch holds no reference to itself
+        self._subgrad = partial(_subgrads, specs, x_rows)
         self._steps = np.empty((0, self.n_replicates))  # drawn step noise, (chunk, R)
         self._step_pos = 0  # next unread row of _steps
         self._steps_ahead = 0  # reserved steps whose noise is not drawn yet
-        self._block = np.empty(0)  # block readings of one tile, reused
+        self._block = np.empty(0)  # block noise and readings of one tile, reused
 
     def _take(self, n: int):
         if n < 1:
@@ -168,13 +194,17 @@ class OracleBatch:
                 f"{n} more requested"
             )
 
-    def _check_domain(self, x: np.ndarray):
-        if x.shape != (self.n_replicates,):  # one point per replicate
-            raise ValueError(f"x needs shape ({self.n_replicates},), got {x.shape}")
+    def _rows(self, x) -> np.ndarray:
+        """The points x as (P, R) rows, one per function, once their shape and
+        domain are checked."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.shape:  # one point per function and replicate
+            raise ValueError(f"x needs shape {self.shape}, got {x.shape}")
         a, b = self.domain
         if not (x.min() >= a and x.max() <= b):  # also false on NaN
             bad = x[~((x >= a) & (x <= b))][0]
             raise DomainError(f"x={bad} outside domain [{a}, {b}]")
+        return x.reshape(-1, self.n_replicates)
 
     def _noise_rows(self, z: np.ndarray, first: int) -> np.ndarray:
         """Draw replicate first + j's next noise into row j of z; returns them."""
@@ -192,27 +222,33 @@ class OracleBatch:
         return z
 
     def query_block_all(self, x: np.ndarray, n: int) -> np.ndarray:
-        """n queries at per-replicate points x (shape (R,)); returns the means.
+        """n queries at the points x (of shape ``shape``); returns the means.
 
-        Checks and charges the n queries before any draw, then draws the
-        readings in tiles of at most max(CHUNK_VALUES, n) values, one reused
-        buffer, and averages each tile's rows into the result.  From n =
-        THREAD_MIN_ROW on, one thread per usable core reads a share of them.
+        Checks and charges the n queries before any draw, then draws each
+        replicate's readings once for every function, in tiles of at most
+        max(CHUNK_VALUES, n) values held in one reused buffer: with P > 1
+        functions a tile has half the rows, the other half of the buffer
+        holding one function's readings at a time.  Each function's row means
+        are taken over the same C-contiguous rows as in a batch of its own.
+        From n = THREAD_MIN_ROW on, one thread per usable core reads a share
+        of the replicates.
         """
         self._take(n)
-        x = np.asarray(x, dtype=float)
-        self._check_domain(x)
+        x = self._rows(x)
         g = self._subgrad(x)
         self.queries_used += n
-        tile = min(max(CHUNK_VALUES // n, 1), self.n_replicates)
-        if self._block.size < tile * n:
-            self._block = np.empty(tile * n)
-        means = np.empty(self.n_replicates)
+        buffers = min(len(g), 2)  # the noise, and one function's readings
+        tile = min(max(CHUNK_VALUES // (buffers * n), 1), self.n_replicates)
+        if self._block.size < buffers * tile * n:
+            self._block = np.empty(buffers * tile * n)
+        means = np.empty(g.shape)
         threads = min(usable_cores(), tile) if n >= THREAD_MIN_ROW else 1
-        tiles = self._block[:tile // threads * threads * n].reshape(threads, -1, n)
+        rows = tile // threads * threads * n
+        blocks = self._block[:buffers * rows].reshape(buffers, threads, -1, n)
+        tiles, spares = blocks[0], blocks[-1]
         ends = [self.n_replicates * k // threads for k in range(threads + 1)]
-        shares = [partial(self._read_share, *share, g, means)
-                  for share in zip(tiles, ends, ends[1:])]
+        shares = [partial(self._read_share, tile, lo, hi, spare, g, means)
+                  for tile, spare, lo, hi in zip(tiles, spares, ends, ends[1:])]
         if threads == 1:
             shares[0]()
         else:
@@ -221,15 +257,23 @@ class OracleBatch:
                 shares[0]()
                 for f in futures:
                     f.result()  # re-raises a thread's failure
-        return means
+        return means.reshape(self.shape)
 
-    def _read_share(self, tile, lo, hi, g, means):
-        """Mean readings of replicates lo..hi-1 into means, a tile at a time."""
+    def _read_share(self, tile, lo, hi, spare, g, means):
+        """Mean readings of replicates lo..hi-1 into means, a tile at a time.
+
+        Each tile of noise is drawn and scaled once; function p's readings,
+        its subgradients plus that noise, are formed in spare, the last
+        function's in the tile itself (spare is the tile when P = 1).
+        """
         for i in range(lo, hi, len(tile)):
             z = self._noise_rows(tile[:hi - i], i)
             z *= self.sigma
-            z += g[i:i + len(z), None]
-            z.mean(axis=1, out=means[i:i + len(z)])
+            rows = slice(i, i + len(z))
+            for p in range(len(g)):
+                readings = z if p == len(g) - 1 else spare[:len(z)]
+                np.add(z, g[p, rows, None], out=readings)
+                readings.mean(axis=1, out=means[p, rows])
 
     def begin_steps(self, n: int):
         """Reserve the next n single-point queries per replicate.
@@ -244,18 +288,20 @@ class OracleBatch:
         self._steps_ahead = n
 
     def query_all(self, x: np.ndarray) -> np.ndarray:
-        """One query per replicate at points x (shape (R,)); returns (R,).
+        """One query per function and replicate at the points x (of shape
+        ``shape``); returns the readings, of that shape.
 
+        Replicate r's one noise value of this step is added to every
+        function's subgradient; the shared chunk of noise is left as drawn.
         The result is the caller's own array, free to update in place.
         """
         self._take(1)
-        x = np.asarray(x, dtype=float)
-        self._check_domain(x)
-        g = self._subgrad(x)
+        g = self._subgrad(self._rows(x))
         if self._step_pos == len(self._steps):
             # a query beyond the reserved steps draws for itself alone
             cap = max(min(STEP_CHUNK, CHUNK_VALUES // self.n_replicates), 1)
             n = min(max(self._steps_ahead, 1), cap)
+            self._steps = None  # readings are fresh arrays: the spent chunk can go first
             self._steps = self._step_chunk(n)
             self._steps *= self.sigma
             self._step_pos = 0
@@ -263,5 +309,5 @@ class OracleBatch:
         z = self._steps[self._step_pos]
         self._step_pos += 1
         self.queries_used += 1
-        z += g
-        return z
+        g += z  # g is fresh: z + g, bit for bit
+        return g.reshape(self.shape)

@@ -140,6 +140,35 @@ def test_import_loads_no_numpy_random():
     assert imported_after_cli("numpy.random") == "[]\n"
 
 
+SUPEREFFICIENCY = ["superefficiency", "--fn", "sym-power", "--k", "2", "--delta", "0.1",
+                   "--replicates", "2", "--T", "100"]
+
+
+def test_superefficiency_unusable_output_directory_fails_before_the_run(tmp_path,
+                                                                       monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(cli, "superefficiency_experiment", no_run)
+    (tmp_path / "file").write_text("")
+    blocked = tmp_path / "file" / "sub"
+    assert cli.main([*SUPEREFFICIENCY, "--out", str(blocked)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot create {blocked}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--delta", "0.5"], ["--T", "0"], ["--replicates", "0"], ["--sigma", "-1"],
+    ["--modulus-scale", "0"], ["--estimator", "binary-search", "--T", "1"],
+], ids=["delta", "T", "replicates", "sigma", "modulus-scale", "schedule"])
+def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys):
+    out = tmp_path / "new" / "sub"
+    assert cli.main([*SUPEREFFICIENCY, *flags, "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+
+
 class TestManifestRerun:
     def test_reproduces_outputs(self, tmp_path):
         assert run(tmp_path, CONFIG, "first", "--jobs", "1") == cli.EXIT_OK
@@ -158,6 +187,18 @@ class TestManifestRerun:
                 new = json.loads(again["manifest.json"])
                 assert (old.pop("jobs_hint"), new.pop("jobs_hint")) == (1, 2)
                 assert new == old
+
+    def test_reproduces_each_fig2_panel(self, tmp_path):
+        # the panels run together, each panel's manifest reruns it alone
+        base = tmp_path / "fig2"
+        assert cli.main(["reproduce-fig2", "--replicates", "20", "--seed", "5",
+                         "--jobs", "1", "--out", str(base)]) == cli.EXIT_OK
+        for name, _ in cli.FIG2_PANELS:
+            again = tmp_path / "rerun" / name
+            assert cli.main(["run", str(base / name / "manifest.json"), "--out", str(again),
+                             "--jobs", "1"]) == cli.EXIT_OK
+            for artifact in ("risk.csv", "slopes.csv"):
+                assert (again / artifact).read_bytes() == (base / name / artifact).read_bytes()
 
 
 def test_superefficiency_csv_file_matches_stdout(tmp_path, capsys):
@@ -329,7 +370,8 @@ def test_unusable_output_directory_fails_before_any_cell(command, tmp_path, monk
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(cli, "estimate_risk", no_cell)
+    for name in ("estimate_risk", "estimate_risks"):
+        monkeypatch.setattr(cli, name, no_cell)
     if command == "run":  # a regular file where a parent directory should be
         (tmp_path / "file").write_text("")
         blocked = tmp_path / "file" / "sub"

@@ -2,6 +2,7 @@
 slope fits, the two-point risk floor."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,20 +15,24 @@ from convexbench import (
     ExperimentConfig,
     FieldError,
     FunctionFamily,
+    PiecewiseLinear,
     RiskRow,
     RiskTable,
     ScheduleError,
     SgdSpec,
     SymmetricPower,
+    Tilt,
     UniformDist,
     build_function,
     estimate_risk,
+    estimate_risks,
     fit_loglog_slope,
     replicate_seed,
     superefficiency_experiment,
     two_point_floor,
     with_x_star,
 )
+from convexbench import experiments
 from convexbench.experiments import function_id, replicate_runs
 from convexbench.oracle import STEP_CHUNK
 
@@ -98,7 +103,8 @@ class TestReplicateRuns:
     @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES)
     def test_matches_scalar_sessions_bitwise(self, family, alg, T):
         def batched():
-            return replicate_runs(family, INTERVAL, SIGMA, T, (alg,), R, SEED, (KEY,))
+            return tuple(v[0] for v in replicate_runs((family,), INTERVAL, SIGMA, T, (alg,),
+                                                      R, SEED, (KEY,)))
 
         if isinstance(alg, BinarySearchSpec) and T == 1:
             with pytest.raises(ScheduleError):
@@ -116,8 +122,8 @@ class TestReplicateRuns:
     @pytest.mark.parametrize("seed, key", SEEDINGS.values(), ids=SEEDINGS)
     def test_seedings_match_scalar_sessions_bitwise(self, seed, key, alg):
         family, T = FAMILIES["asym-1.5-3"], 100
-        (estimates,), (x_stars,) = replicate_runs(family, INTERVAL, SIGMA, T, (alg,), R,
-                                                  seed, (key,))
+        (estimates,), (x_stars,) = (v[0] for v in replicate_runs((family,), INTERVAL, SIGMA,
+                                                                 T, (alg,), R, seed, (key,)))
         want = [scalar_run(family, alg, T, rep, seed, key) for rep in range(R)]
         assert np.array_equal(x_stars, [w[1] for w in want])
         assert np.array_equal(estimates, [w[0] for w in want])
@@ -179,12 +185,12 @@ class TestBudgetGroups:
         algs = tuple(a for a in GROUP_ALGORITHMS if isinstance(a, SgdSpec))
         keys = tuple((a, 5) for a in range(len(algs)))
         family, T = FAMILIES["sym-k1.5"], 50
-        estimates, x_stars = replicate_runs(family, INTERVAL, SIGMA, T, algs, R, SEED,
-                                            keys)
+        estimates, x_stars = (v[0] for v in replicate_runs((family,), INTERVAL, SIGMA, T,
+                                                           algs, R, SEED, keys))
         assert estimates.shape == x_stars.shape == (len(algs), R)
         for alg, key, est, xs in zip(algs, keys, estimates, x_stars):
-            alone = [v[0] for v in replicate_runs(family, INTERVAL, SIGMA, T, (alg,), R,
-                                                  SEED, (key,))]
+            alone = [v[0][0] for v in replicate_runs((family,), INTERVAL, SIGMA, T, (alg,),
+                                                     R, SEED, (key,))]
             assert np.array_equal(est, alone[0])
             assert np.array_equal(xs, alone[1])
 
@@ -209,7 +215,7 @@ class TestBudgetGroups:
         monkeypatch.setattr("convexbench.oracle.CHUNK_VALUES", chunk_values)
 
         def run(T):
-            replicate_runs(FAMILIES["sym-k1.5"], INTERVAL, SIGMA, T, algs, R, 3,
+            replicate_runs((FAMILIES["sym-k1.5"],), INTERVAL, SIGMA, T, algs, R, 3,
                            ((0, 0), (1, 0)))
 
         run(10)  # one-time allocations land outside both traced runs
@@ -222,6 +228,98 @@ class TestBudgetGroups:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 * chunk_values * 8
+
+
+# functions that share a unit's replicates: families (one with a tilted
+# template and a minimizer law of its own), and fixed specs (one with no x_star)
+SHARED_FUNCTIONS = {
+    "families": (FAMILIES["sym-k1.5"], FAMILIES["asym-1.5-3"],
+                 FunctionFamily(Tilt(SymmetricPower(2.0), 0.05), UniformDist(-0.5, 1.0))),
+    "fixed": (SymmetricPower(2.0, x_star=0.3), Tilt(AsymmetricPower(1.5, 3.0, -0.2), -0.05),
+              PiecewiseLinear((-0.5, 0.5), (-1.0, 0.0, 2.0))),
+}
+UNITS = {  # the SGD group holds an averaged spec and a numeric start
+    "binary-search": (BinarySearchSpec(r=1.5),),
+    "sgd-group": tuple(a for a in GROUP_ALGORITHMS if isinstance(a, SgdSpec)),
+}
+
+
+class TestFunctionsAxis:
+    @pytest.mark.parametrize("algs", UNITS.values(), ids=UNITS)
+    @pytest.mark.parametrize("functions", SHARED_FUNCTIONS.values(), ids=SHARED_FUNCTIONS)
+    def test_rows_equal_one_function_runs(self, functions, algs):
+        keys, T, R = tuple((a, 2) for a in range(len(algs))), 300, 10
+        estimates, x_stars = replicate_runs(functions, INTERVAL, SIGMA, T, algs, R, SEED,
+                                            keys)
+        assert estimates.shape == (len(functions), len(algs), R)
+        for p, function in enumerate(functions):
+            alone, alone_x_stars = replicate_runs((function,), INTERVAL, SIGMA, T, algs, R,
+                                                  SEED, keys)
+            assert np.array_equal(estimates[p], alone[0])
+            if x_stars is None:
+                assert alone_x_stars is None
+            else:
+                assert np.array_equal(x_stars[p], alone_x_stars[0])
+
+    @staticmethod
+    def configs(functions):
+        return [ExperimentConfig(f, GROUP_ALGORITHMS, (1, 10, 100), R, SIGMA, SEED, INTERVAL)
+                for f in functions]
+
+    @pytest.mark.parametrize("functions", SHARED_FUNCTIONS.values(), ids=SHARED_FUNCTIONS)
+    def test_tables_equal_each_config_run_alone(self, functions):
+        # T = 1 leaves the binary search a missing cell in every table
+        configs = self.configs(functions)
+        tables = estimate_risks(configs, jobs=1)
+        assert tables == estimate_risks(configs, jobs=2)
+        assert tables == [estimate_risk(c) for c in configs]
+
+    @pytest.mark.parametrize("change", [
+        {"sigma": 0.2}, {"replicates": R + 1}, {"master_seed": SEED + 1},
+        {"T_grid": (1, 10)}, {"algorithms": GROUP_ALGORITHMS[:2]},
+        {"initial_interval": (-1.0, 2.0)},
+    ])
+    def test_configs_may_differ_only_in_function(self, change):
+        config, other = self.configs(SHARED_FUNCTIONS["families"][:2])
+        with pytest.raises(ValueError, match="differ only in function"):
+            estimate_risks([config, replace(other, **change)])
+
+    def test_families_and_fixed_specs_share_no_replicates(self):
+        # a family's replicates draw one value more, so their SGD starts differ
+        family, fixed = SHARED_FUNCTIONS["families"][0], SHARED_FUNCTIONS["fixed"][0]
+        with pytest.raises(ValueError, match="all be families or all be fixed"):
+            estimate_risks(self.configs((family, fixed)))
+        with pytest.raises(ValueError, match="all be families or all be fixed"):
+            replicate_runs((fixed, family), INTERVAL, SIGMA, 10, UNITS["sgd-group"], R,
+                           SEED, ((0, 0), (1, 0), (2, 0)))
+        with pytest.raises(ValueError, match="at least one config"):
+            estimate_risks([])
+
+
+def test_pool_has_no_more_workers_than_units(monkeypatch):
+    workers = []
+
+    class SerialPool:  # records its size and maps in this process
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # one binary-search unit and one SGD budget group at each of two budgets
+    config = ExperimentConfig(FAMILIES["sym-k1.5"], GROUP_ALGORITHMS, (10, 100), R,
+                              SIGMA, SEED, INTERVAL)
+    assert estimate_risk(config, jobs=32) == estimate_risk(config, jobs=1)
+    assert workers == [4]
+    estimate_risk(config, jobs=3)
+    assert workers == [4, 3]
 
 
 def test_loglog_slope_matches_scipy_linregress_bitwise():

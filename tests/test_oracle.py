@@ -1,7 +1,9 @@
 """Oracle tests: exactness at zero noise, replay, budget, statistics."""
+import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,13 +11,17 @@ import scalar_reference as ref
 from scipy import stats
 
 from convexbench import (
+    Absolute,
+    AsymmetricPower,
     BinarySearchSpec,
     BudgetError,
     DomainError,
     FunctionFamily,
     OracleBatch,
+    PiecewiseLinear,
     SgdSpec,
     SymmetricPower,
+    Tilt,
     UniformDist,
     build_function,
     epochs_schedule,
@@ -369,6 +375,79 @@ class TestThreadedBlockReads:
             batch.query_block_all(np.zeros(self.R), oracle.THREAD_MIN_ROW)
 
 
+# functions that share a batch's noise: fixed specs, one with no x_star, and
+# templates whose minimizers the batch moves, one of them tilted
+FIXED_SPECS = (SymmetricPower(2.0, 0.3), Tilt(AsymmetricPower(1.5, 3.0, -0.2), 0.05),
+               PiecewiseLinear((-0.5, 0.5), (-1.0, 0.0, 2.0)), Absolute(0.1))
+TEMPLATES = (SymmetricPower(1.5), Tilt(SymmetricPower(2.0), -0.05),
+             AsymmetricPower(2.0, 3.0))
+
+
+class TestFunctionsAxis:
+    # 4 * 1029 values make tiles of 2 rows at n = 1024 when P > 1 (half the
+    # buffer holds one function's readings), so R = 7 spans several tiles
+    R = 7
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_VALUES", 4 * 1029)
+
+    @staticmethod
+    def reads(batch, x, n):
+        """Two block reads, then three single queries, at points of x's shape."""
+        got = [batch.query_block_all(x, n), batch.query_block_all(-x, n)]
+        batch.begin_steps(3)
+        return got + [batch.query_all(x / (t + 2)) for t in range(3)]
+
+    @pytest.mark.parametrize("n, cores", [(5, 1), (1024, 1), (1024, 2)])
+    @pytest.mark.parametrize("specs, moved", [(FIXED_SPECS, False), (TEMPLATES, True)],
+                             ids=["fixed", "moved-minimizers"])
+    def test_rows_equal_one_function_batches(self, monkeypatch, specs, moved, n, cores):
+        monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
+        P, seeds = len(specs), replicate_seeds(5, (4,), self.R, 1)
+        x_star = np.random.default_rng(0).uniform(-1.0, 1.0, (P, self.R)) if moved else None
+        x = np.linspace(-1.5, 1.5, P * self.R).reshape(P, self.R)
+        joint = OracleBatch(specs, x_star, (-2.0, 2.0), 0.3, 2 * n + 3, seeds)
+        got = self.reads(joint, x, n)
+        assert all(g.shape == (P, self.R) for g in got)
+        # the noise and one function's readings share the one tile budget
+        assert joint._block.size <= max(oracle.CHUNK_VALUES, 2 * n)
+        for p, spec in enumerate(specs):
+            alone = OracleBatch(spec, None if x_star is None else x_star[p], (-2.0, 2.0),
+                                0.3, 2 * n + 3, seeds)
+            want = self.reads(alone, x[p], n)
+            assert all(np.array_equal(g[p], w) for g, w in zip(got, want))
+            assert ([g.bit_generator.state for g in alone._gens]
+                    == [g.bit_generator.state for g in joint._gens])
+
+    def test_points_and_minimizers_need_the_functions_axis(self):
+        seeds = replicate_seeds(5, (4,), self.R, 1)
+        with pytest.raises(ValueError, match="x_star needs shape"):
+            OracleBatch(TEMPLATES, np.zeros(self.R), F.domain, 0.3, 4, seeds)
+        batch = OracleBatch(FIXED_SPECS, None, F.domain, 0.3, 4, seeds)
+        for path in (lambda x: batch.query_block_all(x, 2), batch.query_all):
+            with pytest.raises(ValueError, match="x needs shape"):
+                path(np.zeros(self.R))
+        assert batch.queries_used == 0
+
+    def test_a_batch_is_freed_without_the_cycle_collector(self):
+        # a batch that referred to itself would wait for the cycle collector,
+        # holding its noise buffers meanwhile
+        x = np.zeros((len(TEMPLATES), self.R))
+        batch = OracleBatch(TEMPLATES, x, F.domain, 0.3, 4,
+                            replicate_seeds(5, (4,), self.R, 1))
+        batch.query_block_all(x, 2)
+        batch.begin_steps(2)
+        batch.query_all(x)
+        alive = weakref.ref(batch)
+        gc.disable()
+        try:
+            del batch
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
 def test_usable_cores_reads_the_affinity_else_the_cpu_count(monkeypatch):
     monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
@@ -424,7 +503,7 @@ def test_sgd_cell_memory_does_not_grow_with_budget():
     for T in (10**3, 10**5):
         tracemalloc.start()
         try:
-            replicate_runs(family, (-2.0, 2.0), 0.1, T, (SgdSpec("1/t"),), R, 3, ((),))
+            replicate_runs((family,), (-2.0, 2.0), 0.1, T, (SgdSpec("1/t"),), R, 3, ((),))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -441,7 +520,7 @@ def test_binary_search_cell_memory_does_not_grow_with_budget(monkeypatch):
     for T in (10**3, 10**5):
         tracemalloc.start()
         try:
-            replicate_runs(family, (-2.0, 2.0), 0.1, T, (BinarySearchSpec(1.5),), R, 3,
+            replicate_runs((family,), (-2.0, 2.0), 0.1, T, (BinarySearchSpec(1.5),), R, 3,
                            ((),))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
