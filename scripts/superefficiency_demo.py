@@ -15,6 +15,7 @@ from convexbench import (
     superefficiency_experiment,
 )
 from convexbench.cli import FIG2_ROUND_COEFFICIENT
+from convexbench.experiments import LOWER_BOUND_CONSTANT
 
 
 def show(report, label):
@@ -25,7 +26,7 @@ def show(report, label):
     print(f"  risk at g+ / g-  : {plus.risk:.3e} / {minus.risk:.3e}")
     print(f"  d(f, g+/-)       : {plus.d:.3e} / {minus.d:.3e}")
     print(f"  omega_g(eps_T)   : {plus.omega_ref:.3e} / {minus.omega_ref:.3e}")
-    print(f"  bound constant   : {report.lower_constant:.4f} (reference)")
+    print(f"  bound constant   : {LOWER_BOUND_CONSTANT:.4f} (reference)")
 
 
 def main():

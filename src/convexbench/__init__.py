@@ -2,9 +2,10 @@
 
 Catalog of closed-form convex test functions, a budgeted seeded Gaussian
 subgradient oracle, difficulty moduli (in closed form for every catalog spec,
-with bisection as the cross-check), a sign-testing binary search with
-flat-set diagnostics, projected SGD baselines, and a deterministic
-Monte-Carlo risk harness with risk-floor and superefficiency experiments.
+with one lockstep bisection of the flat set as the cross-check), a
+sign-testing binary search with flat-set diagnostics, projected SGD
+baselines, and a deterministic Monte-Carlo risk harness with risk-floor and
+superefficiency experiments.
 
 Each algorithm has one implementation, over a batch of replicates
 (``run_binary_search``, ``run_sgd``), and one parameter type
@@ -31,7 +32,6 @@ from .errors import (
     DomainError,
     FieldError,
     ScheduleError,
-    SlopeRangeError,
 )
 from .experiments import (
     ConstantEstimator,
@@ -66,7 +66,6 @@ from .functions import (
 from .modulus import (
     ModulusCurve,
     ModulusSample,
-    conjugate_subdifferential,
     fit_growth_exponent,
     flat_set,
     modulus_analytic,

@@ -13,10 +13,6 @@ class BudgetError(RuntimeError):
     """The oracle's query budget is exhausted."""
 
 
-class SlopeRangeError(ValueError):
-    """Requested slope is not attained by the function on its domain."""
-
-
 class ScheduleError(ValueError):
     """Round schedule is infeasible (budget too small for the round count)."""
 

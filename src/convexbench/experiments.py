@@ -33,8 +33,9 @@ in ``algorithms`` and re-exported here.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -83,6 +84,7 @@ __all__ = [
     "superefficiency_experiment",
     "function_id",
     "DELTA_MAX",
+    "LOWER_BOUND_CONSTANT",
 ]
 
 
@@ -466,7 +468,6 @@ class SuperefficiencyReport:
     risk_f: float
     stderr_f: float
     alternatives: tuple[TiltedAlternative, TiltedAlternative]
-    lower_constant: float = field(default=LOWER_BOUND_CONSTANT)
 
 
 def _estimator_risk(target: ConvexFunction1D, estimator, sigma: float, T: int,
@@ -484,14 +485,16 @@ def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
                                  replicates: int, modulus_scale: float = 1.0):
     """Raise ValueError for inputs ``superefficiency_experiment`` cannot run,
     before anything is drawn: a delta outside (0, DELTA_MAX), a budget below
-    1, no replicate, a sigma or modulus_scale out of range, or a budget too
-    small for a binary search's rounds."""
+    1 or past the float range, no replicate, a sigma or modulus_scale out of
+    range, or a budget too small for a binary search's rounds."""
     if not 0.0 < delta < DELTA_MAX:
         raise ValueError(
             f"delta must lie in (0, {DELTA_MAX:.6f}), got {delta}"
         )
     if T < 1:
         raise ValueError("T must be >= 1")
+    if T > sys.float_info.max:  # eps_T divides by T as a float
+        raise ValueError(f"T must be at most {sys.float_info.max!r}")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if not (math.isfinite(sigma) and sigma >= 0):

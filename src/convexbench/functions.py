@@ -274,14 +274,6 @@ def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float], x_star=N
     return np.clip(x_star + lo, a, b), np.clip(x_star + hi, a, b)
 
 
-def strip_tilt(spec: FunctionSpec) -> tuple[FunctionSpec, float]:
-    """Split a spec into (untilted core, total tilt)."""
-    if isinstance(spec, Tilt):
-        core, e = strip_tilt(spec.base)
-        return core, e + spec.eps
-    return spec, 0.0
-
-
 def with_x_star(spec: FunctionSpec, v: float) -> FunctionSpec:
     """Copy of ``spec`` with its minimizer location moved to ``v``."""
     if isinstance(spec, SymmetricPower):
@@ -342,13 +334,6 @@ class ConvexFunction1D:
         if not (a <= x <= b):
             raise DomainError(f"x={x} outside domain [{a}, {b}]")
         return float(subgrad_spec(self.spec, x))
-
-    def slope_range(self) -> tuple[float, float]:
-        """Range of subgradient values attained over the domain."""
-        a, b = self.domain
-        lo_a, _ = subdiff_interval(self.spec, a)
-        _, hi_b = subdiff_interval(self.spec, b)
-        return float(lo_a), float(hi_b)
 
 
 def build_function(spec: FunctionSpec, domain: tuple[float, float]) -> ConvexFunction1D:

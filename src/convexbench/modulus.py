@@ -8,12 +8,14 @@ catalog spec: it reads the flat set's ends off the closed-form level sets of
 bisection on f'; it is the independent cross-check, and the value that
 fitted growth exponents and superefficiency reports are computed from.
 
-The bisection runs in lockstep: ``flat_set``, ``conjugate_subdifferential``
-and ``modulus_numeric`` take a scalar or an array, and every end of every
-threshold of one call (left and right ends, at -eps and +eps) bisects in
-one loop of array subgradient evaluations.  Each element stops exactly
-where a scalar bisection would, so an array call equals the scalar calls
-bit for bit, and a scalar call returns Python floats.
+The bisection runs in lockstep: ``flat_set`` and ``modulus_numeric`` take a
+scalar or an array, and every end of every threshold of one call (left and
+right ends, at -eps and +eps) bisects in one loop of array subgradient
+evaluations.  A threshold outside the slopes the domain attains needs no
+branch: its end starts frozen at the domain end where the subgradient comes
+nearest to it.  Each element stops exactly where a scalar bisection would,
+so an array call equals the scalar calls bit for bit, and a scalar call
+returns Python floats.
 
 All functions here are pure and operate on immutable inputs.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SlopeRangeError
+from .errors import DataError
 from .functions import (
     ConvexFunction1D,
     FunctionSpec,
@@ -39,7 +41,6 @@ __all__ = [
     "modulus_analytic",
     "modulus_numeric",
     "flat_set",
-    "conjugate_subdifferential",
     "fit_growth_exponent",
     "sample_modulus_curve",
 ]
@@ -90,15 +91,17 @@ def modulus_analytic(
 
 
 def _conjugate_ends(f: ConvexFunction1D, s: np.ndarray):
-    """Both ends of the conjugate subdifferential at every threshold of the
-    1-D array ``s``, each within the attained slope range.
+    """Both ends of {x in domain : s in subdifferential f(x)}, clamped to
+    the domain, at every threshold of the 1-D array ``s``.
 
     The left end is the leftmost x with f'(x) >= s (kinks make f' jump past
     s), the right end the rightmost x with f'(x) <= s.  All of them bisect
     [a, b] in one lockstep loop; an element freezes where a scalar bisection
     would stop, once ``hi - lo <= _BISECTION_TOL`` or once ``mid`` no longer
-    falls strictly between ``lo`` and ``hi``.  An element whose answer is
-    already an end of the domain never moves.
+    falls strictly between ``lo`` and ``hi``.  Any threshold is allowed: an
+    element whose answer is already an end of the domain starts frozen
+    there, so both ends of a threshold below every attained slope sit at a,
+    and both ends of one above every attained slope at b.
     """
     a, b = f.domain
     ga, gb = float(subgrad_spec(f.spec, a)), float(subgrad_spec(f.spec, b))
@@ -137,46 +140,21 @@ def _like(epsilon, value):
     return float(value) if np.ndim(epsilon) == 0 else value
 
 
-def conjugate_subdifferential(f: ConvexFunction1D, s):
-    """{x in domain : s in subdifferential f(x)} as a closed interval.
-
-    Computed by monotone bisection on f'(x) - s; for s = 0 this reproduces
-    the minimizer set (within the bisection tolerance).  ``s`` may be an
-    array, giving the (lo, hi) arrays of every slope in one bisection.
-    """
-    slope_lo, slope_hi = f.slope_range()
-    sa = np.asarray(s, dtype=float)
-    outside = ~((sa >= slope_lo) & (sa <= slope_hi))  # NaN too
-    if outside.any():
-        raise SlopeRangeError(
-            f"slope {sa[outside].flat[0]} outside attained range [{slope_lo}, {slope_hi}]"
-        )
-    left, right = _conjugate_ends(f, sa.ravel())
-    return _like(s, left.reshape(sa.shape)), _like(s, right.reshape(sa.shape))
-
-
 def flat_set(f: ConvexFunction1D, epsilon):
     """Closure of {y in domain : |f'(y)| < epsilon}, clamped to the domain.
 
-    The left end is the upper endpoint of the conjugate subdifferential at
-    -epsilon and the right end the lower endpoint at +epsilon.  A threshold
+    The left end is the right end of the conjugate subdifferential at
+    -epsilon and the right end its left end at +epsilon.  A threshold
     below every slope attained on the domain puts its end at the left
     domain boundary, one above every slope at the right boundary.
     ``epsilon`` may be an array, giving the (lo, hi) arrays of every flat
     set in one bisection.
     """
     _check_epsilon(epsilon)
-    a, b = f.domain
-    slope_lo, slope_hi = f.slope_range()
     eps = np.asarray(epsilon, dtype=float)
-    n = eps.size
-    s = np.concatenate([-eps.ravel(), eps.ravel()])
-    inside = (s >= slope_lo) & (s <= slope_hi)
-    ends = np.where(s < slope_lo, a, b)
-    lower, upper = _conjugate_ends(f, s[inside])
-    ends[inside] = np.where(np.flatnonzero(inside) < n, upper, lower)
+    lower, upper = _conjugate_ends(f, np.concatenate([-eps.ravel(), eps.ravel()]))
     # degenerate flat set (a single kink), within the tolerance
-    left, right = _meet(ends[:n], ends[n:])
+    left, right = _meet(upper[:eps.size], lower[eps.size:])
     return _like(epsilon, left.reshape(eps.shape)), _like(epsilon, right.reshape(eps.shape))
 
 

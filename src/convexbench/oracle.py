@@ -158,14 +158,14 @@ class OracleBatch:
         budget: int,
         seeds: list[ISeedSequence],
     ):
-        self.spec = spec
         many = isinstance(spec, tuple)
         specs = spec if many else (spec,)
         self.n_replicates = len(seeds)
         self.shape = (len(specs), self.n_replicates) if many else (self.n_replicates,)
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
-        if self.x_star is not None and self.x_star.shape != self.shape:
-            raise ValueError(f"x_star needs shape {self.shape}, got {self.x_star.shape}")
+        if x_star is not None:
+            x_star = np.asarray(x_star, dtype=float)
+            if x_star.shape != self.shape:
+                raise ValueError(f"x_star needs shape {self.shape}, got {x_star.shape}")
         a, b = self.domain = (float(domain[0]), float(domain[1]))
         if not -math.inf < a < b < math.inf:
             raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
@@ -177,7 +177,7 @@ class OracleBatch:
         self.budget = int(budget)
         self.queries_used = 0
         self._gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-        x_rows = None if x_star is None else self.x_star.reshape(len(specs), -1)
+        x_rows = None if x_star is None else x_star.reshape(len(specs), -1)
         # a module function, not a method: the batch holds no reference to itself
         self._subgrad = partial(_subgrads, specs, x_rows)
         self._steps = np.empty((0, self.n_replicates))  # drawn step noise, (chunk, R)

@@ -20,12 +20,11 @@ from convexbench import (
     Absolute,
     AsymmetricPower,
     PiecewiseLinear,
-    SlopeRangeError,
     SymmetricPower,
     Tilt,
     epochs_schedule,
 )
-from convexbench.functions import distance
+from convexbench.functions import distance, subdiff_interval
 from convexbench.modulus import _BISECTION_TOL
 
 
@@ -144,12 +143,16 @@ def bisect_right_true(pred, lo, hi):
     return lo
 
 
-def conjugate_subdifferential(f, s):
-    """{x in domain : s in subdifferential f(x)} by two scalar bisections."""
+def slope_range(f):
+    """Range of subgradient values attained over the domain."""
     a, b = f.domain
-    slope_lo, slope_hi = f.slope_range()
-    if s < slope_lo or s > slope_hi:
-        raise SlopeRangeError(f"slope {s} outside attained range")
+    return float(subdiff_interval(f.spec, a)[0]), float(subdiff_interval(f.spec, b)[1])
+
+
+def conjugate_subdifferential(f, s):
+    """{x in domain : s in subdifferential f(x)} by two scalar bisections,
+    for a slope s in ``slope_range(f)``."""
+    a, b = f.domain
     g = f.subgrad
     # left endpoint: leftmost x with f'(x) >= s (kinks make f' jump past s)
     if g(b) < s:
@@ -171,7 +174,7 @@ def flat_set(f, epsilon):
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     a, b = f.domain
-    slope_lo, slope_hi = f.slope_range()
+    slope_lo, slope_hi = slope_range(f)
 
     def end(s, side):
         if s < slope_lo:

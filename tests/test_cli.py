@@ -159,14 +159,25 @@ def test_superefficiency_unusable_output_directory_fails_before_the_run(tmp_path
 
 
 @pytest.mark.parametrize("flags", [
-    ["--delta", "0.5"], ["--T", "0"], ["--replicates", "0"], ["--sigma", "-1"],
-    ["--modulus-scale", "0"], ["--estimator", "binary-search", "--T", "1"],
-], ids=["delta", "T", "replicates", "sigma", "modulus-scale", "schedule"])
+    ["--delta", "0.5"], ["--T", "0"], ["--T", "1" + "0" * 400], ["--replicates", "0"],
+    ["--sigma", "-1"], ["--modulus-scale", "0"],
+    ["--estimator", "binary-search", "--T", "1"],
+], ids=["delta", "T", "T-past-float-range", "replicates", "sigma", "modulus-scale",
+        "schedule"])
 def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys):
     out = tmp_path / "new" / "sub"
     assert cli.main([*SUPEREFFICIENCY, *flags, "--out", str(out)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "new").exists()
+
+
+def test_tilted_family_plot_carries_its_base_rate(tmp_path):
+    # a tilt adds a constant to f', so the growth exponent, and the guide
+    # rate -1/(2(k-1)), are those of the base
+    text = CONFIG.replace("kind = sym-power\nk = 2\n",
+                          "kind = tilt\neps = 0.05\nbase_kind = sym-power\nbase_k = 3\n")
+    assert run(tmp_path, text, "tilted", "--jobs", "1") == cli.EXIT_OK
+    assert "\nguide_rate = -0.25\n" in (tmp_path / "tilted" / "plot.py").read_text()
 
 
 class TestManifestRerun:
