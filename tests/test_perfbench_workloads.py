@@ -1,9 +1,9 @@
 """The benchmark's deterministic workload, run as a test.
 
-``perfbench/workloads.py`` is read, never edited: the modulus-tilts calls go
-through ``cli.main`` in process, and every modulus curve and superefficiency
-row they print must match the recorded references, so a change that would
-lower that workload's ``ok_frac`` fails here first.
+The modulus-tilts calls of ``perfbench/workloads.py`` go through
+``cli.main`` in process, and every modulus curve and superefficiency row
+they print must match the benchmark's recorded references: a change that
+would lower that workload's ``ok_frac`` fails tier-1 first.
 """
 import importlib
 from pathlib import Path
