@@ -1,4 +1,4 @@
-"""Modulus computations: closed forms, flat sets, fits."""
+"""Modulus computations: closed forms, conjugate intervals, flat sets, fits."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from convexbench import (
     sample_modulus_curve,
 )
 from convexbench.functions import level_set, subdiff_interval, subgrad_spec
+from convexbench.modulus import _conjugate_ends
 
 D11 = (-1.0, 1.0)
 
@@ -105,6 +106,56 @@ class TestModulusNumeric:
         f = build_function(AsymmetricPower(1.5, 3.0, x_star=0.2), (-2.0, 2.0))
         ws = [modulus_numeric(f, float(e)) for e in np.geomspace(1e-5, 1.0, 25)]
         assert all(w2 >= w1 - 1e-12 for w1, w2 in zip(ws, ws[1:]))
+
+
+def conjugate_ends(f, s):
+    """Both ends of the conjugate subdifferential at one slope, as floats."""
+    left, right = _conjugate_ends(f, np.array([s], dtype=float))
+    return float(left[0]), float(right[0])
+
+
+class TestConjugateSubdifferential:
+    """The ends {x in domain : s in subdifferential f(x)} that ``flat_set``
+    reads at -eps and +eps."""
+
+    def test_quadratic_slope_inverse(self):
+        f = build_function(SymmetricPower(k=2.0), D11)
+        lo, hi = conjugate_ends(f, 0.3)
+        assert lo == pytest.approx(0.3, abs=1e-11)
+        assert hi == pytest.approx(0.3, abs=1e-11)
+
+    def test_absolute_kink_absorbs_intermediate_slopes(self):
+        f = build_function(Absolute(0.0), D11)
+        lo, hi = conjugate_ends(f, 0.5)
+        assert abs(lo) <= 1e-11 and abs(hi) <= 1e-11
+
+    def test_cubic_negative_slope(self):
+        f = build_function(SymmetricPower(k=3.0), D11)
+        lo, hi = conjugate_ends(f, -0.04)
+        assert lo == pytest.approx(-0.2, abs=1e-9)
+        # verified by substitution back through the subgradient
+        assert subgrad_spec(f.spec, lo) == pytest.approx(-0.04, abs=1e-10)
+
+    def test_zero_slope_recovers_minimizer_set(self):
+        f = build_function(
+            PiecewiseLinear(breakpoints=(-0.25, 0.5), slopes=(-1.0, 0.0, 2.0)),
+            D11,
+        )
+        lo, hi = conjugate_ends(f, 0.0)
+        assert lo == pytest.approx(-0.25, abs=1e-11)
+        assert hi == pytest.approx(0.5, abs=1e-11)
+
+    def test_slopes_outside_the_range_sit_at_a_domain_end(self):
+        # f' = x on [-1, 1]
+        f = build_function(SymmetricPower(k=2.0), D11)
+        assert conjugate_ends(f, -1.0000001) == (-1.0, -1.0)
+        assert conjugate_ends(f, 2.0) == (1.0, 1.0)
+
+    def test_boundary_level_sets(self):
+        f = build_function(Absolute(0.0), D11)
+        lo, hi = conjugate_ends(f, 1.0)
+        assert lo == pytest.approx(0.0, abs=1e-11)
+        assert hi == 1.0
 
 
 class TestFlatSet:
@@ -262,6 +313,18 @@ class TestArrayCalls:
             modulus_numeric(self.f, eps)
         with pytest.raises(ValueError, match="epsilon must be positive"):
             flat_set(self.f, bad)
+
+    @pytest.mark.parametrize("bad", [-2.0000001, 3.5])
+    def test_out_of_range_slope_in_array(self, bad):
+        # the PWL attains slopes -2 to 3 on D11: a slope past either end sits
+        # at that domain end, and the slopes beside it bisect as on their own
+        s = np.array([-1.0, 0.0, bad, 2.0])
+        end = self.f.domain[0] if bad < 0 else self.f.domain[1]
+        want = [ref.conjugate_subdifferential(self.f, float(v)) for v in s]
+        want[2] = (end, end)
+        lo, hi = _conjugate_ends(self.f, s)
+        assert bits(lo) == bits([w[0] for w in want])
+        assert bits(hi) == bits([w[1] for w in want])
 
 
 class TestFitGrowthExponent:
