@@ -39,8 +39,14 @@ __all__ = [
     "sign_test_binary_search",
     "flat_set_diagnostics",
     "sgd",
+    "MAX_T0",
     "UNIFORM_START",
 ]
+
+# the longest round a schedule may have: query_block_all holds a whole row of
+# T0 readings (two with several functions), as a round's mean is numpy's sum
+# over one contiguous row; 2^27 readings are 1 GiB, and budgets to 1e8 fit
+MAX_T0 = 2**27
 
 # sentinel for "draw the SGD starting point uniformly over the projection
 # interval"; resolved by the experiment harness, never inside run_sgd() itself
@@ -118,7 +124,8 @@ def epochs_schedule(T: int, r: float) -> tuple[int, int]:
     """Split a budget of T queries into E rounds of T0 queries each.
 
     E = floor(r * ln T), T0 = floor(T / E).  Natural logarithm; r absorbs the
-    base.  Raises ScheduleError when T is too small for this r.
+    base.  Raises ScheduleError when T is too small for this r, and
+    ValueError when T0 exceeds MAX_T0.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -130,6 +137,9 @@ def epochs_schedule(T: int, r: float) -> tuple[int, int]:
     T0 = T // E
     if T0 < 1:
         raise ScheduleError(f"T0 = floor(T/E) = 0 for T={T}, E={E}")
+    if T0 > MAX_T0:  # a ValueError, not a ScheduleError: no cell may skip it
+        raise ValueError(f"T={T} with r={r} gives rounds of T0={T0} queries, "
+                         f"more than the {MAX_T0} one block read may hold")
     return E, T0
 
 
@@ -185,7 +195,8 @@ def run_sgd(
     in ``specs``, along the last axis of the batch's shape, each block
     following its own spec.  Step t (starting at 1) queries each replicate's
     current iterate and moves against the returned noisy subgradient with its
-    spec's step size scale/t or scale/sqrt(t).  Starts ``x0`` (shape (R,),
+    spec's step size scale/t or scale/sqrt(t), all readings scaled in one
+    multiply by a row of the R step sizes.  Starts ``x0`` (shape (R,),
     broadcast to the batch's shape) and iterates are projected onto the
     interval before every query.  Returns the last iterates, or the running
     averages of the query points for blocks whose spec has iterate ==
@@ -199,6 +210,7 @@ def run_sgd(
     averaged = [block for block, spec in blocks if spec.iterate == "average"]
     x = np.clip(np.full(batch.shape, x0, dtype=float), lo, hi)
     total = np.zeros_like(x)
+    eta = np.empty(batch.n_replicates)  # this step's step size, per replicate
     batch.begin_steps(T)
     for t in range(1, T + 1):
         v = batch.query_all(x)
@@ -207,8 +219,8 @@ def run_sgd(
         for block in averaged:
             total[block] += x[block]
         for block, spec in blocks:
-            vb = v[block]
-            vb *= spec.scale / (t if spec.schedule == "1/t" else math.sqrt(t))
+            eta[block] = spec.scale / (t if spec.schedule == "1/t" else math.sqrt(t))
+        v *= eta  # one multiply for every function and block
         x -= v
         np.minimum(np.maximum(x, lo, out=x), hi, out=x)  # np.clip, less overhead
     for block in averaged:

@@ -172,6 +172,14 @@ class ExperimentConfig:
         if not -math.inf < self.initial_interval[0] < self.initial_interval[1] < math.inf:
             raise FieldError("initial_interval", "initial_interval needs finite a < b, "
                              f"got {self.initial_interval}")
+        for alg in self.algorithms:
+            for T in self.T_grid if isinstance(alg, BinarySearchSpec) else ():
+                try:
+                    epochs_schedule(T, alg.r)
+                except ScheduleError:
+                    pass  # too small a budget: its cell is reported missing
+                except ValueError as e:  # rounds too long to read
+                    raise FieldError("T_grid", str(e)) from None
 
 
 def function_id(function: FunctionSpec | FunctionFamily) -> str:

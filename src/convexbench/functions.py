@@ -9,9 +9,12 @@ hashable, picklable.
 
 Formulas are written once, on numpy arrays, and shared by the scalar and the
 vectorized (many replicates at once) code paths, so both produce bitwise
-identical values.  Powers are ``np.power`` ufunc calls, not ``**``: on a
-numpy scalar ``**`` takes the C library's ``pow``, which can differ from the
-array loop in the last bit.
+identical values.  A power |u|^e with e = 1, 2 or 1/2 is one exact operation
+(|u|, ``np.square``, ``np.sqrt``; signed, u, u |u| and ``np.copysign``):
+each is correctly rounded, and ``np.power`` returns that same value, so every
+output byte is unchanged (``tests/test_functions.py`` pins it).  Other powers
+are ``np.power`` ufunc calls, not ``**``: on a numpy scalar ``**`` takes the
+C library's ``pow``, which can differ from the array loop in the last bit.
 """
 from __future__ import annotations
 
@@ -136,28 +139,34 @@ FunctionSpec = Union[SymmetricPower, AsymmetricPower, Absolute, PiecewiseLinear,
 # ---------------------------------------------------------------------------
 
 
-def _resolve_x_star(spec, x_star):
-    if x_star is None:
-        return spec.x_star
-    return x_star
+def _power(au, e: float):
+    """au^e for au >= 0: for e = 1, 2 and 1/2 the one correctly rounded
+    operation whose value np.power returns, np.power for every other e."""
+    if e == 1.0:
+        return au
+    if e == 2.0:
+        return np.square(au)
+    return np.sqrt(au) if e == 0.5 else np.power(au, e)
+
+
+def _signed_power(u, e: float):
+    """sign(u) |u|^e, a zero's sign aside: u |u| when e = 2, else ``_power``
+    with the sign of u copied on."""
+    if e == 1.0:
+        return u
+    if e == 2.0:
+        return u * np.abs(u)
+    return np.copysign(_power(np.abs(u), e), u)
 
 
 def subdiff_interval(spec: FunctionSpec, x, x_star=None):
     """Subdifferential [lo, hi] of the defining formula at ``x`` (array-safe)."""
-    if isinstance(spec, SymmetricPower):
-        u = np.asarray(x) - _resolve_x_star(spec, x_star)
-        v = np.sign(u) * np.power(np.abs(u), spec.k - 1.0)
-        return v, v
-    if isinstance(spec, AsymmetricPower):
-        u = np.asarray(x) - _resolve_x_star(spec, x_star)
-        au = np.abs(u)
-        v = np.where(u < 0, -np.power(au, spec.k_l - 1.0), np.power(au, spec.k_r - 1.0))
-        return v, v
-    if isinstance(spec, Absolute):
-        u = np.asarray(x) - _resolve_x_star(spec, x_star)
-        lo = np.where(u > 0, 1.0, -1.0)
-        hi = np.where(u < 0, -1.0, 1.0)
-        return lo, hi
+    if isinstance(spec, Tilt):
+        lo, hi = subdiff_interval(spec.base, x, x_star)
+        if lo is hi:  # keep a point interval a point, for min_norm_from_interval
+            v = lo + spec.eps
+            return v, v
+        return lo + spec.eps, hi + spec.eps
     if isinstance(spec, PiecewiseLinear):
         if x_star is not None:
             raise ValueError("PiecewiseLinear has no x_star parameter")
@@ -170,30 +179,36 @@ def subdiff_interval(spec: FunctionSpec, x, x_star=None):
         lo = sl[idx]
         hi = sl[idx + at_bp.astype(int)]
         return lo, hi
-    if isinstance(spec, Tilt):
-        lo, hi = subdiff_interval(spec.base, x, x_star)
-        if lo is hi:  # keep a point interval a point, for min_norm_from_interval
-            v = lo + spec.eps
-            return v, v
-        return lo + spec.eps, hi + spec.eps
-    raise TypeError(f"unknown spec type {type(spec)!r}")
+    if not isinstance(spec, (SymmetricPower, AsymmetricPower, Absolute)):
+        raise TypeError(f"unknown spec type {type(spec)!r}")
+    u = np.asarray(x) - (spec.x_star if x_star is None else x_star)
+    if isinstance(spec, SymmetricPower):
+        v = _signed_power(u, spec.k - 1.0)
+        return v, v
+    if isinstance(spec, AsymmetricPower):
+        au = np.abs(u)
+        v = np.where(u < 0, -_power(au, spec.k_l - 1.0), _power(au, spec.k_r - 1.0))
+        return v, v
+    return np.where(u > 0, 1.0, -1.0), np.where(u < 0, -1.0, 1.0)  # Absolute
 
 
-def min_norm_from_interval(lo, hi):
-    """Element of [lo, hi] closest to zero (array-safe).
+def min_norm_from_interval(lo, hi, out=None):
+    """Element of [lo, hi] closest to zero (array-safe), written into ``out``
+    when it is given.
 
     A point interval (``lo is hi``, as power specs and their tilts return)
-    is its own element; ``+ 0.0`` maps -0.0 to 0.0 as the general rule does.
+    is its own element; ``+ 0.0`` maps -0.0 to 0.0.
     """
-    if lo is hi:
-        return lo + 0.0
-    return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
+    if lo is not hi:
+        lo = np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
+    return np.add(lo, 0.0, out=out)
 
 
-def subgrad_spec(spec: FunctionSpec, x, x_star=None):
-    """Min-norm subgradient of the formula (no domain check; array-safe)."""
+def subgrad_spec(spec: FunctionSpec, x, x_star=None, out=None):
+    """Min-norm subgradient of the formula (no domain check; array-safe),
+    written into ``out`` when it is given."""
     lo, hi = subdiff_interval(spec, x, x_star)
-    return min_norm_from_interval(lo, hi)
+    return min_norm_from_interval(lo, hi, out)
 
 
 def _root(s: float, k: float) -> float:

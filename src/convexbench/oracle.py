@@ -130,10 +130,11 @@ def replicate_seeds(master_seed: int, key: tuple[int, ...], replicates: int,
 def _subgrads(specs: tuple[FunctionSpec, ...], x_star: np.ndarray | None,
               x: np.ndarray) -> np.ndarray:
     """Row p: spec p's min-norm subgradient at row p of x, its minimizer moved
-    to row p of x_star when x_star is given; a fresh (P, R) array."""
+    to row p of x_star when x_star is given.  Each ``subgrad_spec`` call
+    writes its row straight into one new (P, R) array, which is returned."""
     g = np.empty_like(x)
     for p, spec in enumerate(specs):
-        g[p] = subgrad_spec(spec, x[p], None if x_star is None else x_star[p])
+        subgrad_spec(spec, x[p], None if x_star is None else x_star[p], out=g[p])
     return g
 
 

@@ -1,13 +1,16 @@
 """Plain scalar loops that the batched code is checked against.
 
-Independent of ``convexbench.oracle`` and of ``convexbench.algorithms``: the
-oracle is ``f.subgrad(x) + sigma * z`` with z from its own generator, and
-each algorithm is a loop over Python floats.  A batched replicate with the
-same seed and the same start must reproduce these values bit for bit.
+Independent of ``convexbench.oracle``, ``convexbench.algorithms`` and the
+subgradient kernels of ``convexbench.functions``: ``subdiff`` and ``subgrad``
+write each catalog formula out in its plain sign-times-power and ``np.where``
+form, the oracle is ``subgrad(f.spec, x) + sigma * z`` with z from its own
+generator, and each algorithm is a loop over Python floats.  A batched
+replicate with the same seed and the same start must reproduce these values
+bit for bit.
 
-The flat-set bisection is here too, one threshold at a time on
-``f.subgrad``: the lockstep array bisection of ``convexbench.modulus`` must
-reproduce it bit for bit.
+The flat-set bisection is here too, one threshold at a time on ``subgrad``:
+the lockstep array bisection of ``convexbench.modulus`` must reproduce it
+bit for bit.
 
 Function values and kinks, which the package itself never needs, are here
 as references for the convexity and bisection tests.
@@ -24,8 +27,39 @@ from convexbench import (
     Tilt,
     epochs_schedule,
 )
-from convexbench.functions import distance, subdiff_interval
+from convexbench.functions import distance
 from convexbench.modulus import _BISECTION_TOL
+
+
+def subdiff(spec, x, x_star=None):
+    """Subdifferential [lo, hi] at ``x`` (array-safe), the minimizer moved to
+    ``x_star`` when it is given: sign(u) |u|^e by ``np.sign`` and
+    ``np.power``, two-sided powers by ``np.where``."""
+    if isinstance(spec, Tilt):
+        lo, hi = subdiff(spec.base, x, x_star)
+        return lo + spec.eps, hi + spec.eps
+    if isinstance(spec, PiecewiseLinear):
+        bp, sl = np.asarray(spec.breakpoints), np.asarray(spec.slopes)
+        xa = np.asarray(x)
+        lo = sl[np.searchsorted(bp, xa, side="left")]  # the segment left of x
+        return lo, sl[np.searchsorted(bp, xa, side="right")]  # and right of it
+    u = np.asarray(x) - (spec.x_star if x_star is None else x_star)
+    if isinstance(spec, SymmetricPower):
+        v = np.sign(u) * np.power(np.abs(u), spec.k - 1.0)
+        return v, v
+    if isinstance(spec, AsymmetricPower):
+        au = np.abs(u)
+        v = np.where(u < 0, -np.power(au, spec.k_l - 1.0), np.power(au, spec.k_r - 1.0))
+        return v, v
+    if isinstance(spec, Absolute):
+        return np.where(u > 0, 1.0, -1.0), np.where(u < 0, -1.0, 1.0)
+    raise TypeError(f"unknown spec type {type(spec)!r}")
+
+
+def subgrad(spec, x, x_star=None):
+    """Min-norm subgradient: the element of ``subdiff`` nearest 0, -0.0 as 0.0."""
+    lo, hi = subdiff(spec, x, x_star)
+    return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0)) + 0.0
 
 
 def eval_spec(spec, x):
@@ -70,7 +104,7 @@ def kinks_of(spec):
 
 
 class ReferenceOracle:
-    """One function, one noise stream: ``f.subgrad(x) + sigma * z``."""
+    """One function, one noise stream: ``subgrad(f.spec, x) + sigma * z``."""
 
     def __init__(self, f, sigma, seed):
         self.f = f
@@ -78,10 +112,10 @@ class ReferenceOracle:
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
     def query(self, x):
-        return self.f.subgrad(x) + self.sigma * self.rng.standard_normal()
+        return float(subgrad(self.f.spec, x)) + self.sigma * self.rng.standard_normal()
 
     def query_block(self, x, n):
-        return self.f.subgrad(x) + self.sigma * self.rng.standard_normal(n)
+        return float(subgrad(self.f.spec, x)) + self.sigma * self.rng.standard_normal(n)
 
 
 def binary_search(oracle, T, r, interval):
@@ -146,14 +180,17 @@ def bisect_right_true(pred, lo, hi):
 def slope_range(f):
     """Range of subgradient values attained over the domain."""
     a, b = f.domain
-    return float(subdiff_interval(f.spec, a)[0]), float(subdiff_interval(f.spec, b)[1])
+    return float(subdiff(f.spec, a)[0]), float(subdiff(f.spec, b)[1])
 
 
 def conjugate_subdifferential(f, s):
     """{x in domain : s in subdifferential f(x)} by two scalar bisections,
     for a slope s in ``slope_range(f)``."""
     a, b = f.domain
-    g = f.subgrad
+
+    def g(x):
+        return float(subgrad(f.spec, x))
+
     # left endpoint: leftmost x with f'(x) >= s (kinks make f' jump past s)
     if g(b) < s:
         left = b

@@ -20,6 +20,7 @@ from convexbench import (
     sgd,
     sign_test_binary_search,
 )
+from convexbench.algorithms import MAX_T0
 from convexbench.experiments import replicate_runs
 from convexbench.oracle import replicate_seeds
 from one_replicate import one_replicate
@@ -54,6 +55,21 @@ class TestEpochsSchedule:
             assert E >= 1 and T0 >= 1
             assert E * T0 <= T
             assert E == math.floor(r * math.log(T))
+
+    def test_rounds_past_max_t0_are_refused(self):
+        # a block read holds a whole round: 1e12 would ask for 182 GiB at once
+        with pytest.raises(ValueError, match=r"T=1000000000000 with r=1.5 gives rounds "
+                           r"of T0=24390243902 queries") as info:
+            epochs_schedule(10**12, 1.5)
+        assert not isinstance(info.value, ScheduleError)  # no cell may skip it
+        T = MAX_T0 * 21  # floor(ln T) = 21 rounds of exactly MAX_T0
+        assert epochs_schedule(T, 1.0) == (21, MAX_T0)
+        with pytest.raises(ValueError, match=f"T0={MAX_T0 + 1} "):
+            epochs_schedule(T + 21, 1.0)
+
+    @pytest.mark.parametrize("r", [0.06, 1.5])
+    def test_every_round_of_a_budget_of_1e8_fits(self, r):
+        assert epochs_schedule(10**8, r)[1] <= MAX_T0  # one round of 1e8 at r = 0.06
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -78,6 +78,15 @@ class TestExitCodes:
         ln = text.splitlines().index("algorithm = binary-search r=-1") + 1
         assert f"line {ln}: r must be positive" in capsys.readouterr().err
 
+    def test_binary_search_rounds_too_long_to_read(self, tmp_path, capsys):
+        # T0 = 24,390,243,902 readings would need 182 GiB for one round's row
+        text = CONFIG.replace("T = 100 215 464", "T = 100 1000000000000")
+        assert run(tmp_path, text, "huge") == cli.EXIT_USAGE
+        ln = text.splitlines().index("T = 100 1000000000000") + 1
+        assert (f"line {ln}: T=1000000000000 with r=1.5 gives rounds of T0=24390243902 "
+                "queries") in capsys.readouterr().err
+        assert not (tmp_path / "huge").exists()
+
     def test_unreadable_path(self, tmp_path):
         missing = tmp_path / "nowhere.cfg"
         assert cli.main(["run", str(missing)]) == cli.EXIT_USAGE
@@ -162,13 +171,21 @@ def test_superefficiency_unusable_output_directory_fails_before_the_run(tmp_path
     ["--delta", "0.5"], ["--T", "0"], ["--T", "1" + "0" * 400], ["--replicates", "0"],
     ["--sigma", "-1"], ["--modulus-scale", "0"],
     ["--estimator", "binary-search", "--T", "1"],
+    ["--estimator", "binary-search", "--T", "1" + "0" * 300],
 ], ids=["delta", "T", "T-past-float-range", "replicates", "sigma", "modulus-scale",
-        "schedule"])
+        "schedule", "rounds-too-long"])
 def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys):
     out = tmp_path / "new" / "sub"
     assert cli.main([*SUPEREFFICIENCY, *flags, "--out", str(out)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "new").exists()
+
+
+def test_superefficiency_rounds_too_long_to_read_name_t_and_t0(capsys):
+    T = "1" + "0" * 300  # inside the float range; T0 has 297 digits
+    rc = cli.main([*SUPEREFFICIENCY, "--estimator", "binary-search", "--T", T])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: T={T} with r=1.5 gives rounds of T0=")
 
 
 def test_tilted_family_plot_carries_its_base_rate(tmp_path):

@@ -375,6 +375,18 @@ def test_experiment_counts_must_be_integers(field, value):
     assert info.value.field == field
 
 
+def test_experiment_binary_search_rounds_must_fit_one_block_read():
+    # rounds of T0 = 24,390,243,902 readings: refused before anything is drawn
+    with pytest.raises(FieldError, match="T0=24390243902") as info:
+        ExperimentConfig(SymmetricPower(2.0), (SgdSpec("1/t"), BinarySearchSpec(r=1.5)),
+                         (2, 100, 10**12), 3, 0.1, 1)
+    assert info.value.field == "T_grid"
+    # a budget too small for a round is a missing cell, an SGD budget has no rounds
+    ExperimentConfig(SymmetricPower(2.0), (BinarySearchSpec(r=1.5),), (2, 10**8), 3,
+                     0.1, 1)
+    ExperimentConfig(SymmetricPower(2.0), (SgdSpec("1/t"),), (10**12,), 3, 0.1, 1)
+
+
 def test_experiment_algorithms_must_be_algorithm_specs():
     # a ConstantEstimator has no cell to run and no config line
     with pytest.raises(FieldError) as info:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scalar_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scalar_reference import eval_spec
 
 from convexbench import (
@@ -81,6 +84,36 @@ class TestScalarArrayAgreement:
             want = formula(spec, x)
             got = np.array([float(formula(spec, float(v))) for v in x])
             assert np.array_equal(got, want)
+
+
+# exponents e = k - 1 of 1/2, 1 and 2 take an exact operation, 0.7 np.power
+POWER_SPECS = [SymmetricPower(k) for k in (1.5, 2.0, 3.0, 1.7)] + [
+    AsymmetricPower(kl, kr) for kl, kr in ((1.5, 2.0), (2.0, 3.0), (3.0, 1.7), (1.7, 1.5))]
+# zeros of both signs, subnormals, and magnitudes whose powers overflow
+EDGE_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2e-308, 1e-300, -1e-160,
+               1e300, -1e300, 1.0, -1.0]
+points = st.sampled_from(EDGE_POINTS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(spec=st.sampled_from(POWER_SPECS),
+       tilt=st.sampled_from([None, 0.0, -0.0, 0.25, -5e-324, -1e300]),
+       xs=st.lists(points, min_size=1, max_size=6),
+       x_star=st.sampled_from([None, 0.0, -0.0, 5e-324, 0.5]) | points)
+def test_power_kernels_equal_the_reference_bit_for_bit(spec, tilt, xs, x_star):
+    # the reference is the plain np.sign * np.power / np.where form
+    if tilt is not None:
+        spec = Tilt(spec, tilt)
+    x = np.array(xs)
+    with np.errstate(over="ignore"):  # |u|^e past the float range is inf in both
+        want = ref.subgrad(spec, x, x_star)
+        got = subgrad_spec(spec, x, x_star)
+        out = np.full_like(x, np.nan)
+        written = subgrad_spec(spec, x, x_star, out=out)
+        scalar = subgrad_spec(spec, xs[0], x_star)
+    assert got.tobytes() == want.tobytes()
+    assert written is out and out.tobytes() == want.tobytes()
+    assert np.float64(scalar).tobytes() == want[:1].tobytes()
 
 
 def err(x, f):
