@@ -62,6 +62,7 @@ from .functions import (
     SymmetricPower,
     Tilt,
     build_function,
+    minimizer_interval,
 )
 from .modulus import sample_modulus_curve
 from .oracle import usable_cores
@@ -415,7 +416,7 @@ def cmd_superefficiency(parser, args) -> int:
     try:
         if args.estimator == "constant":
             if args.x_hat is None:
-                xl, xr = build_function(spec, domain).minimizer_set
+                xl, xr = minimizer_interval(spec, domain)
                 x_hat = 0.5 * (xl + xr)
             else:
                 x_hat = args.x_hat
@@ -425,7 +426,7 @@ def cmd_superefficiency(parser, args) -> int:
         else:
             estimator = SgdSpec(schedule=args.schedule)
         check_superefficiency_inputs(estimator, args.delta, args.T, args.sigma,
-                                     args.replicates, args.modulus_scale)
+                                     args.replicates, args.seed, args.modulus_scale)
         # the directory before the run, and only once the inputs are known good
         if args.out and not _make_dirs(Path(args.out)):
             return EXIT_USAGE

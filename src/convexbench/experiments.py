@@ -51,7 +51,6 @@ from .algorithms import (
 )
 from .errors import DataError, FieldError, ScheduleError
 from .functions import (
-    ConvexFunction1D,
     FunctionSpec,
     Tilt,
     build_function,
@@ -307,47 +306,35 @@ def replicate_runs(
     return estimates.reshape(shape), None if xstar is None else xstar.reshape(shape)
 
 
-def _replicate_errors(functions: tuple[FunctionSpec | FunctionFamily, ...],
-                      initial_interval: tuple[float, float], *args) -> np.ndarray:
-    """Per-replicate distances to the minimizer of the estimates of
-    ``replicate_runs(functions, initial_interval, *args)``, of their shape."""
-    estimates, xstar = replicate_runs(functions, initial_interval, *args)
-    errors = np.empty_like(estimates)
-    for p, function in enumerate(functions):
-        if isinstance(function, FunctionFamily):
-            minimizers = minimizer_interval(function.template, initial_interval, xstar[p])
-        else:  # one interval, broadcast over the replicates
-            minimizers = minimizer_interval(function, initial_interval)
-        errors[p] = distance((estimates[p], estimates[p]), minimizers)
-    return errors
-
-
-def _mean_stderr(errs: np.ndarray) -> tuple[float, float]:
-    """Mean of the replicate errors and its standard error."""
-    n = len(errs)
-    stderr = float(np.std(errs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(errs)), stderr
-
-
 def _unit_rows(configs: tuple[ExperimentConfig, ...], a_idxs: tuple[int, ...],
                t_idx: int) -> list[list[RiskRow]]:
     """Risk rows, per config, of one unit of work at budget index t_idx: the
     cell of one binary search, or the budget group of the SGD algorithms
-    a_idxs, on every config's function at once."""
+    a_idxs, on every config's function at once: the mean distance of the
+    replicates' estimates to their own function's minimizer set, and its
+    standard error."""
     first = configs[0]
     algs = tuple(first.algorithms[a] for a in a_idxs)
     T = first.T_grid[t_idx]
-    fn_ids = [function_id(c.function) for c in configs]
+    functions = tuple(c.function for c in configs)
     try:
-        errs = _replicate_errors(tuple(c.function for c in configs),
-                                 first.initial_interval, first.sigma, T, algs,
-                                 first.replicates, first.master_seed,
-                                 tuple((a, t_idx) for a in a_idxs))
+        estimates, xstar = replicate_runs(
+            functions, first.initial_interval, first.sigma, T, algs, first.replicates,
+            first.master_seed, tuple((a, t_idx) for a in a_idxs))
     except ScheduleError:
-        return [[RiskRow(fn_id, alg.algorithm_id, T, None, None, 0) for alg in algs]
-                for fn_id in fn_ids]
-    return [[RiskRow(fn_id, alg.algorithm_id, T, *_mean_stderr(e), len(e))
-             for alg, e in zip(algs, fn_errs)] for fn_id, fn_errs in zip(fn_ids, errs)]
+        return [[RiskRow(function_id(f), alg.algorithm_id, T, None, None, 0) for alg in algs]
+                for f in functions]
+    n = first.replicates
+    rows = []
+    for p, function in enumerate(functions):
+        spec, x_star = ((function.template, xstar[p]) if isinstance(function, FunctionFamily)
+                        else (function, None))  # a fixed spec's interval broadcasts
+        errs = distance((estimates[p], estimates[p]),
+                        minimizer_interval(spec, first.initial_interval, x_star))
+        rows.append([RiskRow(function_id(function), alg.algorithm_id, T, float(np.mean(e)),
+                             float(np.std(e, ddof=1) / math.sqrt(n)) if n > 1 else 0.0, n)
+                     for alg, e in zip(algs, errs)])
+    return rows
 
 
 def estimate_risks(configs, jobs: int = 1) -> list[RiskTable]:
@@ -443,10 +430,31 @@ def two_point_floor(d: float, kappa: float, T: int, sigma: float) -> float:
 # superefficiency
 # ---------------------------------------------------------------------------
 
-# largest admissible risk-deficiency parameter, sqrt(1/(8e))
+# The tilted-risk bound, derived here; PAPER.md holds only the paper's abstract,
+# which states that a superefficiency result exists but not its form.  So what
+# is checked is this derivation (and the test suite checks the inequality on
+# Monte-Carlo reports); what is not is whether the paper's theorem bounds the
+# mean or the RMS error at f, and whether its d is omega_f(eps_T).
+#
+# A tilt g = f + eps * x adds eps to f', so it shifts the mean of every
+# N(f'(x), sigma^2) reading by eps wherever the algorithm queries (by at most
+# |eps| at a kink, where the reading is the min-norm subgradient).  The chi^2
+# affinity of the two T-query transcripts is then E_f[(dP_g/dP_f)^2] <=
+# exp(T eps^2 / sigma^2), adaptive queries or not, and at eps_T,
+# T eps_T^2 / sigma^2 = ln(1/(8 delta^2)) makes the bound 1/(8 delta^2).
+# For any estimate x, d(f, g) <= dist(x, M_f) + dist(x, M_g); take E_g of it
+# and bound E_g[dist(x, M_f)] by Cauchy-Schwarz under P_f:
+#   R_g >= d - rms_f * sqrt(1/(8 delta^2)) = d - rms_f / (2 sqrt(2) delta),
+# with rms_f the root-mean-square error at f (Brown & Low, "A constrained risk
+# inequality with applications to nonparametric functional estimation", Ann.
+# Statist. 1996).  An estimator with rms_f <= delta * d thus pays
+# R_g >= (1 - 1/(2 sqrt(2))) d = ((4 - sqrt(2))/4) d.
+
+# the delta at which T eps_T^2 / sigma^2 = ln(1/(8 delta^2)) = 1, sqrt(1/(8e)):
+# below it, eps_T exceeds sigma / sqrt(T), the standard error of T readings' mean
 DELTA_MAX = math.sqrt(1.0 / (8.0 * math.e))
 
-# constant multiplying the reference modulus in the tilted-risk lower bound
+# R_g >= LOWER_BOUND_CONSTANT * d for every estimator with rms_f <= delta * d
 LOWER_BOUND_CONSTANT = (4.0 - math.sqrt(2.0)) / 4.0
 
 
@@ -478,23 +486,14 @@ class SuperefficiencyReport:
     alternatives: tuple[TiltedAlternative, TiltedAlternative]
 
 
-def _estimator_risk(target: ConvexFunction1D, estimator, sigma: float, T: int,
-                    replicates: int, master_seed: int,
-                    key: tuple[int, ...]) -> tuple[float, float]:
-    if isinstance(estimator, ConstantEstimator):
-        x = estimator.x_hat
-        return float(distance((x, x), target.minimizer_set)), 0.0
-    ((errs,),) = _replicate_errors((target.spec,), target.domain, sigma, T, (estimator,),
-                                   replicates, master_seed, (key,))
-    return _mean_stderr(errs)
-
-
 def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
-                                 replicates: int, modulus_scale: float = 1.0):
+                                 replicates: int, master_seed: int,
+                                 modulus_scale: float = 1.0):
     """Raise ValueError for inputs ``superefficiency_experiment`` cannot run,
     before anything is drawn: a delta outside (0, DELTA_MAX), a budget below
-    1 or past the float range, no replicate, a sigma or modulus_scale out of
-    range, or a budget too small for a binary search's rounds."""
+    1 or past the float range, no replicate, a sigma, master_seed or
+    modulus_scale out of range, or a budget too small for a binary search's
+    rounds."""
     if not 0.0 < delta < DELTA_MAX:
         raise ValueError(
             f"delta must lie in (0, {DELTA_MAX:.6f}), got {delta}"
@@ -507,6 +506,8 @@ def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not 0 <= master_seed < 2**64:  # as ExperimentConfig
+        raise ValueError(f"master_seed must fit in 64 unsigned bits, got {master_seed}")
     if not (math.isfinite(modulus_scale) and modulus_scale > 0):
         raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
     if isinstance(estimator, BinarySearchSpec):
@@ -528,27 +529,38 @@ def superefficiency_experiment(
 
     The tilt size eps_T = sqrt(sigma^2 * ln(1/(8 delta^2)) / T) is the one at
     which beating the difficulty benchmark at the target by a factor delta
-    forces inflated risk at one of the tilted functions.  The report holds
-    one ``TiltedAlternative`` row for g+ = f + eps_T * x and one for g- =
-    f - eps_T * x, built in one loop; each carries its reference modulus (at
-    modulus_scale * eps_T) for comparison.  Nothing about the bound is
-    asserted, it is descriptive output.  The estimator's replicates at f, g+
-    and g- draw from the streams of cell keys (0,), (1,) and (2,).
+    forces inflated risk at one of the tilted functions (see the derivation
+    above ``DELTA_MAX``).  The report holds one ``TiltedAlternative`` row for
+    g+ = f + eps_T * x and one for g- = f - eps_T * x; each carries its
+    reference modulus (at modulus_scale * eps_T) for comparison.  Nothing
+    about the bound is asserted, it is descriptive output.  A binary search
+    or SGD runs f, g+ and g- as three configs of one ``estimate_risks`` call:
+    its risk at each is that config's ``estimate_risk`` alone, and the three
+    share their replicates' draws.  A constant estimator draws nothing; its
+    risk is its distance to each minimizer set.
     """
-    check_superefficiency_inputs(estimator, delta, T, sigma, replicates, modulus_scale)
+    check_superefficiency_inputs(estimator, delta, T, sigma, replicates, master_seed,
+                                 modulus_scale)
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
-    f = build_function(spec, initial_interval)
-    risk_f, se_f = _estimator_risk(f, estimator, sigma, T, replicates, master_seed, (0,))
+    tilts = (eps_t, -eps_t)
+    # g+ and g- on the domain (which build_function checks), for their moduli
+    gs = [build_function(Tilt(spec, tilt), initial_interval) for tilt in tilts]
+    specs = (spec, *(g.spec for g in gs))
+    minimizers = [minimizer_interval(s, initial_interval) for s in specs]
+    if isinstance(estimator, ConstantEstimator):
+        x = estimator.x_hat
+        risks = [(float(distance((x, x), m)), 0.0) for m in minimizers]
+    else:
+        tables = estimate_risks(ExperimentConfig(s, (estimator,), (T,), replicates, sigma,
+                                                 master_seed, initial_interval)
+                                for s in specs)
+        risks = [(t.rows[0].mean_err, t.rows[0].stderr) for t in tables]
     ref_eps = modulus_scale * eps_t  # 0 when sigma is 0: no flat set to measure
-    alternatives = []
-    for i, tilt in ((1, eps_t), (2, -eps_t)):
-        g = build_function(Tilt(spec, tilt), initial_interval)
-        alternatives.append(TiltedAlternative(
-            tilt,
-            *_estimator_risk(g, estimator, sigma, T, replicates, master_seed, (i,)),
-            d=float(distance(f.minimizer_set, g.minimizer_set)),
-            omega_ref=modulus_numeric(g, ref_eps) if ref_eps > 0 else 0.0,
-        ))
+    (risk_f, se_f), *alt_risks = risks
+    alternatives = tuple(TiltedAlternative(
+        tilt, risk, stderr, d=float(distance(minimizers[0], m)),
+        omega_ref=modulus_numeric(g, ref_eps) if ref_eps > 0 else 0.0,
+    ) for tilt, g, m, (risk, stderr) in zip(tilts, gs, minimizers[1:], alt_risks))
     return SuperefficiencyReport(
         function=spec_id(spec),
         estimator=estimator.algorithm_id,
@@ -559,5 +571,5 @@ def superefficiency_experiment(
         modulus_scale=modulus_scale,
         risk_f=risk_f,
         stderr_f=se_f,
-        alternatives=tuple(alternatives),
+        alternatives=alternatives,
     )

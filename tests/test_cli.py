@@ -172,8 +172,10 @@ def test_superefficiency_unusable_output_directory_fails_before_the_run(tmp_path
     ["--sigma", "-1"], ["--modulus-scale", "0"],
     ["--estimator", "binary-search", "--T", "1"],
     ["--estimator", "binary-search", "--T", "1" + "0" * 300],
+    ["--estimator", "binary-search", "--seed", "-1"],
+    ["--estimator", "binary-search", "--seed", str(2**64)],
 ], ids=["delta", "T", "T-past-float-range", "replicates", "sigma", "modulus-scale",
-        "schedule", "rounds-too-long"])
+        "schedule", "rounds-too-long", "negative-seed", "seed-2^64"])
 def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys):
     out = tmp_path / "new" / "sub"
     assert cli.main([*SUPEREFFICIENCY, *flags, "--out", str(out)]) == cli.EXIT_USAGE

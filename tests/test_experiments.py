@@ -28,6 +28,7 @@ from convexbench import (
     estimate_risks,
     fit_loglog_slope,
     replicate_seed,
+    spec_id,
     superefficiency_experiment,
     two_point_floor,
     with_x_star,
@@ -456,3 +457,65 @@ def test_tilted_pair_risks_respect_two_point_floor(k, T, estimator):
     for risk_g, d in [(g.risk, g.d) for g in rep.alternatives]:
         assert d > 0
         assert max(rep.risk_f, risk_g) >= two_point_floor(d, rep.epsilon_T, T, sigma)
+
+
+# -- superefficiency: the report runs on the harness ------------------------
+
+SUPER_DOMAIN = (-1.0, 1.0)
+SUPER_T = 1000
+SUPER_R = 200
+
+
+def superefficiency(spec, estimator, delta=0.05):
+    return superefficiency_experiment(spec, estimator, delta, SUPER_T, SIGMA, SUPER_R, SEED,
+                                      SUPER_DOMAIN)
+
+
+@pytest.mark.parametrize("estimator", [BinarySearchSpec(r=1.5), SgdSpec("1/t")],
+                         ids=lambda e: e.algorithm_id)
+def test_superefficiency_rows_are_estimate_risk_rows(estimator):
+    spec = AsymmetricPower(1.5, 3.0, 0.3)
+    rep = superefficiency(spec, estimator)
+    eps = rep.epsilon_T
+    assert [g.tilt for g in rep.alternatives] == [eps, -eps]
+    reported = [(rep.risk_f, rep.stderr_f), *((g.risk, g.stderr) for g in rep.alternatives)]
+    for target, risk in zip((spec, Tilt(spec, eps), Tilt(spec, -eps)), reported):
+        (row,) = estimate_risk(ExperimentConfig(target, (estimator,), (SUPER_T,), SUPER_R,
+                                                SIGMA, SEED, SUPER_DOMAIN)).rows
+        assert risk == (row.mean_err, row.stderr)
+
+
+def test_sgd_reads_one_risk_at_f_and_its_tilts_on_the_quadratic():
+    # common random numbers: on sym-k2 the 1/t iterates' error does not depend
+    # on where the minimizer sits, so only rounding separates the three risks
+    rep = superefficiency(SymmetricPower(2.0, 0.3), SgdSpec("1/t"))
+    for g in rep.alternatives:
+        assert g.d > 0
+        assert g.risk == pytest.approx(rep.risk_f, rel=1e-12, abs=0.0)
+
+
+def test_constant_estimator_at_the_minimizer_meets_the_risk_inequality_with_equality():
+    spec = AsymmetricPower(1.5, 3.0, 0.3)
+    rep = superefficiency(spec, ConstantEstimator(0.3))
+    assert (rep.risk_f, rep.stderr_f) == (0.0, 0.0)
+    for g in rep.alternatives:
+        assert g.d > 0
+        assert (g.risk, g.stderr) == (g.d, 0.0)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.2])
+@pytest.mark.parametrize("spec", [
+    SymmetricPower(1.5, 0.3), SymmetricPower(2.0, 0.3), SymmetricPower(3.0, 0.3),
+    AsymmetricPower(1.5, 3.0, 0.3),
+], ids=spec_id)
+@pytest.mark.parametrize("estimator", [
+    BinarySearchSpec(r=1.5), SgdSpec("1/t"), SgdSpec("1/sqrt(t)"),
+], ids=lambda e: e.algorithm_id)
+def test_tilted_risks_meet_the_constrained_risk_inequality(delta, spec, estimator):
+    # R_g >= d - rms_f / (2 sqrt(2) delta) (see experiments.DELTA_MAX); the
+    # Monte-Carlo risk at g may fall short of it by 3 of its standard errors
+    rep = superefficiency(spec, estimator, delta)
+    rms_f = math.sqrt(rep.risk_f**2 + (SUPER_R - 1) * rep.stderr_f**2)
+    for g in rep.alternatives:
+        bound = g.d - rms_f / (2.0 * math.sqrt(2.0) * delta)
+        assert g.risk >= bound - 3.0 * g.stderr
