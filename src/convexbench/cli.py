@@ -33,6 +33,7 @@ from .configfile import (
     DEFAULT_T_GRID,
     SPEC_KINDS,
     RunSettings,
+    parse_algorithm,
     parse_config,
     serialize_config,
     spec_from_fields,
@@ -414,19 +415,16 @@ def cmd_superefficiency(parser, args) -> int:
     spec = _function_spec(parser, args)
     domain = _parse_domain(parser, args.domain)
     try:
-        if args.estimator == "constant":
-            if args.x_hat is None:
-                xl, xr = minimizer_interval(spec, domain)
-                x_hat = 0.5 * (xl + xr)
-            else:
-                x_hat = args.x_hat
-            estimator = ConstantEstimator(x_hat)
-        elif args.estimator == "binary-search":
-            estimator = BinarySearchSpec(r=args.r)
-        else:
-            estimator = SgdSpec(schedule=args.schedule)
+        if args.estimator != "constant":
+            estimator = parse_algorithm(args.estimator)
+        elif args.x_hat is not None:
+            estimator = ConstantEstimator(args.x_hat)
+        else:  # the midpoint of f's minimizer set
+            xl, xr = minimizer_interval(spec, domain)
+            estimator = ConstantEstimator(0.5 * (xl + xr))
         check_superefficiency_inputs(estimator, args.delta, args.T, args.sigma,
-                                     args.replicates, args.seed, args.modulus_scale)
+                                     args.replicates, args.seed, domain,
+                                     args.modulus_scale)
         # the directory before the run, and only once the inputs are known good
         if args.out and not _make_dirs(Path(args.out)):
             return EXIT_USAGE
@@ -500,14 +498,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sup.add_argument("--sigma", type=float, default=0.1)
     p_sup.add_argument("--replicates", type=int, default=200)
     p_sup.add_argument("--estimator", default="constant",
-                       choices=["constant", "binary-search", "sgd"])
+                       help="constant (at --x-hat) or a config algorithm line's body, "
+                            "e.g. 'binary-search r=1.5' or 'sgd schedule=1/sqrt(t) "
+                            "scale=0.5'; a line's delta= is BinarySearchSpec.delta, "
+                            "not the report's --delta")
     p_sup.add_argument("--x-hat", type=float,
-                       help="constant estimate (default: target minimizer)")
-    p_sup.add_argument("--r", type=float, default=FIG2_ROUND_COEFFICIENT,
-                       help="round coefficient for --estimator binary-search")
-    p_sup.add_argument("--schedule", default="1/t",
-                       choices=["1/t", "1/sqrt(t)"],
-                       help="step schedule for --estimator sgd")
+                       help="constant estimate in --domain (default: target minimizer)")
     p_sup.add_argument("--seed", type=int, default=20250810)
     p_sup.add_argument("--modulus-scale", type=float, default=1.0)
     p_sup.add_argument("--out", help="also write superefficiency.csv here")

@@ -48,7 +48,9 @@ with name ``binary-search`` (keys r, delta) or ``sgd`` (schedule, scale,
 iterate, x0).  Each key is given at most once and is required unless its
 field has a default.  A value is read by its field's type: a finite number,
 text as written, or for x0 a finite number when it reads as one and
-otherwise a word its class checks (``uniform``).
+otherwise a word its class checks (``uniform``).  ``parse_algorithm`` reads
+one line body, the text after ``algorithm =``; ``superefficiency
+--estimator`` takes the same body.
 
 Each ``[oracle]``, ``[grid]`` and ``[run]`` key sets a field of ``RunSettings``
 or of ``ExperimentConfig``, which checks its bounds.  Keys without a default
@@ -91,6 +93,7 @@ __all__ = [
     "ALGORITHM_KINDS",
     "BASE_KINDS",
     "parse_config",
+    "parse_algorithm",
     "serialize_config",
     "spec_from_fields",
     "spec_fields",
@@ -322,25 +325,32 @@ def _text(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def _parse_algorithm(ln: int, value: str):
-    name, *pairs = value.split() or [""]
+def parse_algorithm(text: str) -> BinarySearchSpec | SgdSpec:
+    """The algorithm spec of one line body, ``<name> key=value ...``, by the
+    grammar in the module docstring; FieldError when it is malformed."""
+    name, *pairs = text.split() or [""]
     vals = {"algorithm": name}
     for pair in pairs:
-        key, eq, text = pair.partition("=")
+        key, eq, value = pair.partition("=")
         if not eq:
-            raise ConfigError(ln, f"algorithm parameter {pair!r} is not key=value")
+            raise FieldError(key, f"algorithm parameter {pair!r} is not key=value")
         if key in vals:
-            raise ConfigError(ln, f"repeated algorithm parameter {key!r}")
-        vals[key] = text
+            raise FieldError(key, f"repeated algorithm parameter {key!r}")
+        vals[key] = value
+    return spec_from_fields(vals, kind_key="algorithm")
+
+
+def _on_line(ln: int, read, *args):
+    """``read(*args)``, a ValueError it raises turned into line ln's ConfigError."""
     try:
-        return spec_from_fields(vals, kind_key="algorithm")
-    except FieldError as e:
+        return read(*args)
+    except ValueError as e:
         raise ConfigError(ln, str(e)) from None
 
 
 def parse_config(text: str) -> RunSettings:
     vals, lines, algorithm_lines = _parse_lines(text)
-    algorithms = [_parse_algorithm(ln, value) for ln, value in algorithm_lines]
+    algorithms = [_on_line(ln, parse_algorithm, value) for ln, value in algorithm_lines]
 
     fn_vals, fn_lines = vals["function"], lines["function"]
     distribution = fn_vals.pop("x_star_distribution", None)
@@ -357,11 +367,8 @@ def parse_config(text: str) -> RunSettings:
         parts = distribution.split()
         if len(parts) != 3 or parts[0] != "uniform":
             raise ConfigError(ln, "x_star_distribution must be 'uniform <lo> <hi>'")
-        try:
-            lo, hi = (_number("x_star_distribution", p) for p in parts[1:])
-            function = FunctionFamily(spec, UniformDist(lo, hi))
-        except ValueError as e:
-            raise ConfigError(ln, str(e)) from None
+        lo, hi = (_on_line(ln, _number, "x_star_distribution", p) for p in parts[1:])
+        function = _on_line(ln, FunctionFamily, spec, _on_line(ln, UniformDist, lo, hi))
 
     settings, field_lines = {}, {}
     for key, (section, field, hint) in _SETTINGS.items():
@@ -371,11 +378,9 @@ def parse_config(text: str) -> RunSettings:
         if field in field_lines:
             raise ConfigError(ln, f"give either {_KEY_OF[field]} or {key}, not both")
         field_lines[field] = ln
-        try:
-            value = _value(key, hint, vals[section][key])
-            settings[field] = default_t_grid(*value) if key == "T_log_range" else value
-        except ValueError as e:
-            raise ConfigError(ln, str(e)) from None
+        value = _on_line(ln, _value, key, hint, vals[section][key])
+        settings[field] = (_on_line(ln, default_t_grid, *value) if key == "T_log_range"
+                           else value)
     for section, field, _ in _SETTINGS.values():
         if _CONFIG_FIELDS.get(field) and field not in settings:
             either = " or ".join(k for k, v in _SETTINGS.items() if v[1] == field)

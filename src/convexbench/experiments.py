@@ -488,12 +488,13 @@ class SuperefficiencyReport:
 
 def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
                                  replicates: int, master_seed: int,
+                                 initial_interval: tuple[float, float] = (-2.0, 2.0),
                                  modulus_scale: float = 1.0):
     """Raise ValueError for inputs ``superefficiency_experiment`` cannot run,
     before anything is drawn: a delta outside (0, DELTA_MAX), a budget below
     1 or past the float range, no replicate, a sigma, master_seed or
-    modulus_scale out of range, or a budget too small for a binary search's
-    rounds."""
+    modulus_scale out of range, a constant estimate outside the interval, or
+    a budget too small for a binary search's rounds."""
     if not 0.0 < delta < DELTA_MAX:
         raise ValueError(
             f"delta must lie in (0, {DELTA_MAX:.6f}), got {delta}"
@@ -510,6 +511,9 @@ def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
         raise ValueError(f"master_seed must fit in 64 unsigned bits, got {master_seed}")
     if not (math.isfinite(modulus_scale) and modulus_scale > 0):
         raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
+    a, b = initial_interval
+    if isinstance(estimator, ConstantEstimator) and not a <= estimator.x_hat <= b:
+        raise ValueError(f"x_hat must lie in the domain [{a}, {b}], got {estimator.x_hat}")
     if isinstance(estimator, BinarySearchSpec):
         epochs_schedule(T, estimator.r)
 
@@ -540,7 +544,7 @@ def superefficiency_experiment(
     risk is its distance to each minimizer set.
     """
     check_superefficiency_inputs(estimator, delta, T, sigma, replicates, master_seed,
-                                 modulus_scale)
+                                 initial_interval, modulus_scale)
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
     tilts = (eps_t, -eps_t)
     # g+ and g- on the domain (which build_function checks), for their moduli

@@ -46,13 +46,19 @@ __all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "STEP_CHUNK",
            "CHUNK_VALUES", "THREAD_MIN_ROW", "usable_cores"]
 
 # steps of noise that OracleBatch draws at once for begin_steps, and the most
-# noise values (steps * replicates) one such chunk may hold
+# noise values (steps * replicates) one such chunk may hold.  STEP_CHUNK also
+# bounds the row that one standard_normal call fills when R < 512: without it
+# an R = 1 chunk and its transpose tile would each hold CHUNK_VALUES values
 STEP_CHUNK = 1024
 CHUNK_VALUES = 2**19
 
 # replicates whose chunk rows are transposed together into step-major order
 _TILE = 64
-# the shortest block row that query_block_all draws on several threads
+# the shortest block row that query_block_all draws on several threads.  At
+# 512, bisect-deep's 769-query rows ran 3.5% faster (4.77 -> 4.61 s, median of
+# 6 alternating pairs on a 2-core host), inside its run-to-run spread, while
+# fig2-allcores read 2.69, 2.48 and 2.10 s against 2.42, 2.16 and 2.14 s: its
+# pool workers, one per core, would each start threads too
 THREAD_MIN_ROW = 1024
 
 
@@ -184,7 +190,9 @@ class OracleBatch:
         self._steps = np.empty((0, self.n_replicates))  # drawn step noise, (chunk, R)
         self._step_pos = 0  # next unread row of _steps
         self._steps_ahead = 0  # reserved steps whose noise is not drawn yet
-        self._block = np.empty(0)  # block noise and readings of one tile, reused
+        # block noise and readings of one tile, reused: a fresh tile per share
+        # read raised bisect-deep's peak RSS from 44.6 to 50.3 MB
+        self._block = np.empty(0)
 
     def _take(self, n: int):
         if n < 1:

@@ -12,13 +12,16 @@ import pytest
 from convexbench import (
     Absolute,
     AsymmetricPower,
+    BinarySearchSpec,
     PiecewiseLinear,
+    SgdSpec,
     SymmetricPower,
     Tilt,
     build_function,
     cli,
     oracle,
     sample_modulus_curve,
+    superefficiency_experiment,
 )
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -105,7 +108,9 @@ class TestExitCodes:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
-    @pytest.mark.parametrize("estimator", ["constant", "binary-search", "sgd"])
+    @pytest.mark.parametrize("estimator", ["constant", "binary-search r=1.5",
+                                           "sgd schedule=1/t"],
+                             ids=["constant", "binary-search", "sgd"])
     @pytest.mark.parametrize("replicates", ["0", "-3"])
     def test_superefficiency_needs_a_replicate(self, estimator, replicates, capsys):
         rc = cli.main(["superefficiency", "--fn", "sym-power", "--k", "2", "--delta", "0.1",
@@ -115,7 +120,7 @@ class TestExitCodes:
 
     def test_superefficiency_bad_estimator_parameter(self, capsys):
         rc = cli.main(["superefficiency", "--fn", "sym-power", "--k", "2",
-                       "--delta", "0.1", "--estimator", "binary-search", "--r", "0"])
+                       "--delta", "0.1", "--estimator", "binary-search r=0"])
         assert rc == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: r must be positive")
 
@@ -170,12 +175,13 @@ def test_superefficiency_unusable_output_directory_fails_before_the_run(tmp_path
 @pytest.mark.parametrize("flags", [
     ["--delta", "0.5"], ["--T", "0"], ["--T", "1" + "0" * 400], ["--replicates", "0"],
     ["--sigma", "-1"], ["--modulus-scale", "0"],
-    ["--estimator", "binary-search", "--T", "1"],
-    ["--estimator", "binary-search", "--T", "1" + "0" * 300],
-    ["--estimator", "binary-search", "--seed", "-1"],
-    ["--estimator", "binary-search", "--seed", str(2**64)],
+    ["--estimator", "binary-search r=1.5", "--T", "1"],
+    ["--estimator", "binary-search r=1.5", "--T", "1" + "0" * 300],
+    ["--estimator", "binary-search r=1.5", "--seed", "-1"],
+    ["--estimator", "binary-search r=1.5", "--seed", str(2**64)],
+    ["--x-hat", "5"],
 ], ids=["delta", "T", "T-past-float-range", "replicates", "sigma", "modulus-scale",
-        "schedule", "rounds-too-long", "negative-seed", "seed-2^64"])
+        "schedule", "rounds-too-long", "negative-seed", "seed-2^64", "x-hat-outside"])
 def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys):
     out = tmp_path / "new" / "sub"
     assert cli.main([*SUPEREFFICIENCY, *flags, "--out", str(out)]) == cli.EXIT_USAGE
@@ -183,9 +189,40 @@ def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys)
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("estimator,message", [
+    ("binary-search", "binary-search requires r"),
+    ("sgd", "sgd requires schedule"),
+    ("sgd schedule=1/t iterate=averge", "iterate must be"),
+    ("newton r=1.5", "algorithm must be one of binary-search, sgd, got 'newton'"),
+])
+def test_superefficiency_estimator_line_errors_as_a_config_line(estimator, message,
+                                                                tmp_path, capsys):
+    # each key is required or defaulted as on a config file's algorithm line
+    out = tmp_path / "new"
+    assert cli.main([*SUPEREFFICIENCY, "--estimator", estimator,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator,spec", [
+    ("binary-search r=1.5", BinarySearchSpec(1.5)),
+    ("binary-search delta=0.2 r=2", BinarySearchSpec(2.0, delta=0.2)),
+    ("sgd schedule=1/sqrt(t) scale=0.5 iterate=average",
+     SgdSpec("1/sqrt(t)", scale=0.5, iterate="average")),
+    ("sgd schedule=1/t x0=0.25", SgdSpec("1/t", x0=0.25)),
+])
+def test_superefficiency_estimator_is_the_algorithm_line_spec(estimator, spec, capsys):
+    assert cli.main([*SUPEREFFICIENCY, "--estimator", estimator]) == cli.EXIT_OK
+    report = superefficiency_experiment(SymmetricPower(2.0), spec, delta=0.1, T=100,
+                                        sigma=0.1, replicates=2, master_seed=20250810,
+                                        initial_interval=(-1.0, 1.0))
+    assert capsys.readouterr().out == cli.superefficiency_csv_text(report)
+
+
 def test_superefficiency_rounds_too_long_to_read_name_t_and_t0(capsys):
     T = "1" + "0" * 300  # inside the float range; T0 has 297 digits
-    rc = cli.main([*SUPEREFFICIENCY, "--estimator", "binary-search", "--T", T])
+    rc = cli.main([*SUPEREFFICIENCY, "--estimator", "binary-search r=1.5", "--T", T])
     assert rc == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: T={T} with r=1.5 gives rounds of T0=")
 

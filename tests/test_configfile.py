@@ -26,6 +26,7 @@ from convexbench.configfile import (
     DEFAULT_T_GRID,
     ConfigError,
     default_t_grid,
+    parse_algorithm,
     parse_config,
     serialize_config,
 )
@@ -190,24 +191,36 @@ class TestAlgorithmSpecErrors:
         assert err.line == line_of(CONFIG, "algorithm = sgd")
 
 
+BAD_ALGORITHM_LINES = [
+    ("algorithm = newton r=1.5", "algorithm must be one of binary-search, sgd, "
+                                 "got 'newton'"),
+    ("algorithm = sgd schedule=1/t step=2", "step does not apply to algorithm sgd"),
+    ("algorithm = binary-search delta=0.1", "binary-search requires r"),
+    ("algorithm = sgd scale=2", "sgd requires schedule"),
+    ("algorithm = sgd schedule=1/t 0.5", "'0.5' is not key=value"),
+    ("algorithm = sgd schedule=1/t x0=nan", "x0: value must be finite"),
+    ("algorithm = sgd schedule=1/t x0=inf", "x0: value must be finite"),
+    ("algorithm = sgd schedule=1/t scale=1e400", "scale: value must be finite"),
+    ("algorithm = sgd schedule=1/t algorithm=sgd", "repeated algorithm parameter "
+                                                   "'algorithm'"),
+]
+
+
 class TestAlgorithmGrammar:
-    @pytest.mark.parametrize("line,names", [
-        ("algorithm = newton r=1.5", "algorithm must be one of binary-search, sgd, "
-                                     "got 'newton'"),
-        ("algorithm = sgd schedule=1/t step=2", "step does not apply to algorithm sgd"),
-        ("algorithm = binary-search delta=0.1", "binary-search requires r"),
-        ("algorithm = sgd scale=2", "sgd requires schedule"),
-        ("algorithm = sgd schedule=1/t 0.5", "'0.5' is not key=value"),
-        ("algorithm = sgd schedule=1/t x0=nan", "x0: value must be finite"),
-        ("algorithm = sgd schedule=1/t x0=inf", "x0: value must be finite"),
-        ("algorithm = sgd schedule=1/t scale=1e400", "scale: value must be finite"),
-        ("algorithm = sgd schedule=1/t algorithm=sgd", "repeated algorithm parameter "
-                                                       "'algorithm'"),
-    ])
+    @pytest.mark.parametrize("line,names", BAD_ALGORITHM_LINES)
     def test_error_names_its_line_and_key(self, line, names):
         err, _ = config_error("algorithm = sgd schedule=1/t", line)
         assert err.line == line_of(CONFIG, "algorithm = sgd")
         assert names in str(err)
+
+    @pytest.mark.parametrize("line,names", BAD_ALGORITHM_LINES)
+    def test_line_body_raises_the_field_error_config_files_report(self, line, names):
+        # parse_config adds only the line number to parse_algorithm's message
+        err, _ = config_error("algorithm = sgd schedule=1/t", line)
+        with pytest.raises(FieldError) as info:
+            parse_algorithm(line.removeprefix("algorithm = "))
+        assert names in str(info.value)
+        assert str(err) == f"line {err.line}: {info.value}"
 
     def test_omitted_keys_take_the_class_defaults(self):
         algorithms = parse_config(CONFIG).config.algorithms
@@ -441,13 +454,15 @@ def algorithm_lines(draw):
     return " ".join([f"algorithm = {name}", *pairs]), replace(spec, **defaults)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(algorithm_lines())
 def test_algorithm_line_round_trip(line_and_spec):
     line, spec = line_and_spec
     algorithms = "algorithm = binary-search r=1.5\nalgorithm = sgd schedule=1/t"
     config = parse_config(CONFIG.replace(algorithms, line)).config
     assert config.algorithms == (spec,)
+    # the body after "algorithm =", as superefficiency --estimator takes it
+    assert parse_algorithm(line.removeprefix("algorithm = ")) == spec
 
 
 def test_round_trip_tilted_piecewise_linear():

@@ -503,6 +503,17 @@ def test_constant_estimator_at_the_minimizer_meets_the_risk_inequality_with_equa
         assert (g.risk, g.stderr) == (g.d, 0.0)
 
 
+@pytest.mark.parametrize("x_hat", [-1.5, 5.0])
+def test_constant_estimate_outside_the_domain_is_refused(x_hat):
+    with pytest.raises(ValueError, match=r"x_hat must lie in the domain \[-1.0, 1.0\]"):
+        superefficiency(SymmetricPower(2.0), ConstantEstimator(x_hat))
+
+
+def test_constant_estimate_at_a_domain_end_is_accepted():
+    rep = superefficiency(SymmetricPower(2.0), ConstantEstimator(SUPER_DOMAIN[1]))
+    assert rep.risk_f == 1.0
+
+
 @pytest.mark.parametrize("delta", [0.05, 0.2])
 @pytest.mark.parametrize("spec", [
     SymmetricPower(1.5, 0.3), SymmetricPower(2.0, 0.3), SymmetricPower(3.0, 0.3),
