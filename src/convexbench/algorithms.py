@@ -9,12 +9,14 @@ Each is written once, as ``run_binary_search`` and ``run_sgd``, over an
 of the batch's ``shape``: (R,), or (P, R) when P functions share the batch's
 noise.  The experiment harness calls them with R replicates;
 ``sign_test_binary_search`` and ``sgd`` run them on a one-replicate batch and
-turn the optional trace into ``RoundRecord``s.  ``BinarySearchSpec`` and ``SgdSpec`` are the only
-parameter types; the search or projection interval is an argument of the run.
+turn the optional trace into ``RoundRecord``s.  ``BinarySearchSpec`` and
+``SgdSpec`` are the only parameter types.  The search and projection interval
+is the batch's domain, which ``OracleBatch`` has checked (finite, a < b) and
+stored as floats.
 
 The binary search stores its interval as (left endpoint, width) and halves
 the width each round with an exact multiply by 0.5, so the width after round
-e equals 2^-e times the initial width bit for bit.
+e equals 2^-e times the domain's width bit for bit.
 """
 from __future__ import annotations
 
@@ -143,20 +145,13 @@ def epochs_schedule(T: int, r: float) -> tuple[int, int]:
     return E, T0
 
 
-def _checked_interval(interval: tuple[float, float]) -> tuple[float, float]:
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError(f"need a < b in the interval, got ({a}, {b})")
-    return a, b
-
-
 def run_binary_search(
     batch: OracleBatch,
     spec: BinarySearchSpec,
-    interval: tuple[float, float],
     trace: list | None = None,
 ) -> np.ndarray:
-    """E rounds of bisection steered by the sign of an averaged derivative.
+    """E rounds of bisection of the batch's domain, steered by the sign of an
+    averaged derivative.
 
     Each round queries the midpoint of every replicate's current interval
     T0 times, keeps the left half where the average reading is positive and
@@ -168,7 +163,7 @@ def run_binary_search(
     search per function and replicate).  When ``trace`` is a list, each round
     appends (query points, mean readings, left ends after the update, width).
     """
-    a0, b0 = _checked_interval(interval)
+    a0, b0 = batch.domain
     E, T0 = epochs_schedule(batch.budget, spec.r)
     a = np.full(batch.shape, a0)
     width = b0 - a0
@@ -186,7 +181,6 @@ def run_sgd(
     batch: OracleBatch,
     specs: tuple[SgdSpec, ...],
     x0: np.ndarray,
-    interval: tuple[float, float],
     trace: list | None = None,
 ) -> np.ndarray:
     """Projected stochastic gradient descent using the whole oracle budget.
@@ -198,12 +192,12 @@ def run_sgd(
     spec's step size scale/t or scale/sqrt(t), all readings scaled in one
     multiply by a row of the R step sizes.  Starts ``x0`` (shape (R,),
     broadcast to the batch's shape) and iterates are projected onto the
-    interval before every query.  Returns the last iterates, or the running
-    averages of the query points for blocks whose spec has iterate ==
-    "average", of the batch's shape.
+    batch's domain before every query.  Returns the last iterates, or the
+    running averages of the query points for blocks whose spec has iterate
+    == "average", of the batch's shape.
     When ``trace`` is a list, each step appends (query points, readings).
     """
-    lo, hi = _checked_interval(interval)
+    lo, hi = batch.domain
     T = batch.budget
     size = batch.n_replicates // len(specs)
     blocks = [(np.s_[..., j * size:(j + 1) * size], spec) for j, spec in enumerate(specs)]
@@ -228,15 +222,13 @@ def run_sgd(
     return x
 
 
-def sign_test_binary_search(
-    batch: OracleBatch, spec: BinarySearchSpec, interval: tuple[float, float]
-) -> RunResult:
+def sign_test_binary_search(batch: OracleBatch, spec: BinarySearchSpec) -> RunResult:
     """``run_binary_search`` on one replicate; the trace has one entry per round."""
     if batch.n_replicates != 1:
         raise ValueError(f"need a one-replicate batch, got {batch.n_replicates} replicates")
     used = batch.queries_used
     rounds = []
-    estimate = run_binary_search(batch, spec, interval, trace=rounds)
+    estimate = run_binary_search(batch, spec, trace=rounds)
     records = tuple(
         RoundRecord(round=e, query_point=float(x[0]), mean_gradient=float(z_bar[0]),
                     interval=(float(a[0]), float(a[0]) + width), width=width)
@@ -251,16 +243,15 @@ def flat_set_diagnostics(
     r: float,
     delta: float,
     sigma: float,
-    initial_interval: tuple[float, float] | None = None,
 ) -> tuple[float, tuple[float, float], float]:
     """Quantities governing where the binary search lands.
 
     Returns (C_delta, I_delta, radius_bound): the noise-deviation constant
     C_delta = sigma * sqrt(2 ln(E/delta)), the interval I_delta where the
     subgradient magnitude is below C_delta/sqrt(T0), and the bisection
-    resolution 2^-E times the initial interval width.  With probability at
-    least 1 - delta the search output lies within radius_bound of I_delta
-    whenever the initial interval meets it.
+    resolution 2^-E times the width of f's domain, the interval the search
+    bisects.  With probability at least 1 - delta the search output lies
+    within radius_bound of I_delta.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
@@ -273,17 +264,12 @@ def flat_set_diagnostics(
         i_delta = flat_set(f, threshold)
     else:  # sigma = 0 or delta -> 1 with E = 1: the flat set degenerates
         i_delta = f.minimizer_set
-    a0, b0 = initial_interval if initial_interval is not None else f.domain
+    a0, b0 = f.domain
     radius_bound = (b0 - a0) * 0.5**E
     return c_delta, i_delta, radius_bound
 
 
-def sgd(
-    batch: OracleBatch,
-    spec: SgdSpec,
-    interval: tuple[float, float],
-    record_trace: bool = False,
-) -> RunResult:
+def sgd(batch: OracleBatch, spec: SgdSpec, record_trace: bool = False) -> RunResult:
     """``run_sgd`` on a one-replicate batch from the numeric start ``spec.x0``;
     with ``record_trace`` the trace has one entry per step."""
     if batch.n_replicates != 1:
@@ -295,8 +281,8 @@ def sgd(
             "start in the harness"
         )
     steps = [] if record_trace else None
-    estimate = run_sgd(batch, (spec,), np.array([float(spec.x0)]), interval, trace=steps)
-    lo, hi = interval
+    estimate = run_sgd(batch, (spec,), np.array([float(spec.x0)]), trace=steps)
+    lo, hi = batch.domain
     records = tuple(
         RoundRecord(round=t, query_point=float(x[0]), mean_gradient=float(v[0]),
                     interval=(lo, hi), width=hi - lo)

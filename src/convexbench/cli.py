@@ -31,6 +31,7 @@ from .configfile import (
     BASE_KINDS,
     ConfigError,
     DEFAULT_T_GRID,
+    ESTIMATOR_KINDS,
     SPEC_KINDS,
     RunSettings,
     parse_algorithm,
@@ -43,7 +44,6 @@ from .errors import DataError, FieldError
 from .experiments import (
     LOWER_BOUND_CONSTANT,
     BinarySearchSpec,
-    ConstantEstimator,
     ExperimentConfig,
     FunctionFamily,
     RiskTable,
@@ -63,7 +63,6 @@ from .functions import (
     SymmetricPower,
     Tilt,
     build_function,
-    minimizer_interval,
 )
 from .modulus import sample_modulus_curve
 from .oracle import usable_cores
@@ -349,7 +348,10 @@ def _parse_eps_range(parser, text: str) -> list[float]:
         parser.error(f"--eps needs finite 0 < lo < hi and count >= 1, got {text!r}")
     if count == 1:
         return [lo]
-    return list(np.geomspace(lo, hi, count))
+    try:
+        return list(np.geomspace(lo, hi, count))
+    except (MemoryError, ValueError) as e:  # numpy's size check, before any allocation
+        parser.error(f"--eps count {count} is more than numpy can allocate: {e}")
 
 
 def cmd_modulus(parser, args) -> int:
@@ -415,13 +417,7 @@ def cmd_superefficiency(parser, args) -> int:
     spec = _function_spec(parser, args)
     domain = _parse_domain(parser, args.domain)
     try:
-        if args.estimator != "constant":
-            estimator = parse_algorithm(args.estimator)
-        elif args.x_hat is not None:
-            estimator = ConstantEstimator(args.x_hat)
-        else:  # the midpoint of f's minimizer set
-            xl, xr = minimizer_interval(spec, domain)
-            estimator = ConstantEstimator(0.5 * (xl + xr))
+        estimator = parse_algorithm(args.estimator, ESTIMATOR_KINDS)
         check_superefficiency_inputs(estimator, args.delta, args.T, args.sigma,
                                      args.replicates, args.seed, domain,
                                      args.modulus_scale)
@@ -498,12 +494,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sup.add_argument("--sigma", type=float, default=0.1)
     p_sup.add_argument("--replicates", type=int, default=200)
     p_sup.add_argument("--estimator", default="constant",
-                       help="constant (at --x-hat) or a config algorithm line's body, "
-                            "e.g. 'binary-search r=1.5' or 'sgd schedule=1/sqrt(t) "
-                            "scale=0.5'; a line's delta= is BinarySearchSpec.delta, "
-                            "not the report's --delta")
-    p_sup.add_argument("--x-hat", type=float,
-                       help="constant estimate in --domain (default: target minimizer)")
+                       help="'constant' (at the midpoint of the target minimizer set "
+                            "on --domain), 'constant x_hat=0.3' (in --domain), or the "
+                            "body of a config algorithm line, e.g. 'binary-search r=1.5' "
+                            "or 'sgd schedule=1/sqrt(t) scale=0.5'; config lines do not "
+                            "take constant; delta= in the line sets "
+                            "BinarySearchSpec.delta, not --delta")
     p_sup.add_argument("--seed", type=int, default=20250810)
     p_sup.add_argument("--modulus-scale", type=float, default=1.0)
     p_sup.add_argument("--out", help="also write superefficiency.csv here")

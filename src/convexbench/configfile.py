@@ -47,10 +47,11 @@ Algorithm lines follow the same grammar on one line, read off
 with name ``binary-search`` (keys r, delta) or ``sgd`` (schedule, scale,
 iterate, x0).  Each key is given at most once and is required unless its
 field has a default.  A value is read by its field's type: a finite number,
-text as written, or for x0 a finite number when it reads as one and
-otherwise a word its class checks (``uniform``).  ``parse_algorithm`` reads
-one line body, the text after ``algorithm =``; ``superefficiency
---estimator`` takes the same body.
+text as written, or for x0 and x_hat a finite number when it reads as one
+and otherwise a word its class checks (``uniform``, ``midpoint``).
+``parse_algorithm`` reads one line body, the text after ``algorithm =``;
+``superefficiency --estimator`` takes the same body or ``constant
+[x_hat=...]``, which config lines refuse: the harness has no cell for it.
 
 Each ``[oracle]``, ``[grid]`` and ``[run]`` key sets a field of ``RunSettings``
 or of ``ExperimentConfig``, which checks its bounds.  Keys without a default
@@ -71,6 +72,7 @@ from typing import get_type_hints
 from .errors import FieldError
 from .experiments import (
     BinarySearchSpec,
+    ConstantEstimator,
     ExperimentConfig,
     FunctionFamily,
     SgdSpec,
@@ -91,6 +93,7 @@ __all__ = [
     "RunSettings",
     "SPEC_KINDS",
     "ALGORITHM_KINDS",
+    "ESTIMATOR_KINDS",
     "BASE_KINDS",
     "parse_config",
     "parse_algorithm",
@@ -130,10 +133,12 @@ SPEC_KINDS = {
     "tilt": Tilt,
 }
 ALGORITHM_KINDS = {"binary-search": BinarySearchSpec, "sgd": SgdSpec}
+# superefficiency --estimator also takes the constant, which no harness cell runs
+ESTIMATOR_KINDS = ALGORITHM_KINDS | {"constant": ConstantEstimator}
 BASE_KINDS = tuple(kind for kind, cls in SPEC_KINDS.items() if cls is not Tilt)
 # the key that names the class of each table
 _TABLES = {"kind": SPEC_KINDS, "algorithm": ALGORITHM_KINDS}
-_CLASSES = SPEC_KINDS | ALGORITHM_KINDS
+_CLASSES = SPEC_KINDS | ESTIMATOR_KINDS
 _KIND_OF = {cls: (kind_key, kind) for kind_key, table in _TABLES.items()
             for kind, cls in table.items()}
 # one number, space-separated numbers, the text itself, or a number when the
@@ -268,13 +273,13 @@ def _value(key: str, hint, text: str):
 
 
 def spec_from_fields(vals: Mapping[str, str], prefix: str = "",
-                     kind_key: str = "kind"):
-    """Build a function spec, or with ``kind_key="algorithm"`` an algorithm
-    spec, from key -> text by the grammar in the module docstring.  Raises
-    FieldError naming the key that is missing, malformed, not finite or not
-    a key of its kind; a constraint of the spec class itself (``k > 1``)
-    names the kind key."""
-    kinds = BASE_KINDS if prefix else _TABLES[kind_key]
+                     kind_key: str = "kind", kinds=None):
+    """Build a function spec, or with ``kind_key="algorithm"`` one of
+    ``kinds`` (by default the algorithms), from key -> text by the grammar in
+    the module docstring.  Raises FieldError naming the key that is missing,
+    malformed, not finite or not a key of its kind; a constraint of the spec
+    class itself (``k > 1``) names the kind key."""
+    kinds = BASE_KINDS if prefix else kinds or _TABLES[kind_key]
     name_key = prefix + kind_key
     if name_key not in vals:
         raise FieldError(name_key, f"missing key {name_key}")
@@ -325,9 +330,10 @@ def _text(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def parse_algorithm(text: str) -> BinarySearchSpec | SgdSpec:
-    """The algorithm spec of one line body, ``<name> key=value ...``, by the
-    grammar in the module docstring; FieldError when it is malformed."""
+def parse_algorithm(text: str, kinds=ALGORITHM_KINDS):
+    """The spec of one line body, ``<name> key=value ...``, naming one of
+    ``kinds``, by the grammar in the module docstring; FieldError when it is
+    malformed."""
     name, *pairs = text.split() or [""]
     vals = {"algorithm": name}
     for pair in pairs:
@@ -337,7 +343,7 @@ def parse_algorithm(text: str) -> BinarySearchSpec | SgdSpec:
         if key in vals:
             raise FieldError(key, f"repeated algorithm parameter {key!r}")
         vals[key] = value
-    return spec_from_fields(vals, kind_key="algorithm")
+    return spec_from_fields(vals, kind_key="algorithm", kinds=kinds)
 
 
 def _on_line(ln: int, read, *args):

@@ -109,21 +109,25 @@ class FunctionFamily:
 
 
 AlgorithmSpec = BinarySearchSpec | SgdSpec
+# the midpoint of f's minimizer set, which superefficiency_experiment resolves
+MINIMIZER_MIDPOINT = "midpoint"
 
 
 @dataclass(frozen=True)
 class ConstantEstimator:
     """Estimator that returns a fixed point and never queries the oracle."""
 
-    x_hat: float
+    x_hat: float | str = MINIMIZER_MIDPOINT
 
     def __post_init__(self):
-        if not math.isfinite(self.x_hat):
-            raise ValueError(f"x_hat must be finite, got {self.x_hat}")
+        if not (self.x_hat == MINIMIZER_MIDPOINT if isinstance(self.x_hat, str)
+                else math.isfinite(self.x_hat)):
+            raise ValueError(f"x_hat must be finite or {MINIMIZER_MIDPOINT!r}, "
+                             f"got {self.x_hat!r}")
 
     @property
     def algorithm_id(self) -> str:
-        return f"constant(x={_id_number(self.x_hat)})"
+        return f"constant(x={_id_number(self.x_hat)})"  # once x_hat is a number
 
 
 def repeated_algorithm(algorithms) -> int | None:
@@ -278,8 +282,9 @@ def replicate_runs(
     ``algs`` holds one BinarySearchSpec or the SgdSpecs of one budget group,
     and ``keys`` one cell key per spec; the cells run as contiguous blocks of
     one batch.  ``functions`` are the functions the unit runs on, all
-    families or all fixed specs; one function is the P = 1 case.  Replicate
-    r of the cell with key k draws its environment and noise from the streams
+    families or all fixed specs; one function is the P = 1 case.  The
+    algorithms search ``initial_interval``, the batch's domain.  Replicate r
+    of the cell with key k draws its environment and noise from the streams
     ``SeedSequence(master_seed, spawn_key=(*k, r, 0|1))``, whose words
     ``replicate_seeds`` computes for the whole cell at once; the key names no
     function, so one draw serves every function, on the batch's functions
@@ -299,9 +304,9 @@ def replicate_runs(
     specs = tuple(f.template if isinstance(f, FunctionFamily) else f for f in functions)
     batch = OracleBatch(specs, xstar, initial_interval, sigma, T, noise_seeds)
     if isinstance(algs[0], BinarySearchSpec):
-        estimates = run_binary_search(batch, algs[0], initial_interval)
+        estimates = run_binary_search(batch, algs[0])
     else:
-        estimates = run_sgd(batch, algs, x0, initial_interval)
+        estimates = run_sgd(batch, algs, x0)
     shape = (len(functions), len(algs), replicates)
     return estimates.reshape(shape), None if xstar is None else xstar.reshape(shape)
 
@@ -512,7 +517,8 @@ def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
     if not (math.isfinite(modulus_scale) and modulus_scale > 0):
         raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
     a, b = initial_interval
-    if isinstance(estimator, ConstantEstimator) and not a <= estimator.x_hat <= b:
+    if (isinstance(estimator, ConstantEstimator) and not isinstance(estimator.x_hat, str)
+            and not a <= estimator.x_hat <= b):
         raise ValueError(f"x_hat must lie in the domain [{a}, {b}], got {estimator.x_hat}")
     if isinstance(estimator, BinarySearchSpec):
         epochs_schedule(T, estimator.r)
@@ -541,7 +547,8 @@ def superefficiency_experiment(
     or SGD runs f, g+ and g- as three configs of one ``estimate_risks`` call:
     its risk at each is that config's ``estimate_risk`` alone, and the three
     share their replicates' draws.  A constant estimator draws nothing; its
-    risk is its distance to each minimizer set.
+    risk is its distance to each minimizer set.  Its default x_hat is resolved
+    here to the midpoint of f's minimizer set, the number the report's id names.
     """
     check_superefficiency_inputs(estimator, delta, T, sigma, replicates, master_seed,
                                  initial_interval, modulus_scale)
@@ -552,6 +559,8 @@ def superefficiency_experiment(
     specs = (spec, *(g.spec for g in gs))
     minimizers = [minimizer_interval(s, initial_interval) for s in specs]
     if isinstance(estimator, ConstantEstimator):
+        if isinstance(estimator.x_hat, str):
+            estimator = ConstantEstimator(0.5 * (minimizers[0][0] + minimizers[0][1]))
         x = estimator.x_hat
         risks = [(float(distance((x, x), m)), 0.0) for m in minimizers]
     else:

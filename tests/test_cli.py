@@ -1,7 +1,9 @@
 """Command line, in process: exit codes, manifest reruns, superefficiency CSV,
 and the function-spec flags of `modulus` and `superefficiency`."""
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,8 @@ from convexbench import (
     sample_modulus_curve,
     superefficiency_experiment,
 )
+from convexbench.configfile import ESTIMATOR_KINDS, parse_algorithm
+from convexbench.functions import minimizer_interval
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -125,14 +129,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: r must be positive")
 
 
-@pytest.mark.parametrize("flag,value", [("--x-hat", "nan"), ("--x-hat", "inf"),
-                                        ("--sigma", "nan"), ("--sigma", "inf")])
-def test_superefficiency_non_finite_number_is_a_usage_error(flag, value, capsys):
+@pytest.mark.parametrize("flags,message", [
+    (["--estimator", "constant x_hat=nan"], "x_hat: value must be finite"),
+    (["--estimator", "constant x_hat=inf"], "x_hat: value must be finite"),
+    (["--sigma", "nan"], "sigma must be finite"),
+    (["--sigma", "inf"], "sigma must be finite"),
+], ids=["--x-hat-nan", "--x-hat-inf", "--sigma-nan", "--sigma-inf"])
+def test_superefficiency_non_finite_number_is_a_usage_error(flags, message, capsys):
     rc = cli.main(["superefficiency", "--fn", "sym-power", "--k", "2",
-                   "--delta", "0.1", flag, value])
+                   "--delta", "0.1", *flags])
     assert rc == cli.EXIT_USAGE
-    name = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def imported_after_cli(package: str) -> str:
@@ -179,7 +186,7 @@ def test_superefficiency_unusable_output_directory_fails_before_the_run(tmp_path
     ["--estimator", "binary-search r=1.5", "--T", "1" + "0" * 300],
     ["--estimator", "binary-search r=1.5", "--seed", "-1"],
     ["--estimator", "binary-search r=1.5", "--seed", str(2**64)],
-    ["--x-hat", "5"],
+    ["--estimator", "constant x_hat=5"],
 ], ids=["delta", "T", "T-past-float-range", "replicates", "sigma", "modulus-scale",
         "schedule", "rounds-too-long", "negative-seed", "seed-2^64", "x-hat-outside"])
 def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys):
@@ -193,7 +200,10 @@ def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys)
     ("binary-search", "binary-search requires r"),
     ("sgd", "sgd requires schedule"),
     ("sgd schedule=1/t iterate=averge", "iterate must be"),
-    ("newton r=1.5", "algorithm must be one of binary-search, sgd, got 'newton'"),
+    ("newton r=1.5",
+     "algorithm must be one of binary-search, sgd, constant, got 'newton'"),
+    ("sgd schedule=1/t x_hat=0.7", "x_hat does not apply to algorithm sgd"),
+    ("constant x_hat=middle", "x_hat must be finite or 'midpoint', got 'middle'"),
 ])
 def test_superefficiency_estimator_line_errors_as_a_config_line(estimator, message,
                                                                 tmp_path, capsys):
@@ -218,6 +228,40 @@ def test_superefficiency_estimator_is_the_algorithm_line_spec(estimator, spec, c
                                         sigma=0.1, replicates=2, master_seed=20250810,
                                         initial_interval=(-1.0, 1.0))
     assert capsys.readouterr().out == cli.superefficiency_csv_text(report)
+
+
+def test_superefficiency_has_no_x_hat_flag(capsys):
+    # the constant estimate is a key of the estimator line
+    with pytest.raises(SystemExit) as info:
+        cli.main([*SUPEREFFICIENCY, "--x-hat", "0.3"])
+    assert info.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --x-hat 0.3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,spec", [
+    (["--fn", "sym-power", "--k", "2", "--x-star", "0.3"], SymmetricPower(2.0, 0.3)),
+    (["--fn", "piecewise-linear", "--breakpoints", "-0.5 0.25", "--slopes", "-1 0 2"],
+     PiecewiseLinear((-0.5, 0.25), (-1.0, 0.0, 2.0))),  # minimizer set [-0.5, 0.25]
+], ids=["x-star-0.3", "flat-segment"])
+def test_superefficiency_bare_constant_is_the_minimizer_midpoint(flags, spec, capsys):
+    xl, xr = minimizer_interval(spec, (-1.0, 1.0))
+    outputs = []
+    for estimator in ("constant", f"constant x_hat={0.5 * (xl + xr)!r}"):
+        assert cli.main(["superefficiency", *flags, "--delta", "0.1",
+                         "--estimator", estimator]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert f"# estimator=constant(x={0.5 * (xl + xr)!r})" in outputs[0].err
+
+
+def test_superefficiency_estimator_help_examples_parse():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["superefficiency"]
+    text = next(a.help for a in sub._actions if a.dest == "estimator")
+    examples = re.findall(r"'([^']+)'", text)
+    assert len(examples) == 4
+    for example in examples:
+        parse_algorithm(example, ESTIMATOR_KINDS)
 
 
 def test_superefficiency_rounds_too_long_to_read_name_t_and_t0(capsys):
@@ -408,6 +452,19 @@ def test_non_finite_eps_is_a_usage_error(eps, capsys):
     assert info.value.code == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert "--eps needs finite 0 < lo < hi" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("count", ["1000000000000000000", "99999999999999999999999"],
+                         ids=["past-memory", "past-numpy-size"])
+def test_eps_count_numpy_cannot_allocate_is_a_usage_error(count, capsys):
+    # 8e18 bytes fail at the allocation, 1e23 values at numpy's size limit;
+    # neither allocates anything
+    with pytest.raises(SystemExit) as info:
+        cli.main(["modulus", "--fn", "sym-power", "--k", "2", "--eps", f"1e-6:3:{count}"])
+    assert info.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"error: --eps count {count} is more than numpy can allocate" in captured.err
     assert captured.out == ""
 
 

@@ -194,6 +194,9 @@ class TestAlgorithmSpecErrors:
 BAD_ALGORITHM_LINES = [
     ("algorithm = newton r=1.5", "algorithm must be one of binary-search, sgd, "
                                  "got 'newton'"),
+    # superefficiency --estimator takes the constant estimator, a config line does not
+    ("algorithm = constant x_hat=0.1", "algorithm must be one of binary-search, sgd, "
+                                       "got 'constant'"),
     ("algorithm = sgd schedule=1/t step=2", "step does not apply to algorithm sgd"),
     ("algorithm = binary-search delta=0.1", "binary-search requires r"),
     ("algorithm = sgd scale=2", "sgd requires schedule"),

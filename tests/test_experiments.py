@@ -7,8 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scalar_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexbench import (
+    Absolute,
     AsymmetricPower,
     BinarySearchSpec,
     ConstantEstimator,
@@ -63,23 +66,24 @@ SEEDINGS = {
 }
 
 
-def scalar_run(function, alg, T, rep, seed=SEED, key=KEY):
-    """One replicate through the scalar reference loops, seeded as the
-    harness documents: (estimate, minimizer draw or None, minimizer set)."""
+def scalar_run(function, alg, T, rep, seed=SEED, key=KEY, interval=INTERVAL):
+    """One replicate through the scalar reference loops on ``interval``,
+    seeded as the harness documents: (estimate, minimizer draw or None,
+    minimizer set)."""
     env_seed, noise_seed = replicate_seed(seed, *key, rep).spawn(2)
     env = np.random.Generator(np.random.PCG64(env_seed))
     x_star = None
     if isinstance(function, FunctionFamily):
         x_star = env.uniform(function.x_star.lo, function.x_star.hi)
         function = with_x_star(function.template, x_star)
-    f = build_function(function, INTERVAL)
+    f = build_function(function, interval)
     oracle = ref.ReferenceOracle(f, SIGMA, noise_seed)
     if isinstance(alg, BinarySearchSpec):
-        estimate = ref.binary_search(oracle, T, alg.r, INTERVAL)
+        estimate = ref.binary_search(oracle, T, alg.r, interval)
     else:
-        x0 = env.uniform(*INTERVAL) if alg.x0 == "uniform" else alg.x0
+        x0 = env.uniform(*interval) if alg.x0 == "uniform" else alg.x0
         estimate = ref.sgd(oracle, T, alg.schedule, alg.scale, alg.iterate, x0,
-                           INTERVAL)
+                           interval)
     return estimate, x_star, f.minimizer_set
 
 
@@ -96,6 +100,44 @@ def scalar_row(config, a, t):
     n = len(errs)
     return RiskRow(fn_id, alg.algorithm_id, T, float(np.mean(errs)),
                    float(np.std(errs, ddof=1) / math.sqrt(n)), n)
+
+
+coordinates = st.floats(-10.0, 10.0)
+exponents = st.floats(1.0, 4.0, exclude_min=True)
+tilt_sizes = st.floats(-5.0, 5.0)
+# two distinct coordinates in order (0.0 and -0.0 count as one)
+ordered_pairs = st.lists(coordinates, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def piecewise_linears(draw):
+    n = draw(st.integers(1, 3))
+    breakpoints = draw(st.lists(coordinates, min_size=n, max_size=n, unique=True))
+    slopes = draw(st.lists(coordinates, min_size=n + 1, max_size=n + 1))
+    return PiecewiseLinear(tuple(sorted(breakpoints)), tuple(sorted(slopes)))
+
+
+uniform_laws = ordered_pairs.map(lambda p: UniformDist(*p))
+X_STAR_SPECS = {
+    "sym-power": st.builds(SymmetricPower, exponents, coordinates),
+    "asym-power": st.builds(AsymmetricPower, exponents, exponents, coordinates),
+    "absolute": st.builds(Absolute, coordinates),
+}
+x_star_specs = st.one_of(*X_STAR_SPECS.values())
+# every catalog kind, as fixed specs and as families whose minimizer law is
+# random too; a piecewise-linear spec has no x_star, so no family
+RANDOM_FUNCTIONS = {kind: st.one_of(specs, st.builds(FunctionFamily, specs, uniform_laws))
+                    for kind, specs in X_STAR_SPECS.items()}
+RANDOM_FUNCTIONS["piecewise-linear"] = piecewise_linears()
+RANDOM_FUNCTIONS["tilt"] = st.one_of(
+    st.builds(Tilt, st.one_of(x_star_specs, piecewise_linears()), tilt_sizes),
+    st.builds(FunctionFamily, st.builds(Tilt, x_star_specs, tilt_sizes), uniform_laws))
+random_algorithms = st.one_of(
+    st.builds(BinarySearchSpec, st.floats(0.2, 3.0)),
+    st.builds(SgdSpec, st.sampled_from(["1/t", "1/sqrt(t)"]), st.floats(0.01, 10.0),
+              st.sampled_from(["last", "average"]),
+              st.one_of(st.just("uniform"), coordinates)),
+)
 
 
 class TestReplicateRuns:
@@ -128,6 +170,34 @@ class TestReplicateRuns:
         want = [scalar_run(family, alg, T, rep, seed, key) for rep in range(R)]
         assert np.array_equal(x_stars, [w[1] for w in want])
         assert np.array_equal(estimates, [w[0] for w in want])
+
+    @pytest.mark.parametrize("functions", RANDOM_FUNCTIONS.values(), ids=RANDOM_FUNCTIONS)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_units_match_scalar_sessions_bitwise(self, functions, data):
+        # bound, fixed before the first run: exact equality (==) of every
+        # estimate and minimizer draw, on any domain, budget and algorithm
+        function, interval = data.draw(functions), data.draw(ordered_pairs)
+        alg, T = data.draw(random_algorithms), data.draw(st.integers(1, 200))
+        reps, seed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**64 - 1))
+        key = data.draw(st.tuples(st.integers(0, 9), st.integers(0, 9)))
+
+        def scalar(rep):
+            return scalar_run(function, alg, T, rep, seed, key, interval)
+
+        try:
+            estimates, x_stars = replicate_runs((function,), interval, SIGMA, T, (alg,),
+                                                reps, seed, (key,))
+        except ScheduleError:
+            with pytest.raises(ScheduleError):
+                scalar(0)
+            return
+        want = [scalar(rep) for rep in range(reps)]
+        assert np.array_equal(estimates[0, 0], [w[0] for w in want])
+        if x_stars is None:
+            assert not isinstance(function, FunctionFamily)
+        else:
+            assert np.array_equal(x_stars[0, 0], [w[1] for w in want])
 
     def test_direct_seeds_equal_spawned_children(self):
         for rep in range(3):

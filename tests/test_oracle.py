@@ -211,8 +211,8 @@ class TestOracleBatch:
             want.append((sigma * z + float(F.subgrad(x[r]))).mean())
         assert np.array_equal(got, want)
 
-        est = run_binary_search(OracleBatch(F.spec, None, F.domain, sigma, T, seeds),
-                                spec, (-2.0, 1.5))
+        est = run_binary_search(OracleBatch(F.spec, None, (-2.0, 1.5), sigma, T, seeds),
+                                spec)
         want = [ref.binary_search(ref.ReferenceOracle(F, sigma, seed), T, spec.r,
                                   (-2.0, 1.5)) for seed in seeds]
         assert np.array_equal(est, want)
@@ -337,8 +337,8 @@ class TestThreadedBlockReads:
         T, sigma, spec = 20000, 0.3, BinarySearchSpec(r=1.5)
         assert epochs_schedule(T, spec.r)[1] >= oracle.THREAD_MIN_ROW
         seeds = replicate_seeds(4, (1,), self.R, 0)
-        est = run_binary_search(OracleBatch(F.spec, None, F.domain, sigma, T, seeds),
-                                spec, (-2.0, 1.5))
+        est = run_binary_search(OracleBatch(F.spec, None, (-2.0, 1.5), sigma, T, seeds),
+                                spec)
         want = [ref.binary_search(ref.ReferenceOracle(F, sigma, seed), T, spec.r,
                                   (-2.0, 1.5)) for seed in seeds]
         assert np.array_equal(est, want)

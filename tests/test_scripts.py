@@ -31,3 +31,12 @@ def test_superefficiency_demo_prints_two_reports():
     lines = run_script("superefficiency_demo.py", "--replicates", "20", "--T", "1000")
     assert [line for line in lines if line.startswith("--- ")] == [lines[0], lines[7]]
     assert len(lines) == 14
+
+
+def test_src_lines_counts_physical_and_code_lines(tmp_path):
+    (tmp_path / "m.py").write_text('"""Docstring."""\n# comment\n\nX = """a\nb"""\n'
+                                   'def f():\n    "doc"\n    return 1  # why\n')
+    assert run_script("src_lines.py", str(tmp_path)) == ["physical lines: 8",
+                                                         "code lines: 4"]
+    physical, code = (int(line.rsplit(" ", 1)[1]) for line in run_script("src_lines.py"))
+    assert 0 < code < physical
