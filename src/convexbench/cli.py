@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -457,6 +458,7 @@ def cmd_superefficiency(parser, args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: it holds no per-call state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convexbench",
@@ -482,9 +484,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", help="output base directory")
     p_fig.add_argument("--seed", type=int, default=20250810)
     for p in (p_run, p_fig):
-        p.add_argument("--jobs", type=int, default=usable_cores(),
-                       help="worker processes; a long block read also draws on "
-                            "every usable core of its process")
+        p.add_argument("--jobs", type=int,
+                       help="worker processes (default: the cores this process "
+                            "may use when the command runs); a long block read "
+                            "also draws on every usable core of its process")
 
     p_sup = sub.add_parser("superefficiency",
                            help="risk of an estimator at a target and its tilts")
@@ -509,6 +512,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) is None:
+        args.jobs = usable_cores()
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     if args.command == "run":

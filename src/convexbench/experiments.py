@@ -50,6 +50,8 @@ from .algorithms import (
     run_sgd,
 )
 from .errors import DataError, FieldError, ScheduleError
+# build_function and modulus_numeric are not called here, but perfbench's
+# layer hooks (perfbench/tracing.py) wrap both names in this module
 from .functions import (
     FunctionSpec,
     Tilt,
@@ -59,7 +61,7 @@ from .functions import (
     spec_id,
     with_x_star,
 )
-from .modulus import modulus_numeric
+from .modulus import modulus_analytic, modulus_numeric
 from .oracle import OracleBatch, replicate_seeds
 
 __all__ = [
@@ -498,8 +500,9 @@ def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
     """Raise ValueError for inputs ``superefficiency_experiment`` cannot run,
     before anything is drawn: a delta outside (0, DELTA_MAX), a budget below
     1 or past the float range, no replicate, a sigma, master_seed or
-    modulus_scale out of range, a constant estimate outside the interval, or
-    a budget too small for a binary search's rounds."""
+    modulus_scale out of range, a domain that is not finite with a < b, a
+    constant estimate outside it, or a budget too small for a binary
+    search's rounds."""
     if not 0.0 < delta < DELTA_MAX:
         raise ValueError(
             f"delta must lie in (0, {DELTA_MAX:.6f}), got {delta}"
@@ -517,6 +520,8 @@ def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
     if not (math.isfinite(modulus_scale) and modulus_scale > 0):
         raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
     a, b = initial_interval
+    if not (a < b and math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
     if (isinstance(estimator, ConstantEstimator) and not isinstance(estimator.x_hat, str)
             and not a <= estimator.x_hat <= b):
         raise ValueError(f"x_hat must lie in the domain [{a}, {b}], got {estimator.x_hat}")
@@ -542,8 +547,10 @@ def superefficiency_experiment(
     forces inflated risk at one of the tilted functions (see the derivation
     above ``DELTA_MAX``).  The report holds one ``TiltedAlternative`` row for
     g+ = f + eps_T * x and one for g- = f - eps_T * x; each carries its
-    reference modulus (at modulus_scale * eps_T) for comparison.  Nothing
-    about the bound is asserted, it is descriptive output.  A binary search
+    reference modulus for comparison, the closed form ``modulus_analytic``
+    of g at modulus_scale * eps_T on the domain, which
+    ``check_superefficiency_inputs`` checks first.  Nothing about the bound
+    is asserted, it is descriptive output.  A binary search
     or SGD runs f, g+ and g- as three configs of one ``estimate_risks`` call:
     its risk at each is that config's ``estimate_risk`` alone, and the three
     share their replicates' draws.  A constant estimator draws nothing; its
@@ -554,9 +561,7 @@ def superefficiency_experiment(
                                  initial_interval, modulus_scale)
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
     tilts = (eps_t, -eps_t)
-    # g+ and g- on the domain (which build_function checks), for their moduli
-    gs = [build_function(Tilt(spec, tilt), initial_interval) for tilt in tilts]
-    specs = (spec, *(g.spec for g in gs))
+    specs = (spec, *(Tilt(spec, tilt) for tilt in tilts))
     minimizers = [minimizer_interval(s, initial_interval) for s in specs]
     if isinstance(estimator, ConstantEstimator):
         if isinstance(estimator.x_hat, str):
@@ -572,8 +577,8 @@ def superefficiency_experiment(
     (risk_f, se_f), *alt_risks = risks
     alternatives = tuple(TiltedAlternative(
         tilt, risk, stderr, d=float(distance(minimizers[0], m)),
-        omega_ref=modulus_numeric(g, ref_eps) if ref_eps > 0 else 0.0,
-    ) for tilt, g, m, (risk, stderr) in zip(tilts, gs, minimizers[1:], alt_risks))
+        omega_ref=modulus_analytic(g, ref_eps, initial_interval) if ref_eps > 0 else 0.0,
+    ) for tilt, g, m, (risk, stderr) in zip(tilts, specs[1:], minimizers[1:], alt_risks))
     return SuperefficiencyReport(
         function=spec_id(spec),
         estimator=estimator.algorithm_id,

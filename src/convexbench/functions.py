@@ -9,12 +9,14 @@ hashable, picklable.
 
 Formulas are written once, on numpy arrays, and shared by the scalar and the
 vectorized (many replicates at once) code paths, so both produce bitwise
-identical values.  A power |u|^e with e = 1, 2 or 1/2 is one exact operation
-(|u|, ``np.square``, ``np.sqrt``; signed, u, u |u| and ``np.copysign``):
-each is correctly rounded, and ``np.power`` returns that same value, so every
-output byte is unchanged (``tests/test_functions.py`` pins it).  Other powers
-are ``np.power`` ufunc calls, not ``**``: on a numpy scalar ``**`` takes the
-C library's ``pow``, which can differ from the array loop in the last bit.
+identical values.  That holds for the subgradient kernels and for the slope
+level sets, whose roots |s|^(1/(k-1)) are the same powers.  A power |u|^e
+with e = 1, 2 or 1/2 is one exact operation (|u|, ``np.square``,
+``np.sqrt``; signed, u, u |u| and ``np.copysign``): each is correctly
+rounded, and ``np.power`` returns that same value, so every output byte is
+unchanged (``tests/test_functions.py`` pins it).  Other powers are
+``np.power`` ufunc calls, not ``**``: on a numpy scalar ``**`` takes the C
+library's ``pow``, which can differ from the array loop in the last bit.
 """
 from __future__ import annotations
 
@@ -211,67 +213,64 @@ def subgrad_spec(spec: FunctionSpec, x, x_star=None, out=None):
     return min_norm_from_interval(lo, hi, out)
 
 
-def _root(s: float, k: float) -> float:
-    """|s|^(1/(k-1)), or inf past the float range."""
-    try:
-        return abs(s) ** (1.0 / (k - 1.0))
-    except OverflowError:
-        return np.inf
+def _like(arg, value):
+    """``value`` as a Python float when ``arg`` is a scalar."""
+    return float(value) if np.ndim(arg) == 0 else value
 
 
-def level_set(spec: FunctionSpec, s: float) -> tuple[float, float]:
+def _root(s, k: float):
+    """|s|^(1/(k-1)) by ``_power`` (array-safe), inf past the float range."""
+    with np.errstate(over="ignore"):
+        return _power(np.abs(s), 1.0 / (k - 1.0))
+
+
+def _level_set(spec: FunctionSpec, s: np.ndarray):
+    """``level_set`` on an array of slopes, as (lo, hi) arrays."""
+    if isinstance(spec, SymmetricPower):
+        p = spec.x_star + np.sign(s) * _root(s, spec.k)
+        return p, p
+    if isinstance(spec, AsymmetricPower):
+        p = np.where(s < 0, spec.x_star - _root(s, spec.k_l),
+                     np.where(s > 0, spec.x_star + _root(s, spec.k_r), spec.x_star))
+        return p, p
+    if isinstance(spec, Absolute):  # slopes -1 and 1 with a kink at x_star
+        bp, sl = (spec.x_star,), (-1.0, 1.0)
+    elif isinstance(spec, PiecewiseLinear):
+        bp, sl = spec.breakpoints, spec.slopes
+    elif isinstance(spec, Tilt):
+        return _level_set(spec.base, s - spec.eps)
+    else:
+        raise TypeError(f"unknown spec type {type(spec)!r}")
+    # s is attained on segments first..last (first = last + 1 when s falls
+    # strictly between adjacent slopes, at the breakpoint between them);
+    # segment i runs from ends[i] to ends[i + 1]
+    ends = np.array([-np.inf, *bp, np.inf])
+    first = np.searchsorted(sl, s, side="left")
+    last = np.searchsorted(sl, s, side="right") - 1
+    return ends[first], ends[last + 1]
+
+
+def level_set(spec: FunctionSpec, s):
     """{x in R : s in subdifferential(x)} as (lo, hi).
 
     Endpoints may be +/-inf for specs that are eventually affine or past the
     float range.  The set is empty for a slope below every slope of the spec,
     given as (-inf, -inf), and for one above every slope, given as (inf,
     inf): clamped to a domain, each lands on the end where the subgradient
-    comes nearest to s.
+    comes nearest to s.  ``s`` may be an array, giving (lo, hi) arrays that
+    equal the scalar calls element by element; a scalar call returns Python
+    floats.
     """
-    if isinstance(spec, SymmetricPower):
-        u = float(np.sign(s)) * _root(s, spec.k)
-        p = spec.x_star + u
-        return (p, p)
-    if isinstance(spec, AsymmetricPower):
-        if s < 0:
-            p = spec.x_star - _root(s, spec.k_l)
-        elif s > 0:
-            p = spec.x_star + _root(s, spec.k_r)
-        else:
-            p = spec.x_star
-        return (p, p)
-    if isinstance(spec, Absolute):  # slopes -1 and 1 with a kink at x_star
-        p = spec.x_star
-        lo = -np.inf if s <= -1.0 else (np.inf if s > 1.0 else p)
-        hi = np.inf if s >= 1.0 else (-np.inf if s < -1.0 else p)
-        return (lo, hi)
-    if isinstance(spec, PiecewiseLinear):
-        sl = spec.slopes
-        m = len(sl) - 1
-        if s < sl[0]:
-            return (-np.inf, -np.inf)
-        if s > sl[m]:
-            return (np.inf, np.inf)
-        first_ge = int(np.searchsorted(sl, s, side="left"))
-        last_le = int(np.searchsorted(sl, s, side="right")) - 1
-        if first_ge <= last_le:  # s attained on segments first_ge..last_le
-            lo = -np.inf if first_ge == 0 else spec.breakpoints[first_ge - 1]
-            hi = np.inf if last_le == m else spec.breakpoints[last_le]
-            return (lo, hi)
-        # s strictly between adjacent slopes: single breakpoint
-        p = spec.breakpoints[last_le]
-        return (p, p)
-    if isinstance(spec, Tilt):
-        return level_set(spec.base, s - spec.eps)
-    raise TypeError(f"unknown spec type {type(spec)!r}")
+    lo, hi = _level_set(spec, np.asarray(s, dtype=float))
+    return _like(s, lo), _like(s, hi)
 
 
-def clamped_level_set(spec: FunctionSpec, s: float, domain: tuple[float, float]):
+def clamped_level_set(spec: FunctionSpec, s, domain: tuple[float, float]):
     """``level_set`` clamped to the domain: a set wholly outside the domain
-    (or empty) collapses onto the nearer end."""
+    (or empty) collapses onto the nearer end.  Array-safe as ``level_set``."""
     a, b = domain
-    lo, hi = level_set(spec, s)
-    return min(max(lo, a), b), min(max(hi, a), b)
+    lo, hi = _level_set(spec, np.asarray(s, dtype=float))
+    return _like(s, np.clip(lo, a, b)), _like(s, np.clip(hi, a, b))
 
 
 def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float], x_star=None):

@@ -4,9 +4,11 @@ For a convex f with nondecreasing min-norm subgradient f', the modulus at
 level eps is the largest distance from the minimizer set achievable inside
 the "flat set" {y : |f'(y)| < eps}.  ``modulus_analytic`` is exact for every
 catalog spec: it reads the flat set's ends off the closed-form level sets of
-``functions.level_set``.  ``modulus_numeric`` finds the same ends by monotone
-bisection on f'; it is the independent cross-check, and the value that
-fitted growth exponents and superefficiency reports are computed from.
+``functions.level_set``, and an array of thresholds takes one call.  The
+superefficiency reports' reference moduli are computed from it.
+``modulus_numeric`` finds the same ends by monotone bisection on f'; it is
+the independent cross-check, and feeds only the numeric column of
+``sample_modulus_curve`` and the growth exponent fitted from that column.
 
 The bisection runs in lockstep: ``flat_set`` and ``modulus_numeric`` take a
 scalar or an array, and every end of every threshold of one call (left and
@@ -29,6 +31,7 @@ from .errors import DataError
 from .functions import (
     ConvexFunction1D,
     FunctionSpec,
+    _like,
     clamped_level_set,
     distance,
     minimizer_interval,
@@ -78,19 +81,20 @@ def _farthest(interval: tuple[float, float], lo, hi):
     return np.maximum(distance((lo, lo), interval), distance((hi, hi), interval))
 
 
-def modulus_analytic(
-    spec: FunctionSpec, epsilon: float, domain: tuple[float, float]
-) -> float:
+def modulus_analytic(spec: FunctionSpec, epsilon, domain: tuple[float, float]):
     """Exact modulus of any catalog spec on ``domain``.
 
     The flat set runs from the upper end of the level set at -eps to the
     lower end of the level set at +eps, each clamped to the domain; a level
     set that is empty lies at -inf or +inf, so it clamps to the correct end.
+    An array ``epsilon`` gives an array equal to the scalar calls; a scalar
+    gives a Python float.
     """
     _check_epsilon(epsilon)
-    lo = clamped_level_set(spec, -epsilon, domain)[1]
-    hi = clamped_level_set(spec, epsilon, domain)[0]
-    return float(_farthest(minimizer_interval(spec, domain), lo, hi))
+    eps = np.asarray(epsilon, dtype=float)
+    lo = clamped_level_set(spec, -eps, domain)[1]
+    hi = clamped_level_set(spec, eps, domain)[0]
+    return _like(epsilon, _farthest(minimizer_interval(spec, domain), lo, hi))
 
 
 def _conjugate_ends(f: ConvexFunction1D, s: np.ndarray):
@@ -136,11 +140,6 @@ def _meet(left, right):
     crossed = left > right
     mid = 0.5 * (left + right)
     return np.where(crossed, mid, left), np.where(crossed, mid, right)
-
-
-def _like(epsilon, value):
-    """``value`` as a Python float when ``epsilon`` is a scalar."""
-    return float(value) if np.ndim(epsilon) == 0 else value
 
 
 def flat_set(f: ConvexFunction1D, epsilon):
@@ -193,11 +192,12 @@ def sample_modulus_curve(f: ConvexFunction1D, epsilons) -> ModulusCurve:
     """Evaluate the modulus over a grid, the closed form ("analytic") next to
     the bisection ("numeric") at each epsilon, and fit the growth exponent
     from the numeric samples."""
-    grid = sorted(float(e) for e in epsilons)
+    grid = np.array(sorted(float(e) for e in epsilons))
     samples: list[ModulusSample] = []
-    for e, w in zip(grid, modulus_numeric(f, np.array(grid)).tolist()):
-        samples.append(ModulusSample(e, modulus_analytic(f.spec, e, f.domain), "analytic"))
-        samples.append(ModulusSample(e, w, "numeric"))
+    for e, wa, wn in zip(grid.tolist(), modulus_analytic(f.spec, grid, f.domain).tolist(),
+                         modulus_numeric(f, grid).tolist()):
+        samples.append(ModulusSample(e, wa, "analytic"))
+        samples.append(ModulusSample(e, wn, "numeric"))
     try:
         alpha = fit_growth_exponent(ModulusCurve(tuple(samples[1::2])),
                                     min_omega=10.0 * _BISECTION_TOL)

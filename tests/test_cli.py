@@ -423,11 +423,34 @@ def test_run_jobs_below_one_is_a_usage_error(jobs, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "reproduce-fig2"])
 def test_jobs_defaults_to_the_usable_cores(command, monkeypatch):
     # the cores this process may use, read by the one helper the oracle's
-    # block reads also use
+    # block reads also use, read when the command runs: the parser, built
+    # once per process, holds no default for --jobs
     assert cli.usable_cores is oracle.usable_cores
+    cli._build_parser()
     monkeypatch.setattr(cli, "usable_cores", lambda: 5)
-    argv = [command, "x.cfg"] if command == "run" else [command]
-    assert cli._build_parser().parse_args(argv).jobs == 5
+    jobs = []
+    handler = "cmd_run" if command == "run" else "cmd_reproduce_fig2"
+    monkeypatch.setattr(cli, handler, lambda *args: jobs.append(args[-1].jobs))
+    cli.main([command, "x.cfg"] if command == "run" else [command])
+    assert jobs == [5]
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_usage_error_leaves_the_parser_unchanged(capsys):
+    argv = ["modulus", "--fn", "tilt", "--base", "asym-power", "--kl", "1.5", "--kr", "3",
+            "--tilt-eps", "-0.05", "--domain=-0.5:2", *EPS_FLAG]
+    assert cli.main(argv) == cli.EXIT_OK
+    first = capsys.readouterr().out
+    assert first.startswith("epsilon,omega,method,alpha_hat\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["modulus", "--fn", "sym-power", "--k", "0.5", *EPS_FLAG])
+    assert info.value.code == cli.EXIT_USAGE
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize("command", [

@@ -9,6 +9,14 @@ import pytest
 import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from random_specs import (
+    X_STAR_SPECS,
+    coordinates,
+    ordered_pairs,
+    piecewise_linears,
+    tilt_sizes,
+    x_star_specs,
+)
 
 from convexbench import (
     Absolute,
@@ -30,6 +38,8 @@ from convexbench import (
     estimate_risk,
     estimate_risks,
     fit_loglog_slope,
+    modulus_analytic,
+    modulus_numeric,
     replicate_seed,
     spec_id,
     superefficiency_experiment,
@@ -102,28 +112,7 @@ def scalar_row(config, a, t):
                    float(np.std(errs, ddof=1) / math.sqrt(n)), n)
 
 
-coordinates = st.floats(-10.0, 10.0)
-exponents = st.floats(1.0, 4.0, exclude_min=True)
-tilt_sizes = st.floats(-5.0, 5.0)
-# two distinct coordinates in order (0.0 and -0.0 count as one)
-ordered_pairs = st.lists(coordinates, min_size=2, max_size=2, unique=True).map(sorted)
-
-
-@st.composite
-def piecewise_linears(draw):
-    n = draw(st.integers(1, 3))
-    breakpoints = draw(st.lists(coordinates, min_size=n, max_size=n, unique=True))
-    slopes = draw(st.lists(coordinates, min_size=n + 1, max_size=n + 1))
-    return PiecewiseLinear(tuple(sorted(breakpoints)), tuple(sorted(slopes)))
-
-
 uniform_laws = ordered_pairs.map(lambda p: UniformDist(*p))
-X_STAR_SPECS = {
-    "sym-power": st.builds(SymmetricPower, exponents, coordinates),
-    "asym-power": st.builds(AsymmetricPower, exponents, exponents, coordinates),
-    "absolute": st.builds(Absolute, coordinates),
-}
-x_star_specs = st.one_of(*X_STAR_SPECS.values())
 # every catalog kind, as fixed specs and as families whose minimizer law is
 # random too; a piecewise-linear spec has no x_star, so no family
 RANDOM_FUNCTIONS = {kind: st.one_of(specs, st.builds(FunctionFamily, specs, uniform_laws))
@@ -600,3 +589,32 @@ def test_tilted_risks_meet_the_constrained_risk_inequality(delta, spec, estimato
     for g in rep.alternatives:
         bound = g.d - rms_f / (2.0 * math.sqrt(2.0) * delta)
         assert g.risk >= bound - 3.0 * g.stderr
+
+
+@pytest.mark.parametrize("domain", [(1.0, -1.0), (-math.inf, 1.0)])
+@pytest.mark.parametrize("estimator", [ConstantEstimator(), BinarySearchSpec(r=1.5)],
+                         ids=lambda e: type(e).__name__)
+def test_superefficiency_refuses_a_domain_not_finite_with_a_below_b(domain, estimator):
+    with pytest.raises(ValueError, match=r"domain must be finite with a < b, got \["):
+        superefficiency_experiment(SymmetricPower(2.0), estimator, 0.05, SUPER_T, SIGMA,
+                                   SUPER_R, SEED, domain)
+
+
+# the benchmark's superefficiency targets (perfbench/workloads.py), at the
+# CLI's defaults: T = 10000, sigma = 0.1, --modulus-scale 1 on (-1, 1)
+REFERENCE_TARGETS = [SymmetricPower(1.5), SymmetricPower(2.0), SymmetricPower(3.0),
+                     AsymmetricPower(1.5, 2.0), AsymmetricPower(1.5, 3.0),
+                     AsymmetricPower(2.0, 3.0), Absolute(),
+                     PiecewiseLinear((-0.5, 0.0, 0.5), (-2.0, -0.5, 1.0, 3.0))]
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.1, 0.15, 0.2])
+@pytest.mark.parametrize("spec", REFERENCE_TARGETS, ids=spec_id)
+def test_reference_moduli_are_the_closed_form(spec, delta):
+    rep = superefficiency_experiment(spec, ConstantEstimator(), delta, 10_000, 0.1, 1, SEED,
+                                     SUPER_DOMAIN)
+    for g in rep.alternatives:
+        tilted = Tilt(spec, g.tilt)
+        assert g.omega_ref == modulus_analytic(tilted, rep.epsilon_T, SUPER_DOMAIN)
+        numeric = modulus_numeric(build_function(tilted, SUPER_DOMAIN), rep.epsilon_T)
+        assert abs(g.omega_ref - numeric) <= 1e-9

@@ -1,8 +1,12 @@
 """Modulus computations: closed forms, conjugate intervals, flat sets, fits."""
+import math
 
 import numpy as np
 import pytest
 import scalar_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from random_specs import X_STAR_SPECS, ordered_pairs, piecewise_linears, tilt_sizes
 
 from convexbench import (
     Absolute,
@@ -20,7 +24,13 @@ from convexbench import (
     modulus_numeric,
     sample_modulus_curve,
 )
-from convexbench.functions import level_set, subdiff_interval, subgrad_spec
+from convexbench.functions import (
+    clamped_level_set,
+    level_set,
+    minimizer_interval,
+    subdiff_interval,
+    subgrad_spec,
+)
 from convexbench.modulus import _conjugate_ends
 
 D11 = (-1.0, 1.0)
@@ -325,6 +335,84 @@ class TestArrayCalls:
         lo, hi = _conjugate_ends(self.f, s)
         assert bits(lo) == bits([w[0] for w in want])
         assert bits(hi) == bits([w[1] for w in want])
+
+
+BASE_SPECS = {**X_STAR_SPECS, "piecewise-linear": piecewise_linears()}
+RANDOM_SPECS = {**BASE_SPECS,
+                "tilt": st.builds(Tilt, st.one_of(*BASE_SPECS.values()), tilt_sizes)}
+
+
+def spec_slopes(spec) -> list[float]:
+    """The slopes of a kinked spec's pieces, or 0 and 1 for a power, whose
+    slopes cover every float; each shifted by the spec's tilt."""
+    tilt = spec.eps if isinstance(spec, Tilt) else 0.0
+    base = spec.base if isinstance(spec, Tilt) else spec
+    if isinstance(base, Absolute):
+        return [-1.0 + tilt, 1.0 + tilt]
+    return [v + tilt for v in getattr(base, "slopes", (0.0, 1.0))]
+
+
+@pytest.mark.parametrize("kind", RANDOM_SPECS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_calls_equal_scalar_calls(kind, data):
+    # bound, fixed before the first run: every end of level_set and
+    # clamped_level_set and every modulus_analytic of an array call equals
+    # (==) the scalar call at that element, and each scalar call, given a
+    # Python float or a numpy scalar, returns Python floats
+    spec, domain = data.draw(RANDOM_SPECS[kind]), data.draw(ordered_pairs)
+    slopes = spec_slopes(spec)
+    # zeros of both signs, magnitudes whose roots overflow, slopes below and
+    # above every slope of the spec, and each slope with the floats beside it
+    s = [0.0, -0.0, 1e300, -1e300, min(slopes) - 1.0, max(slopes) + 1.0, *slopes,
+         *np.nextafter(slopes, -np.inf).tolist(), *np.nextafter(slopes, np.inf).tolist(),
+         *data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             max_size=6))]
+    eps = [abs(v) for v in s if v != 0.0]
+    ends = level_set(spec, np.array(s)), clamped_level_set(spec, np.array(s), domain)
+    moduli = modulus_analytic(spec, np.array(eps), domain)
+    for i, v in enumerate(s):
+        for x in (v, np.float64(v)):
+            for scalar, (lo, hi) in zip((level_set(spec, x),
+                                         clamped_level_set(spec, x, domain)), ends):
+                assert all(type(e) is float for e in scalar)
+                assert scalar == (lo[i], hi[i])
+    for i, e in enumerate(eps):
+        for x in (e, np.float64(e)):
+            scalar = modulus_analytic(spec, x, domain)
+            assert type(scalar) is float and scalar == moduli[i]
+
+
+# a tilt of each power moves its minimizer x_f to where f is C^2 with f'' > 0:
+# (spec, x_f, f''(x_f), f'''(x_f)), from f' = x|x| + 0.5, sign(x) sqrt|x| + 0.2
+# and x^2 - 0.3 (right of 0) in turn
+CURVATURE_CASES = {
+    "sym-k3-tilt-0.5": (Tilt(SymmetricPower(3.0), 0.5), -math.sqrt(0.5), math.sqrt(2.0),
+                        -2.0),
+    "sym-k1.5-tilt-0.2": (Tilt(SymmetricPower(1.5), 0.2), -0.04, 2.5, 31.25),
+    "asym-1.5-3-tilt--0.3": (Tilt(AsymmetricPower(1.5, 3.0), -0.3), math.sqrt(0.3),
+                             2.0 * math.sqrt(0.3), 2.0),
+}
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("spec, x_f, f2, f3", CURVATURE_CASES.values(),
+                         ids=CURVATURE_CASES)
+def test_modulus_is_epsilon_over_the_curvature(spec, x_f, f2, f3, epsilon):
+    """omega_f(eps) f''(x_f) / eps -> 1: the modulus relates to the curvature
+    of f at its minimizer.
+
+    The inverse h of g = f' near g(x_f) = 0 is h(t) = x_f + t / f'' -
+    f''' t^2 / (2 f''^3) + O(t^3), so the flat set's ends lie
+    eps / f'' -/+ f''' eps^2 / (2 f''^3) + O(eps^3) right and left of x_f.
+    The modulus is the farther one, eps / f'' + |f'''| eps^2 / (2 f''^3)
+    + O(eps^3), so omega f'' / eps - 1 = |f'''| eps / (2 f''^2) + O(eps^2).
+    The bound |f'''| eps / f''^2 is twice that leading term.  Rounding adds
+    about 1e-16 / omega, four orders below it at eps = 1e-6.
+    """
+    assert minimizer_interval(spec, D11) == pytest.approx((x_f, x_f), abs=1e-15)
+    omega = modulus_analytic(spec, epsilon, D11)
+    assert abs(omega * f2 / epsilon - 1.0) <= abs(f3) * epsilon / f2**2
 
 
 class TestFitGrowthExponent:
