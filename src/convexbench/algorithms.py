@@ -45,9 +45,10 @@ __all__ = [
     "UNIFORM_START",
 ]
 
-# the longest round a schedule may have: query_block_all holds a whole row of
-# T0 readings (two with several functions), as a round's mean is numpy's sum
-# over one contiguous row; 2^27 readings are 1 GiB, and budgets to 1e8 fit
+# the longest round a schedule may have: each thread of query_block_all holds
+# a whole row of T0 readings in its tile (two with several functions), as a
+# round's mean is numpy's sum over one contiguous row; 2^27 readings are 1 GiB
+# per thread, and budgets to 1e8 fit
 MAX_T0 = 2**27
 
 # sentinel for "draw the SGD starting point uniformly over the projection
@@ -156,9 +157,10 @@ def run_binary_search(
     Each round queries the midpoint of every replicate's current interval
     T0 times, keeps the left half where the average reading is positive and
     the right half otherwise (ties go right).  ``query_block_all`` returns
-    those averages without holding all R x T0 readings at once, so a round's
-    memory is O(R + max(CHUNK_VALUES, T0)) whatever the budget and however
-    many threads draw it.  The schedule (E, T0) comes from the batch's budget.
+    those averages without holding all R x T0 readings at once: a round's
+    memory is O(R) plus one tile of at most max(oracle.TILE_VALUES, 2 T0)
+    values per reading thread, at most one thread per usable core, whatever
+    the budget.  The schedule (E, T0) comes from the batch's budget.
     Returns the midpoints of the final intervals, of the batch's shape (one
     search per function and replicate).  When ``trace`` is a list, each round
     appends (query points, mean readings, left ends after the update, width).

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -371,6 +370,8 @@ def estimate_risks(configs, jobs: int = 1) -> list[RiskTable]:
     if jobs <= 1 or len(units) <= 1:
         results = [_unit_rows(configs, a_idxs, t) for a_idxs, t in units]
     else:  # fork starts every worker at once: no more than there are units
+        # imported here: a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as ex:
             results = list(ex.map(partial(_unit_rows, configs), *zip(*units)))
     rows = {(p, a, t): row for (a_idxs, t), unit in zip(units, results)

@@ -15,15 +15,17 @@ axis: given a tuple of P specs it takes points of shape (P, R), and replicate
 r's one noise draw per query serves all P functions, function p adding its
 own f' at its own point (common random numbers: each function reads exactly
 what it would read in a batch of its own).  Step noise (``begin_steps``) comes
-in chunks of at most ``STEP_CHUNK`` steps and ``CHUNK_VALUES`` values, n-query
-block noise in tiles of at most max(``CHUNK_VALUES``, n) values, shared with
-the readings of one function when P > 1, so noise memory is bounded whatever
-the budget, replicates and functions; sigma scales each chunk or tile once as
-it is drawn.  Rows of at least ``THREAD_MIN_ROW`` queries are read on one
-thread per usable core, each filling its own slice of the buffer (numpy drops
-the GIL as it draws); results do not depend on the thread count.  On two
-cores, two threads drew rows of 262 values at 0.6x the speed of one, of 769 at
-1.5x and of 2,048 at 1.7x.
+in chunks of at most ``STEP_CHUNK`` steps and ``CHUNK_VALUES`` values.  n-query
+block noise comes in tiles, one per reading thread, each of at most
+max(``TILE_VALUES``, n) values, or max(``TILE_VALUES``, 2n) when P > 1, which
+holds the noise and the readings of one function; so noise memory is bounded
+whatever the budget, replicates and functions, and block reads hold at most
+threads * max(``TILE_VALUES``, 2n) values.  Sigma scales each chunk or tile
+once as it is drawn.  Rows of at least ``THREAD_MIN_ROW`` queries are read on
+one thread per usable core (no more threads than replicates), each filling
+its own tile (numpy drops the GIL as it draws); results do not depend on the
+thread count or the tile size.  On two cores, two threads drew rows of 262
+values at 0.6x the speed of one, of 769 at 1.5x and of 2,048 at 1.7x.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ if TYPE_CHECKING:
     from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "STEP_CHUNK",
-           "CHUNK_VALUES", "THREAD_MIN_ROW", "usable_cores"]
+           "CHUNK_VALUES", "TILE_VALUES", "THREAD_MIN_ROW", "usable_cores"]
 
 # steps of noise that OracleBatch draws at once for begin_steps, and the most
 # noise values (steps * replicates) one such chunk may hold.  STEP_CHUNK also
@@ -51,6 +53,14 @@ __all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "STEP_CHUNK",
 # an R = 1 chunk and its transpose tile would each hold CHUNK_VALUES values
 STEP_CHUNK = 1024
 CHUNK_VALUES = 2**19
+# the most values one thread's block tile holds (its noise and, when P > 1,
+# one function's readings) unless one row is longer: 512 KiB, well inside a
+# core's 2 MiB L2.  Against one 4 MiB tile of CHUNK_VALUES shared by the
+# threads, bisect-deep's rows drew no slower at 2^15, 2^16 or 2^17 (2-core
+# x86_64 host).  Step chunks keep CHUNK_VALUES: at fig2's 2,000 SGD
+# replicates, 2^16 values make rows of 32 steps, drawn at 34 ns a value
+# against 16 ns at 262 steps
+TILE_VALUES = 2**16
 
 # replicates whose chunk rows are transposed together into step-major order
 _TILE = 64
@@ -190,8 +200,8 @@ class OracleBatch:
         self._steps = np.empty((0, self.n_replicates))  # drawn step noise, (chunk, R)
         self._step_pos = 0  # next unread row of _steps
         self._steps_ahead = 0  # reserved steps whose noise is not drawn yet
-        # block noise and readings of one tile, reused: a fresh tile per share
-        # read raised bisect-deep's peak RSS from 44.6 to 50.3 MB
+        # every thread's tile of block noise and readings, reused: a fresh tile
+        # per share read raised bisect-deep's peak RSS from 44.6 to 50.3 MB
         self._block = np.empty(0)
 
     def _take(self, n: int):
@@ -234,28 +244,33 @@ class OracleBatch:
         """n queries at the points x (of shape ``shape``); returns the means.
 
         Checks and charges the n queries before any draw, then draws each
-        replicate's readings once for every function, in tiles of at most
-        max(CHUNK_VALUES, n) values held in one reused buffer: with P > 1
-        functions a tile has half the rows, the other half of the buffer
-        holding one function's readings at a time.  Each function's row means
-        are taken over the same C-contiguous rows as in a batch of its own.
-        From n = THREAD_MIN_ROW on, one thread per usable core reads a share
-        of the replicates.
+        replicate's readings once for every function.  From n =
+        THREAD_MIN_ROW on, one thread per usable core, but no more than there
+        are replicates, reads a share of the replicates; below it the caller
+        reads them all.  Each thread reads its share in tiles of its own, of
+        at most max(TILE_VALUES, n) values, in one reused buffer of at most
+        threads * max(TILE_VALUES, 2n) values: with P > 1 functions a tile
+        has half the rows, the other half of the thread's values holding one
+        function's readings at a time.  Each function's row means are taken
+        over the same C-contiguous rows as in a batch of its own, whatever
+        the tile size.
         """
         self._take(n)
         x = self._rows(x)
         g = self._subgrad(x)
         self.queries_used += n
+        R = self.n_replicates
+        threads = min(usable_cores(), R) if n >= THREAD_MIN_ROW else 1
         buffers = min(len(g), 2)  # the noise, and one function's readings
-        tile = min(max(CHUNK_VALUES // (buffers * n), 1), self.n_replicates)
-        if self._block.size < buffers * tile * n:
-            self._block = np.empty(buffers * tile * n)
+        # rows per tile, no more than the longest share has
+        rows = min(max(TILE_VALUES // (buffers * n), 1), -(-R // threads))
+        size = buffers * threads * rows * n
+        if self._block.size < size:
+            self._block = np.empty(size)
         means = np.empty(g.shape)
-        threads = min(usable_cores(), tile) if n >= THREAD_MIN_ROW else 1
-        rows = tile // threads * threads * n
-        blocks = self._block[:buffers * rows].reshape(buffers, threads, -1, n)
+        blocks = self._block[:size].reshape(buffers, threads, rows, n)
         tiles, spares = blocks[0], blocks[-1]
-        ends = [self.n_replicates * k // threads for k in range(threads + 1)]
+        ends = [R * k // threads for k in range(threads + 1)]
         shares = [partial(self._read_share, tile, lo, hi, spare, g, means)
                   for tile, spare, lo, hi in zip(tiles, spares, ends, ends[1:])]
         if threads == 1:
@@ -271,7 +286,9 @@ class OracleBatch:
     def _read_share(self, tile, lo, hi, spare, g, means):
         """Mean readings of replicates lo..hi-1 into means, a tile at a time.
 
-        Each tile of noise is drawn and scaled once; function p's readings,
+        tile is this thread's own: at most max(TILE_VALUES, n) values, or
+        max(TILE_VALUES, 2n) with spare when P > 1.  Each tile of noise is
+        drawn and scaled once; function p's readings,
         its subgradients plus that noise, are formed in spare, the last
         function's in the tile itself (spare is the tile when P = 1).
         """

@@ -152,13 +152,12 @@ def imported_after_cli(package: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-def test_import_loads_no_scipy():
-    assert imported_after_cli("scipy") == "[]\n"
-
-
-def test_import_loads_no_numpy_random():
-    # numpy.random loads on first use; commands without Monte Carlo never pay it
-    assert imported_after_cli("numpy.random") == "[]\n"
+# numpy.random loads on first use, so commands without Monte Carlo never pay
+# it; multiprocessing and the process pool load only when a run has one
+@pytest.mark.parametrize("package", ["scipy", "numpy.random", "multiprocessing",
+                                     "concurrent.futures.process"])
+def test_import_loads_no(package):
+    assert imported_after_cli(package) == "[]\n"
 
 
 SUPEREFFICIENCY = ["superefficiency", "--fn", "sym-power", "--k", "2", "--delta", "0.1",

@@ -1,5 +1,6 @@
 """Risk harness: lockstep replicate runs against scalar loops, seeds, jobs,
 slope fits, the two-point risk floor."""
+import concurrent.futures
 import math
 import tracemalloc
 from dataclasses import replace
@@ -46,7 +47,6 @@ from convexbench import (
     two_point_floor,
     with_x_star,
 )
-from convexbench import experiments
 from convexbench.experiments import function_id, replicate_runs
 from convexbench.oracle import STEP_CHUNK
 
@@ -372,7 +372,7 @@ def test_pool_has_no_more_workers_than_units(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     # one binary-search unit and one SGD budget group at each of two budgets
     config = ExperimentConfig(FAMILIES["sym-k1.5"], GROUP_ALGORITHMS, (10, 100), R,
                               SIGMA, SEED, INTERVAL)

@@ -8,6 +8,9 @@ import weakref
 import numpy as np
 import pytest
 import scalar_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from random_specs import ordered_pairs, piecewise_linears, tilt_sizes, x_star_specs
 from scipy import stats
 
 from convexbench import (
@@ -195,10 +198,10 @@ class TestOracleBatch:
 
     # T = 100, r = 1.5: six rounds of T0 = 16 queries.  40 values make tiles
     # of 2, 2 and 1 replicates; 10 < T0 make one replicate per tile
-    @pytest.mark.parametrize("chunk_values, R", [(40, 5), (10, 3)])
+    @pytest.mark.parametrize("tile_values, R", [(40, 5), (10, 3)])
     def test_block_means_equal_reference_across_tiles(self, monkeypatch,
-                                                      chunk_values, R):
-        monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk_values)
+                                                      tile_values, R):
+        monkeypatch.setattr(oracle, "TILE_VALUES", tile_values)
         T, sigma, spec = 100, 0.3, BinarySearchSpec(r=1.5)
         _, T0 = epochs_schedule(T, spec.r)
         seeds = replicate_seeds(4, (1,), R, 0)
@@ -278,15 +281,15 @@ class TestOracleBatch:
 
 
 class TestThreadedBlockReads:
-    # 4 * 1029 values make tiles of 4 rows at n = 1024 and 1029, so with
-    # R = 7 one core reads tiles of 4 and 3, two cores shares of 3 and 4 in
-    # tiles of 2 (the first share's last one partial), three cores shares of
-    # 2, 2 and 3 in tiles of 1
+    # 2 * 1029 values make each thread's tiles 2 rows at n = 1024 and 1029, so
+    # with R = 7 one core reads tiles of 2, 2, 2 and 1, two cores shares of 3
+    # and 4 (the first share's last tile partial), three cores shares of 2, 2
+    # and 3 (the last share's last tile partial)
     R = 7
 
     @pytest.fixture(autouse=True)
     def small_tiles(self, monkeypatch):
-        monkeypatch.setattr(oracle, "CHUNK_VALUES", 4 * 1029)
+        monkeypatch.setattr(oracle, "TILE_VALUES", 2 * 1029)
 
     def read(self, monkeypatch, cores, n, seeds):
         monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
@@ -307,11 +310,12 @@ class TestThreadedBlockReads:
         assert threading.active_count() == threads  # no thread outlives a read
 
     @pytest.mark.parametrize("cores, n, threads", [(2, 1029, 2), (3, 1024, 3),
-                                                   (5, 1024, 4), (3, 4 * 1029, 1)])
+                                                   (8, 1024, 7), (3, 4 * 1029, 3)])
     def test_each_thread_reads_its_share_through_its_own_slice(self, monkeypatch,
                                                                cores, n, threads):
-        # one thread per core, but no more than a tile has rows (4, or 1 when
-        # a row fills CHUNK_VALUES); the shares cover every replicate once
+        # one thread per core, but no more than there are replicates, also
+        # when a row is longer than a tile; the shares cover every replicate
+        # once, each through tiles of at most max(TILE_VALUES, n) values
         calls = []
         read_share = OracleBatch._read_share
 
@@ -326,9 +330,10 @@ class TestThreadedBlockReads:
             (self.R * k // threads, self.R * (k + 1) // threads) for k in range(threads)]
         assert calls[0][4] == threading.get_ident()  # the caller reads share 0
         block = calls[0][3]
-        assert block.size <= max(oracle.CHUNK_VALUES, n)
+        assert block.size <= threads * max(oracle.TILE_VALUES, n)
         for i, (_, _, tile, *_) in enumerate(calls):
             assert np.shares_memory(tile, block) and tile.shape[1] == n
+            assert tile.size <= max(oracle.TILE_VALUES, n)
             assert not any(np.shares_memory(tile, c[2]) for c in calls[i + 1:])
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -343,20 +348,22 @@ class TestThreadedBlockReads:
                                   (-2.0, 1.5)) for seed in seeds]
         assert np.array_equal(est, want)
 
-    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+    @pytest.mark.parametrize("P", [1, 4])
+    def test_more_threads_than_cores_switching_often(self, monkeypatch, P):
         # eight threads, each through four tiles of two rows, hand the
         # interpreter over every microsecond for 40 reads; a thread writing
-        # into another's rows or means would break the equality
-        monkeypatch.setattr(oracle, "CHUNK_VALUES", 16 * 1024)
+        # into another's rows, readings or means would break the equality
+        monkeypatch.setattr(oracle, "TILE_VALUES", min(P, 2) * 2 * 1024)
         R, seeds = 64, replicate_seeds(6, (3,), 64, 0)
-        x = np.linspace(-1.0, 1.0, R)
+        specs, shape = (F.spec, (R,)) if P == 1 else (FIXED_SPECS[:P], (P, R))
+        x = np.linspace(-1.0, 1.0, P * R).reshape(shape)
         means = {}
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
             for cores in (1, 8):
                 monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
-                batch = OracleBatch(F.spec, None, F.domain, 0.3, 40 * 1024, seeds)
+                batch = OracleBatch(specs, None, F.domain, 0.3, 40 * 1024, seeds)
                 means[cores] = [batch.query_block_all(x, 1024) for _ in range(40)]
         finally:
             sys.setswitchinterval(interval)
@@ -384,13 +391,14 @@ TEMPLATES = (SymmetricPower(1.5), Tilt(SymmetricPower(2.0), -0.05),
 
 
 class TestFunctionsAxis:
-    # 4 * 1029 values make tiles of 2 rows at n = 1024 when P > 1 (half the
-    # buffer holds one function's readings), so R = 7 spans several tiles
+    # 2 * 1029 values make tiles of 1 row at n = 1024 when P > 1 (half a
+    # thread's values hold one function's readings), so R = 7 spans several
+    # tiles
     R = 7
 
     @pytest.fixture(autouse=True)
     def small_tiles(self, monkeypatch):
-        monkeypatch.setattr(oracle, "CHUNK_VALUES", 4 * 1029)
+        monkeypatch.setattr(oracle, "TILE_VALUES", 2 * 1029)
 
     @staticmethod
     def reads(batch, x, n):
@@ -410,8 +418,8 @@ class TestFunctionsAxis:
         joint = OracleBatch(specs, x_star, (-2.0, 2.0), 0.3, 2 * n + 3, seeds)
         got = self.reads(joint, x, n)
         assert all(g.shape == (P, self.R) for g in got)
-        # the noise and one function's readings share the one tile budget
-        assert joint._block.size <= max(oracle.CHUNK_VALUES, 2 * n)
+        # the noise and one function's readings share each thread's tile budget
+        assert joint._block.size <= cores * max(oracle.TILE_VALUES, 2 * n)
         for p, spec in enumerate(specs):
             alone = OracleBatch(spec, None if x_star is None else x_star[p], (-2.0, 2.0),
                                 0.3, 2 * n + 3, seeds)
@@ -448,12 +456,95 @@ class TestFunctionsAxis:
             gc.enable()
 
 
+@pytest.mark.parametrize("cores", [2, 3])
+def test_a_row_longer_than_a_tile_reads_on_every_core(monkeypatch, cores):
+    # a tile of up to 2^19 values holds one row of 2^18 + 1 queries at most;
+    # the shares still go to every core, one replicate each
+    n, calls = 2**18 + 1, []
+    read_share = OracleBatch._read_share
+
+    def record(batch, tile, lo, hi, *args):
+        calls.append((lo, hi, threading.get_ident()))
+        read_share(batch, tile, lo, hi, *args)
+
+    monkeypatch.setattr(OracleBatch, "_read_share", record)
+    monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
+    seeds = replicate_seeds(6, (5,), cores, 0)
+    x = np.linspace(-1.0, 1.0, cores)
+    got = OracleBatch(F.spec, None, F.domain, 0.3, n, seeds).query_block_all(x, n)
+    assert sorted((lo, hi) for lo, hi, _ in calls) == [(k, k + 1) for k in range(cores)]
+    caller = [lo for lo, _, ident in calls if ident == threading.get_ident()]
+    assert caller == [0]  # every other share ran on a thread of its own pool
+    for r, seed in enumerate(seeds):
+        z = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+        assert got[r] == (0.3 * z + float(F.subgrad(x[r]))).mean()
+
+
 def test_usable_cores_reads_the_affinity_else_the_cpu_count(monkeypatch):
     monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
     assert oracle.usable_cores() == 2
     monkeypatch.delattr(oracle.os, "sched_getaffinity")
     assert oracle.usable_cores() == 8
+
+
+@pytest.mark.parametrize("n", [769, 2 * oracle.THREAD_MIN_ROW + 3])
+@pytest.mark.parametrize("specs", [F.spec, FIXED_SPECS[:3]], ids=["P=1", "P=3"])
+def test_block_means_do_not_depend_on_the_tile_bound(monkeypatch, specs, n):
+    # a row's mean is numpy's sum over that one row, however many rows share
+    # its tile: one-row tiles, a few rows, today's bound and one tile per share
+    R = 9
+    monkeypatch.setattr(oracle, "usable_cores", lambda: 2)
+    seeds = replicate_seeds(7, (6,), R, 0)
+    shape = (len(specs), R) if isinstance(specs, tuple) else (R,)
+    x = np.linspace(-1.5, 1.5, np.prod(shape)).reshape(shape)
+    means = []
+    for bound in (1, 4 * n, oracle.TILE_VALUES, R * 2 * n):
+        monkeypatch.setattr(oracle, "TILE_VALUES", bound)
+        batch = OracleBatch(specs, None, (-2.0, 2.0), 0.3, 2 * n, seeds)
+        means.append([batch.query_block_all(x, n), batch.query_block_all(-x, n)])
+    for other in means[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(other, means[0]))
+
+
+random_specs = st.one_of(x_star_specs, piecewise_linears(),
+                         st.builds(Tilt, st.one_of(x_star_specs, piecewise_linears()),
+                                   tilt_sizes))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_function_batches_equal_one_function_batches(data):
+    # bound, fixed before the first run: exact equality (==) of every block
+    # mean, every step reading and every stream's state afterwards, with rows
+    # on both sides of THREAD_MIN_ROW and of the tile bound (P = 1 and P > 1)
+    specs = tuple(data.draw(st.lists(random_specs, min_size=1, max_size=4)))
+    a, b = data.draw(ordered_pairs)
+    R, cores = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    # a thread's values pass the bound at 2n > TILE_VALUES when P > 1
+    edge = data.draw(st.sampled_from([oracle.TILE_VALUES // 2, oracle.TILE_VALUES]))
+    n = data.draw(st.one_of(st.integers(1, 2 * oracle.THREAD_MIN_ROW),
+                            st.integers(edge - 1, edge + 1)))
+    steps, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**32 - 1))
+    u = np.random.default_rng(seed).random((len(specs), R))
+    x = np.clip(a + (b - a) * u, a, b)
+    seeds = replicate_seeds(seed, (3,), R, 0)
+    budget = 2 * n + steps + 1
+
+    def reads(spec, x):
+        batch = OracleBatch(spec, None, (a, b), 0.3, budget, seeds)
+        got = [batch.query_block_all(x, n), batch.query_block_all(x[..., ::-1], n)]
+        batch.begin_steps(steps)
+        got += [batch.query_all(x) for _ in range(steps + 1)]  # one beyond
+        return got, [g.bit_generator.state for g in batch._gens]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "usable_cores", lambda: cores)
+        joint, joint_states = reads(specs, x)
+        for p, spec in enumerate(specs):
+            alone, states = reads(spec, x[p])
+            assert all(np.array_equal(j[p], w) for j, w in zip(joint, alone))
+            assert states == joint_states
 
 
 class TestReplicateSeeds:
@@ -513,16 +604,22 @@ def test_sgd_cell_memory_does_not_grow_with_budget():
 def test_binary_search_cell_memory_does_not_grow_with_budget(monkeypatch):
     # holding a round's R x T0 readings at once would add R * dT0 * 8 bytes
     # (9 MB, T0 = 100 -> 5882); tiled, one buffer of at most
-    # max(CHUNK_VALUES, T0) values holds them, reused round after round
-    monkeypatch.setattr(oracle, "CHUNK_VALUES", 2**14)
+    # cores * max(TILE_VALUES, T0) values holds them, reused round after round
+    monkeypatch.setattr(oracle, "TILE_VALUES", 2**13)
+    monkeypatch.setattr(oracle, "usable_cores", lambda: 2)
     R, family = 200, FunctionFamily(SymmetricPower(2.0), UniformDist(-1.0, 1.0))
+
+    def run(T):
+        replicate_runs((family,), (-2.0, 2.0), 0.1, T, (BinarySearchSpec(1.5),), R, 3,
+                       ((),))
+
+    run(10)  # one-time allocations (about 0.8 MB) land outside both traced runs
     peaks = []
     for T in (10**3, 10**5):
         tracemalloc.start()
         try:
-            replicate_runs((family,), (-2.0, 2.0), 0.1, T, (BinarySearchSpec(1.5),), R, 3,
-                           ((),))
+            run(T)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 2 * oracle.CHUNK_VALUES * 8
+    assert peaks[1] - peaks[0] < 2 * oracle.TILE_VALUES * 8
