@@ -2,10 +2,12 @@
 
 Catalog of closed-form convex test functions, a budgeted seeded Gaussian
 subgradient oracle, difficulty moduli (in closed form for every catalog spec,
-with one lockstep bisection of the flat set as the cross-check), a
-sign-testing binary search with flat-set diagnostics, projected SGD
-baselines, and a deterministic Monte-Carlo risk harness with risk-floor and
-superefficiency experiments.
+with one lockstep bisection of the flat set as the cross-check; a modulus
+curve holds both as arrays over its epsilon grid), a sign-testing binary
+search with flat-set diagnostics, projected SGD baselines, and a
+deterministic Monte-Carlo risk harness with risk-floor and superefficiency
+experiments.  One log-log least-squares fit, ``fit_loglog``, gives both the
+modulus growth exponent and the risk curves' slopes.
 
 Each algorithm has one implementation, over a batch of replicates
 (``run_binary_search``, ``run_sgd``), and one parameter type
@@ -65,8 +67,7 @@ from .functions import (
 )
 from .modulus import (
     ModulusCurve,
-    ModulusSample,
-    fit_growth_exponent,
+    fit_loglog,
     flat_set,
     modulus_analytic,
     modulus_numeric,

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScheduleError
-from .functions import ConvexFunction1D
-from .modulus import flat_set
+from .functions import ConvexFunction1D, clamped_level_set
 from .oracle import OracleBatch
 
 __all__ = [
@@ -242,29 +241,29 @@ def sign_test_binary_search(batch: OracleBatch, spec: BinarySearchSpec) -> RunRe
 def flat_set_diagnostics(
     f: ConvexFunction1D,
     T: int,
-    r: float,
-    delta: float,
+    search: BinarySearchSpec,
     sigma: float,
 ) -> tuple[float, tuple[float, float], float]:
-    """Quantities governing where the binary search lands.
+    """Quantities governing where the binary search ``search`` lands.
 
     Returns (C_delta, I_delta, radius_bound): the noise-deviation constant
-    C_delta = sigma * sqrt(2 ln(E/delta)), the interval I_delta where the
-    subgradient magnitude is below C_delta/sqrt(T0), and the bisection
-    resolution 2^-E times the width of f's domain, the interval the search
-    bisects.  With probability at least 1 - delta the search output lies
-    within radius_bound of I_delta.
+    C_delta = sigma * sqrt(2 ln(E/delta)), with delta = ``search.delta``;
+    the interval I_delta where the subgradient magnitude is below
+    C_delta/sqrt(T0), read in closed form off the level sets at -/+ that
+    threshold as ``modulus.modulus_analytic`` reads the flat set; and the
+    bisection resolution 2^-E times the width of f's domain, the interval the
+    search bisects.  With probability at least 1 - delta the search output
+    lies within radius_bound of I_delta.
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    E, T0 = epochs_schedule(T, r)
-    c_delta = sigma * math.sqrt(2.0 * math.log(E / delta))
+    E, T0 = epochs_schedule(T, search.r)
+    c_delta = sigma * math.sqrt(2.0 * math.log(E / search.delta))
     threshold = c_delta / math.sqrt(T0)
     if threshold > 0:
-        i_delta = flat_set(f, threshold)
-    else:  # sigma = 0 or delta -> 1 with E = 1: the flat set degenerates
+        i_delta = (clamped_level_set(f.spec, -threshold, f.domain)[1],
+                   clamped_level_set(f.spec, threshold, f.domain)[0])
+    else:  # sigma = 0 or delta -> 1 with E = 1: the ends at -/+0 would cross
         i_delta = f.minimizer_set
     a0, b0 = f.domain
     radius_bound = (b0 - a0) * 0.5**E

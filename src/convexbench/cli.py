@@ -7,6 +7,15 @@ Subcommands:
     reproduce-fig2 [...]          six risk panels (symmetric and asymmetric)
     superefficiency <flags>       tilted-alternative risk report CSV
 
+Typical invocations, each after ``convexbench``:
+
+    reproduce-fig2
+    modulus --fn sym-power --k 3 --eps 1e-6:1e-1:20
+        one per catalog function (--fn asym-power --kl 1.5 --kr 2, --fn
+        absolute, ...); the aggregate row's alpha_hat is the fitted exponent
+    superefficiency --fn sym-power --k 2 --delta 0.05 --estimator "constant x_hat=0"
+    superefficiency --fn sym-power --k 2 --delta 0.05 --estimator "binary-search r=1.5"
+
 Exit codes: 0 success, 1 runtime/data error (partial artifacts, flagged in
 the manifest), 2 usage or config error.
 
@@ -181,7 +190,12 @@ def plot_script_text(title: str, guide_rate: float | None) -> str:
 
 
 def _guide_rate(function) -> float | None:
-    """Benchmark log-log rate -1/(2(k-1)) for power-growth functions."""
+    """Benchmark log-log rate -1/(2(k-1)) for power-growth functions.
+
+    A tilt with eps != 0 of a power moves the minimizer to some u* != x*,
+    where f'' = (k-1)|u*|^(k-2) > 0, so its rate is -1/2; a minimizer that
+    the tilt pushes onto a domain end is not covered.
+    """
     spec = function.template if isinstance(function, FunctionFamily) else function
     core = spec.base if isinstance(spec, Tilt) else spec  # Tilt collapses nested tilts
     if isinstance(core, SymmetricPower):
@@ -190,6 +204,8 @@ def _guide_rate(function) -> float | None:
         k = max(core.k_l, core.k_r)
     else:
         return None
+    if isinstance(spec, Tilt) and spec.eps != 0:
+        return -0.5
     return -1.0 / (2.0 * (k - 1.0))
 
 
@@ -363,8 +379,10 @@ def cmd_modulus(parser, args) -> int:
     curve = sample_modulus_curve(f, eps_grid)
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["epsilon", "omega", "method", "alpha_hat"])
-    for s in curve.samples:
-        w.writerow([repr(s.epsilon), repr(s.omega), s.method, ""])
+    for e, wa, wn in zip(curve.epsilon.tolist(), curve.analytic.tolist(),
+                         curve.numeric.tolist()):
+        w.writerow([repr(e), repr(wa), "analytic", ""])
+        w.writerow([repr(e), repr(wn), "numeric", ""])
     w.writerow(["", "", "aggregate",
                 "" if curve.fitted_alpha is None else repr(curve.fitted_alpha)])
     return EXIT_OK
@@ -420,8 +438,7 @@ def cmd_superefficiency(parser, args) -> int:
     try:
         estimator = parse_algorithm(args.estimator, ESTIMATOR_KINDS)
         check_superefficiency_inputs(estimator, args.delta, args.T, args.sigma,
-                                     args.replicates, args.seed, domain,
-                                     args.modulus_scale)
+                                     args.replicates, args.seed, domain)
         # the directory before the run, and only once the inputs are known good
         if args.out and not _make_dirs(Path(args.out)):
             return EXIT_USAGE
@@ -434,7 +451,6 @@ def cmd_superefficiency(parser, args) -> int:
             replicates=args.replicates,
             master_seed=args.seed,
             initial_interval=domain,
-            modulus_scale=args.modulus_scale,
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -442,13 +458,12 @@ def cmd_superefficiency(parser, args) -> int:
     text = superefficiency_csv_text(report)
     sys.stdout.write(text)
     plus, minus = report.alternatives
-    scale = f"{report.modulus_scale:g}*eps_T"
     print(
         f"# estimator={report.estimator} delta={report.delta:g} T={report.T} "
         f"sigma={report.sigma:g}\n"
         f"# tilt size epsilon_T={report.epsilon_T!r}\n"
         f"# d(f,g+)={plus.d!r} d(f,g-)={minus.d!r}\n"
-        f"# omega_g+({scale})={plus.omega_ref!r} omega_g-({scale})={minus.omega_ref!r}\n"
+        f"# omega_g+(eps_T)={plus.omega_ref!r} omega_g-(eps_T)={minus.omega_ref!r}\n"
         f"# tilted-risk lower-bound constant (4-sqrt(2))/4="
         f"{LOWER_BOUND_CONSTANT!r} (reference only, not asserted)",
         file=sys.stderr,
@@ -504,7 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "take constant; delta= in the line sets "
                             "BinarySearchSpec.delta, not --delta")
     p_sup.add_argument("--seed", type=int, default=20250810)
-    p_sup.add_argument("--modulus-scale", type=float, default=1.0)
     p_sup.add_argument("--out", help="also write superefficiency.csv here")
     return parser
 

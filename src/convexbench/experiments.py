@@ -48,7 +48,7 @@ from .algorithms import (
     run_binary_search,
     run_sgd,
 )
-from .errors import DataError, FieldError, ScheduleError
+from .errors import FieldError, ScheduleError
 # build_function and modulus_numeric are not called here, but perfbench's
 # layer hooks (perfbench/tracing.py) wrap both names in this module
 from .functions import (
@@ -60,7 +60,7 @@ from .functions import (
     spec_id,
     with_x_star,
 )
-from .modulus import modulus_analytic, modulus_numeric
+from .modulus import fit_loglog, modulus_analytic, modulus_numeric
 from .oracle import OracleBatch, replicate_seeds
 
 __all__ = [
@@ -138,6 +138,24 @@ def repeated_algorithm(algorithms) -> int | None:
     return next((n for n, i in enumerate(ids) if i in ids[:n]), None)
 
 
+def check_run_inputs(replicates: int, sigma: float, master_seed: int,
+                     domain: tuple[float, float]):
+    """Raise FieldError, a ValueError, for a run input out of range: no
+    replicate, a sigma not finite and >= 0, a master_seed outside the 64-bit
+    seeds a manifest can rerun, or a domain that is not finite with a < b."""
+    if replicates < 1:
+        raise FieldError("replicates", f"replicates must be >= 1, got {replicates}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise FieldError("sigma", f"sigma must be finite and >= 0, got {sigma}")
+    if not 0 <= master_seed < 2**64:
+        raise FieldError("master_seed",
+                         f"master_seed must fit in 64 unsigned bits, got {master_seed}")
+    a, b = domain
+    if not -math.inf < a < b < math.inf:
+        raise FieldError("initial_interval",
+                         f"domain must be finite with a < b, got [{a}, {b}]")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     function: FunctionSpec | FunctionFamily
@@ -153,8 +171,7 @@ class ExperimentConfig:
                              ("master_seed", (self.master_seed,))):
             if any(type(v) is not int for v in values):  # its text would not parse back
                 raise FieldError(name, f"{name} needs integers, got {vars(self)[name]!r}")
-        if self.replicates < 1:
-            raise FieldError("replicates", "replicates must be >= 1")
+        check_run_inputs(self.replicates, self.sigma, self.master_seed, self.initial_interval)
         if any(t2 <= t1 for t1, t2 in zip(self.T_grid, self.T_grid[1:])):
             raise FieldError("T_grid", "T_grid must be strictly increasing")
         if len(self.T_grid) == 0:
@@ -169,13 +186,6 @@ class ExperimentConfig:
         if repeat is not None:
             raise FieldError("algorithms", "two algorithms share the id "
                              + self.algorithms[repeat].algorithm_id)
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise FieldError("sigma", f"sigma must be finite and >= 0, got {self.sigma}")
-        if not 0 <= self.master_seed < 2**64:  # the seeds a manifest can rerun
-            raise FieldError("master_seed", "master_seed must fit in 64 unsigned bits")
-        if not -math.inf < self.initial_interval[0] < self.initial_interval[1] < math.inf:
-            raise FieldError("initial_interval", "initial_interval needs finite a < b, "
-                             f"got {self.initial_interval}")
         for alg in self.algorithms:
             for T in self.T_grid if isinstance(alg, BinarySearchSpec) else ():
                 try:
@@ -390,30 +400,13 @@ def estimate_risk(config: ExperimentConfig, jobs: int = 1) -> RiskTable:
 def fit_loglog_slope(
     table: RiskTable, function: str, algorithm: str
 ) -> SlopeFit:
-    """OLS fit of ln(mean error) against ln(T) for one risk curve."""
+    """``fit_loglog`` of one risk curve's positive mean errors against T;
+    DataError below three such points."""
     rows = [r for r in table.rows if (r.function, r.algorithm) == (function, algorithm)
             and r.mean_err is not None and r.mean_err > 0]
-    if len(rows) < 3:
-        raise DataError(
-            f"need >= 3 positive risk points for {function!r}/{algorithm!r}, "
-            f"got {len(rows)}"
-        )
-    ts = np.array([r.T for r in rows], dtype=float)
-    ys = np.array([r.mean_err for r in rows])
-    lx, ly = np.log(ts), np.log(ys)
-    # the formulas of scipy.stats.linregress, in the same order of operations
-    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=True).flat
-    slope = ssxym / ssxm
-    if ssym == 0.0:
-        r = np.nan if ssxym == 0 else 0.0
-    else:
-        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
-    return SlopeFit(
-        slope=float(slope),
-        intercept=float(np.mean(ly) - slope * np.mean(lx)),
-        stderr_slope=float(np.sqrt((1 - r**2) * ssym / ssxm / (len(rows) - 2))),
-        T_range=(int(ts.min()), int(ts.max())),
-    )
+    ts = [r.T for r in rows]
+    slope, intercept, stderr = fit_loglog(ts, [r.mean_err for r in rows])
+    return SlopeFit(slope, intercept, stderr, (min(ts), max(ts)))
 
 
 def two_point_floor(d: float, kappa: float, T: int, sigma: float) -> float:
@@ -488,7 +481,6 @@ class SuperefficiencyReport:
     T: int
     sigma: float
     epsilon_T: float
-    modulus_scale: float
     risk_f: float
     stderr_f: float
     alternatives: tuple[TiltedAlternative, TiltedAlternative]
@@ -496,14 +488,12 @@ class SuperefficiencyReport:
 
 def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
                                  replicates: int, master_seed: int,
-                                 initial_interval: tuple[float, float] = (-2.0, 2.0),
-                                 modulus_scale: float = 1.0):
+                                 initial_interval: tuple[float, float] = (-2.0, 2.0)):
     """Raise ValueError for inputs ``superefficiency_experiment`` cannot run,
     before anything is drawn: a delta outside (0, DELTA_MAX), a budget below
-    1 or past the float range, no replicate, a sigma, master_seed or
-    modulus_scale out of range, a domain that is not finite with a < b, a
-    constant estimate outside it, or a budget too small for a binary
-    search's rounds."""
+    1 or past the float range, a run input that ``check_run_inputs``
+    refuses, a constant estimate outside the domain, or a budget too small
+    for a binary search's rounds."""
     if not 0.0 < delta < DELTA_MAX:
         raise ValueError(
             f"delta must lie in (0, {DELTA_MAX:.6f}), got {delta}"
@@ -512,17 +502,8 @@ def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
         raise ValueError("T must be >= 1")
     if T > sys.float_info.max:  # eps_T divides by T as a float
         raise ValueError(f"T must be at most {sys.float_info.max!r}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if not 0 <= master_seed < 2**64:  # as ExperimentConfig
-        raise ValueError(f"master_seed must fit in 64 unsigned bits, got {master_seed}")
-    if not (math.isfinite(modulus_scale) and modulus_scale > 0):
-        raise ValueError(f"modulus_scale must be finite and > 0, got {modulus_scale}")
+    check_run_inputs(replicates, sigma, master_seed, initial_interval)
     a, b = initial_interval
-    if not (a < b and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
     if (isinstance(estimator, ConstantEstimator) and not isinstance(estimator.x_hat, str)
             and not a <= estimator.x_hat <= b):
         raise ValueError(f"x_hat must lie in the domain [{a}, {b}], got {estimator.x_hat}")
@@ -539,7 +520,6 @@ def superefficiency_experiment(
     replicates: int,
     master_seed: int,
     initial_interval: tuple[float, float] = (-2.0, 2.0),
-    modulus_scale: float = 1.0,
 ) -> SuperefficiencyReport:
     """Measure estimator risk at a target and at its two tilted alternatives.
 
@@ -549,17 +529,16 @@ def superefficiency_experiment(
     above ``DELTA_MAX``).  The report holds one ``TiltedAlternative`` row for
     g+ = f + eps_T * x and one for g- = f - eps_T * x; each carries its
     reference modulus for comparison, the closed form ``modulus_analytic``
-    of g at modulus_scale * eps_T on the domain, which
-    ``check_superefficiency_inputs`` checks first.  Nothing about the bound
-    is asserted, it is descriptive output.  A binary search
-    or SGD runs f, g+ and g- as three configs of one ``estimate_risks`` call:
-    its risk at each is that config's ``estimate_risk`` alone, and the three
-    share their replicates' draws.  A constant estimator draws nothing; its
+    of g at eps_T on the domain, which ``check_superefficiency_inputs``
+    checks first.  Nothing about the bound is asserted, it is descriptive
+    output.  A binary search or SGD runs f, g+ and g- as three configs of
+    one ``estimate_risks`` call: its risk at each is that config's
+    ``estimate_risk`` alone, and the three share their replicates' draws.  A constant estimator draws nothing; its
     risk is its distance to each minimizer set.  Its default x_hat is resolved
     here to the midpoint of f's minimizer set, the number the report's id names.
     """
     check_superefficiency_inputs(estimator, delta, T, sigma, replicates, master_seed,
-                                 initial_interval, modulus_scale)
+                                 initial_interval)
     eps_t = math.sqrt(sigma * sigma * math.log(1.0 / (8.0 * delta * delta)) / T)
     tilts = (eps_t, -eps_t)
     specs = (spec, *(Tilt(spec, tilt) for tilt in tilts))
@@ -574,11 +553,11 @@ def superefficiency_experiment(
                                                  master_seed, initial_interval)
                                 for s in specs)
         risks = [(t.rows[0].mean_err, t.rows[0].stderr) for t in tables]
-    ref_eps = modulus_scale * eps_t  # 0 when sigma is 0: no flat set to measure
     (risk_f, se_f), *alt_risks = risks
     alternatives = tuple(TiltedAlternative(
         tilt, risk, stderr, d=float(distance(minimizers[0], m)),
-        omega_ref=modulus_analytic(g, ref_eps, initial_interval) if ref_eps > 0 else 0.0,
+        # eps_T is 0 when sigma is: no flat set to measure
+        omega_ref=modulus_analytic(g, eps_t, initial_interval) if eps_t > 0 else 0.0,
     ) for tilt, g, m, (risk, stderr) in zip(tilts, specs[1:], minimizers[1:], alt_risks))
     return SuperefficiencyReport(
         function=spec_id(spec),
@@ -587,7 +566,6 @@ def superefficiency_experiment(
         T=T,
         sigma=sigma,
         epsilon_T=eps_t,
-        modulus_scale=modulus_scale,
         risk_f=risk_f,
         stderr_f=se_f,
         alternatives=alternatives,

@@ -7,8 +7,10 @@ catalog spec: it reads the flat set's ends off the closed-form level sets of
 ``functions.level_set``, and an array of thresholds takes one call.  The
 superefficiency reports' reference moduli are computed from it.
 ``modulus_numeric`` finds the same ends by monotone bisection on f'; it is
-the independent cross-check, and feeds only the numeric column of
-``sample_modulus_curve`` and the growth exponent fitted from that column.
+the independent cross-check.  ``sample_modulus_curve`` puts both on one
+sorted grid, as arrays, and fits the growth exponent from the bisection's
+column with ``fit_loglog``, the one log-log least-squares fit of the package
+(the risk curves' ``experiments.fit_loglog_slope`` reads it too).
 
 The bisection runs in lockstep: ``flat_set`` and ``modulus_numeric`` take a
 scalar or an array, and every end of every threshold of one call (left and
@@ -40,11 +42,10 @@ from .functions import (
 
 __all__ = [
     "ModulusCurve",
-    "ModulusSample",
     "modulus_analytic",
     "modulus_numeric",
     "flat_set",
-    "fit_growth_exponent",
+    "fit_loglog",
     "sample_modulus_curve",
 ]
 
@@ -56,18 +57,15 @@ _BISECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ModulusSample:
-    epsilon: float
-    omega: float
-    method: str  # "analytic" | "numeric"
-
-
-@dataclass(frozen=True)
 class ModulusCurve:
-    """Sampled modulus values with provenance and an optional fitted exponent."""
+    """A modulus curve on a sorted epsilon grid: the closed form and the
+    bisection at each epsilon, as arrays, and the growth exponent fitted from
+    the bisection (None when too few of its values clear the resolution floor)."""
 
-    samples: tuple[ModulusSample, ...]
-    fitted_alpha: float | None = None
+    epsilon: np.ndarray
+    analytic: np.ndarray
+    numeric: np.ndarray
+    fitted_alpha: float | None
 
 
 def _check_epsilon(epsilon):
@@ -168,39 +166,34 @@ def modulus_numeric(f: ConvexFunction1D, epsilon):
     return _like(epsilon, _farthest(f.minimizer_set, *flat_set(f, epsilon)))
 
 
-def fit_growth_exponent(curve: ModulusCurve, min_omega: float = 0.0) -> float:
-    """Least-squares slope of log omega against log epsilon.
-
-    Recovers 1/(k-1) exactly for power-law curves.  Requires at least three
-    samples with strictly positive omega; ``min_omega`` additionally drops
-    values at or below a resolution floor (numeric samples are only accurate
-    to the bisection tolerance).
-    """
-    pts = [(s.epsilon, s.omega) for s in curve.samples
-           if s.omega > 0 and s.omega > min_omega]
-    if len(pts) < 3:
-        raise DataError(
-            f"need >= 3 samples with positive omega to fit, got {len(pts)}"
-        )
-    le = np.log([p[0] for p in pts])
-    lo = np.log([p[1] for p in pts])
-    slope = float(np.polyfit(le, lo, 1)[0])
-    return slope
+def fit_loglog(x, y) -> tuple[float, float, float]:
+    """Least-squares line of ln y against ln x: (slope, intercept, standard
+    error of the slope), by the formulas of ``scipy.stats.linregress`` in the
+    same order of operations.  Needs at least three points, all positive; a
+    constant y has no correlation, so its stderr is nan."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < 3 or not (np.all(x > 0) and np.all(y > 0)):
+        raise DataError(f"need >= 3 points, all positive, to fit, got {x.size} points")
+    lx, ly = np.log(x), np.log(y)
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=True).flat
+    slope = ssxym / ssxm
+    if ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return (float(slope), float(np.mean(ly) - slope * np.mean(lx)),
+            float(np.sqrt((1 - r**2) * ssym / ssxm / (x.size - 2))))
 
 
 def sample_modulus_curve(f: ConvexFunction1D, epsilons) -> ModulusCurve:
-    """Evaluate the modulus over a grid, the closed form ("analytic") next to
-    the bisection ("numeric") at each epsilon, and fit the growth exponent
-    from the numeric samples."""
-    grid = np.array(sorted(float(e) for e in epsilons))
-    samples: list[ModulusSample] = []
-    for e, wa, wn in zip(grid.tolist(), modulus_analytic(f.spec, grid, f.domain).tolist(),
-                         modulus_numeric(f, grid).tolist()):
-        samples.append(ModulusSample(e, wa, "analytic"))
-        samples.append(ModulusSample(e, wn, "numeric"))
+    """Both moduli on the sorted grid, and the growth exponent fitted from the
+    bisection where it exceeds 10 * _BISECTION_TOL, below which it is not
+    resolved; recovers 1/(k-1) for power laws."""
+    grid = np.sort(np.asarray(epsilons, dtype=float))
+    numeric = modulus_numeric(f, grid)
+    resolved = numeric > 10.0 * _BISECTION_TOL
     try:
-        alpha = fit_growth_exponent(ModulusCurve(tuple(samples[1::2])),
-                                    min_omega=10.0 * _BISECTION_TOL)
+        alpha = fit_loglog(grid[resolved], numeric[resolved])[0]
     except DataError:
         alpha = None
-    return ModulusCurve(tuple(samples), fitted_alpha=alpha)
+    return ModulusCurve(grid, modulus_analytic(f.spec, grid, f.domain), numeric, alpha)

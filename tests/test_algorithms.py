@@ -81,9 +81,8 @@ class TestEpochsSchedule:
     def test_r_must_be_finite(self, r):
         with pytest.raises(ValueError, match="r must be positive and finite"):
             epochs_schedule(100, r)
-        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         with pytest.raises(ValueError, match="r must be positive and finite"):
-            flat_set_diagnostics(f, T=100, r=r, delta=0.05, sigma=0.1)
+            BinarySearchSpec(r)  # the type flat_set_diagnostics takes
 
 
 class TestBinarySearch:
@@ -165,7 +164,7 @@ class TestFlatSetDiagnostics:
     def test_reference_constant(self):
         f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         c_delta, i_delta, radius = flat_set_diagnostics(
-            f, T=10000, r=0.5, delta=0.05, sigma=0.1
+            f, T=10000, search=BinarySearchSpec(r=0.5), sigma=0.1
         )
         # sigma * sqrt(2 ln(E/delta)) with E = 4: 0.1 * sqrt(2 ln 80)
         assert c_delta == pytest.approx(0.1 * math.sqrt(2 * math.log(80.0)), rel=1e-12)
@@ -178,38 +177,39 @@ class TestFlatSetDiagnostics:
     def test_delta_near_one_shrinks_constant(self):
         f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         c_delta, _, _ = flat_set_diagnostics(
-            f, T=8, r=0.5, delta=0.999, sigma=0.1
+            f, T=8, search=BinarySearchSpec(r=0.5, delta=0.999), sigma=0.1
         )  # E = 1
         assert 0.0 < c_delta < 0.005
 
     def test_absolute_flat_set_is_minimizer(self):
         f = build_function(Absolute(0.0), (-2.0, 2.0))
-        _, (lo, hi), _ = flat_set_diagnostics(f, T=10000, r=0.5, delta=0.05, sigma=0.1)
+        _, (lo, hi), _ = flat_set_diagnostics(f, 10000, BinarySearchSpec(r=0.5), sigma=0.1)
         assert abs(lo) <= 1e-10 and abs(hi) <= 1e-10
 
     def test_custom_initial_interval_changes_radius(self):
         f = build_function(SymmetricPower(k=2.0), (-1.0, 1.0))
         _, _, radius = flat_set_diagnostics(
-            f, T=10000, r=0.5, delta=0.05, sigma=0.1
+            f, T=10000, search=BinarySearchSpec(r=0.5), sigma=0.1
         )
         assert radius == 2.0**-4 * 2.0
 
     def test_schedule_error_propagates(self):
         f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         with pytest.raises(ScheduleError):
-            flat_set_diagnostics(f, T=2, r=0.5, delta=0.05, sigma=0.1)
+            flat_set_diagnostics(f, 2, BinarySearchSpec(r=0.5), sigma=0.1)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_sigma_must_be_finite(self, sigma):
         f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         with pytest.raises(ValueError, match="finite"):
-            flat_set_diagnostics(f, T=10000, r=0.5, delta=0.05, sigma=sigma)
+            flat_set_diagnostics(f, 10000, BinarySearchSpec(r=0.5), sigma)
 
     def test_coverage_empirical(self):
         # the search lands within the resolution bound of the flat interval
         # in all but a delta-fraction of replicates (small pilot; the
         # acceptance suite runs the full-size version)
-        n, T, rr, delta, sigma = 200, 10000, 0.5, 0.05, 0.1
+        n, T, delta, sigma = 200, 10000, 0.05, 0.1
+        search = BinarySearchSpec(r=0.5, delta=delta)
         rng = np.random.default_rng(42)
         fails = 0
         for i in range(n):
@@ -217,8 +217,8 @@ class TestFlatSetDiagnostics:
             s, f = batch_for(
                 SymmetricPower(k=2.0, x_star=x_star), sigma, T, seed=1000 + i
             )
-            res = sign_test_binary_search(s, BinarySearchSpec(r=rr, delta=delta))
-            _, (lo, hi), radius = flat_set_diagnostics(f, T, rr, delta, sigma)
+            res = sign_test_binary_search(s, search)
+            _, (lo, hi), radius = flat_set_diagnostics(f, T, search, sigma)
             dist = max(0.0, lo - res.estimate, res.estimate - hi)
             fails += dist > radius
         assert fails / n <= delta + 3 * math.sqrt(delta * (1 - delta) / n)

@@ -180,13 +180,13 @@ def test_superefficiency_unusable_output_directory_fails_before_the_run(tmp_path
 
 @pytest.mark.parametrize("flags", [
     ["--delta", "0.5"], ["--T", "0"], ["--T", "1" + "0" * 400], ["--replicates", "0"],
-    ["--sigma", "-1"], ["--modulus-scale", "0"],
+    ["--sigma", "-1"],
     ["--estimator", "binary-search r=1.5", "--T", "1"],
     ["--estimator", "binary-search r=1.5", "--T", "1" + "0" * 300],
     ["--estimator", "binary-search r=1.5", "--seed", "-1"],
     ["--estimator", "binary-search r=1.5", "--seed", str(2**64)],
     ["--estimator", "constant x_hat=5"],
-], ids=["delta", "T", "T-past-float-range", "replicates", "sigma", "modulus-scale",
+], ids=["delta", "T", "T-past-float-range", "replicates", "sigma",
         "schedule", "rounds-too-long", "negative-seed", "seed-2^64", "x-hat-outside"])
 def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys):
     out = tmp_path / "new" / "sub"
@@ -270,13 +270,15 @@ def test_superefficiency_rounds_too_long_to_read_name_t_and_t0(capsys):
     assert capsys.readouterr().err.startswith(f"error: T={T} with r=1.5 gives rounds of T0=")
 
 
-def test_tilted_family_plot_carries_its_base_rate(tmp_path):
-    # a tilt adds a constant to f', so the growth exponent, and the guide
-    # rate -1/(2(k-1)), are those of the base
+@pytest.mark.parametrize("eps,rate", [("0.05", "-0.5"), ("0", "-0.25")])
+def test_tilted_family_plot_carries_the_rate_at_its_minimizer(eps, rate, tmp_path):
+    # a nonzero tilt of x|x| moves the minimizer off x* to some u*, where
+    # f'' = 2|u*| > 0: the rate is -1/2, not the base's -1/(2(k-1)) = -1/4;
+    # a zero tilt leaves the base's rate
     text = CONFIG.replace("kind = sym-power\nk = 2\n",
-                          "kind = tilt\neps = 0.05\nbase_kind = sym-power\nbase_k = 3\n")
+                          f"kind = tilt\neps = {eps}\nbase_kind = sym-power\nbase_k = 3\n")
     assert run(tmp_path, text, "tilted", "--jobs", "1") == cli.EXIT_OK
-    assert "\nguide_rate = -0.25\n" in (tmp_path / "tilted" / "plot.py").read_text()
+    assert f"\nguide_rate = {rate}\n" in (tmp_path / "tilted" / "plot.py").read_text()
 
 
 class TestManifestRerun:
@@ -350,7 +352,9 @@ def modulus_csv(spec):
     f = build_function(spec, (-1.0, 1.0))
     curve = sample_modulus_curve(f, np.geomspace(1e-3, 1e-1, 5))
     lines = ["epsilon,omega,method,alpha_hat"]
-    lines += [f"{s.epsilon!r},{s.omega!r},{s.method}," for s in curve.samples]
+    for e, wa, wn in zip(*(a.tolist() for a in (curve.epsilon, curve.analytic,
+                                                curve.numeric))):
+        lines += [f"{e!r},{wa!r},analytic,", f"{e!r},{wn!r},numeric,"]
     alpha = "" if curve.fitted_alpha is None else repr(curve.fitted_alpha)
     lines.append(f",,aggregate,{alpha}")
     return "\n".join(lines) + "\n"
@@ -487,16 +491,6 @@ def test_eps_count_numpy_cannot_allocate_is_a_usage_error(count, capsys):
     assert info.value.code == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert f"error: --eps count {count} is more than numpy can allocate" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
-def test_superefficiency_modulus_scale_must_be_finite_and_positive(scale, capsys):
-    rc = cli.main(["superefficiency", "--fn", "sym-power", "--k", "2", "--delta", "0.1",
-                   "--replicates", "2", "--modulus-scale", scale])
-    assert rc == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: modulus_scale must be finite and > 0")
     assert captured.out == ""
 
 

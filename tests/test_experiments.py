@@ -42,12 +42,14 @@ from convexbench import (
     modulus_analytic,
     modulus_numeric,
     replicate_seed,
+    sample_modulus_curve,
     spec_id,
     superefficiency_experiment,
     two_point_floor,
     with_x_star,
 )
 from convexbench.experiments import function_id, replicate_runs
+from convexbench.modulus import _BISECTION_TOL
 from convexbench.oracle import STEP_CHUNK
 
 INTERVAL = (-2.0, 2.0)
@@ -268,10 +270,12 @@ class TestBudgetGroups:
 
     def test_memory_does_not_grow_with_budget(self, monkeypatch):
         # prefetching all step noise at once would add 2R * dT * 8 bytes
-        # (79 MB); chunked, at most two chunks are alive at once.  The value
-        # cap is lowered so that it, not STEP_CHUNK, sets the chunk size.
-        algs, R = (SgdSpec("1/t"), SgdSpec("1/sqrt(t)")), 50
-        chunk_values = 2 * R * STEP_CHUNK // 4
+        # (7.2 MB); chunked, at most two chunks are alive at once.  Both caps
+        # are lowered so that a tenfold budget spans many chunks, and the
+        # value cap, not STEP_CHUNK, sets the chunk size (16 steps).
+        algs, R, step_chunk = (SgdSpec("1/t"), SgdSpec("1/sqrt(t)")), 50, 64
+        chunk_values = 2 * R * step_chunk // 4
+        monkeypatch.setattr("convexbench.oracle.STEP_CHUNK", step_chunk)
         monkeypatch.setattr("convexbench.oracle.CHUNK_VALUES", chunk_values)
 
         def run(T):
@@ -280,7 +284,7 @@ class TestBudgetGroups:
 
         run(10)  # one-time allocations land outside both traced runs
         peaks = []
-        for T in (10**3, 10**5):
+        for T in (10**3, 10**4):
             tracemalloc.start()
             try:
                 run(T)
@@ -397,6 +401,18 @@ def test_loglog_slope_matches_scipy_linregress_bitwise():
         got = (fit.slope, fit.intercept, fit.stderr_slope)
         # nan == nan here: a constant curve has no correlation, so no stderr
         np.testing.assert_array_equal(got, (want.slope, want.intercept, want.stderr))
+    # the modulus growth exponent is the same fit, of the bisection's omega
+    # above its resolution floor; the grid reaches below the floor
+    eps = np.geomspace(1e-30, 1e-1, 15)
+    for spec in (SymmetricPower(1.5), Tilt(SymmetricPower(3.0), 0.05), Absolute()):
+        f = build_function(spec, (-1.0, 1.0))
+        numeric = modulus_numeric(f, eps)
+        above = numeric > 10 * _BISECTION_TOL
+        alpha = sample_modulus_curve(f, eps).fitted_alpha
+        if above.sum() < 3:
+            assert alpha is None
+        else:
+            assert alpha == stats.linregress(np.log(eps[above]), np.log(numeric[above])).slope
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -601,7 +617,7 @@ def test_superefficiency_refuses_a_domain_not_finite_with_a_below_b(domain, esti
 
 
 # the benchmark's superefficiency targets (perfbench/workloads.py), at the
-# CLI's defaults: T = 10000, sigma = 0.1, --modulus-scale 1 on (-1, 1)
+# CLI's defaults: T = 10000 and sigma = 0.1 on (-1, 1)
 REFERENCE_TARGETS = [SymmetricPower(1.5), SymmetricPower(2.0), SymmetricPower(3.0),
                      AsymmetricPower(1.5, 2.0), AsymmetricPower(1.5, 3.0),
                      AsymmetricPower(2.0, 3.0), Absolute(),

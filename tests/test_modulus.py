@@ -12,13 +12,11 @@ from convexbench import (
     Absolute,
     AsymmetricPower,
     DataError,
-    ModulusCurve,
-    ModulusSample,
     PiecewiseLinear,
     SymmetricPower,
     Tilt,
     build_function,
-    fit_growth_exponent,
+    fit_loglog,
     flat_set,
     modulus_analytic,
     modulus_numeric,
@@ -416,59 +414,44 @@ def test_modulus_is_epsilon_over_the_curvature(spec, x_f, f2, f3, epsilon):
 
 
 class TestFitGrowthExponent:
-    def _curve_from_analytic(self, spec, eps_grid):
-        samples = tuple(
-            ModulusSample(float(e), modulus_analytic(spec, float(e), D11), "analytic")
-            for e in eps_grid
-        )
-        return ModulusCurve(samples)
+    EPS = np.geomspace(1e-4, 1e-2, 12)
 
     def test_cubic_alpha_half(self):
-        curve = self._curve_from_analytic(
-            SymmetricPower(k=3.0), np.geomspace(1e-4, 1e-2, 12)
-        )
-        assert fit_growth_exponent(curve) == pytest.approx(0.5, abs=1e-9)
+        omega = modulus_analytic(SymmetricPower(k=3.0), self.EPS, D11)
+        assert fit_loglog(self.EPS, omega)[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_quadratic_alpha_one(self):
-        curve = self._curve_from_analytic(
-            SymmetricPower(k=2.0), np.geomspace(1e-4, 1e-2, 12)
-        )
-        assert fit_growth_exponent(curve) == pytest.approx(1.0, abs=1e-9)
+        omega = modulus_analytic(SymmetricPower(k=2.0), self.EPS, D11)
+        assert fit_loglog(self.EPS, omega)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_all_zero_omegas_rejected(self):
-        curve = ModulusCurve(
-            tuple(ModulusSample(e, 0.0, "numeric") for e in (1e-3, 1e-2, 1e-1))
-        )
         with pytest.raises(DataError):
-            fit_growth_exponent(curve)
+            fit_loglog([1e-3, 1e-2, 1e-1], [0.0, 0.0, 0.0])
 
     def test_too_few_samples_rejected(self):
-        curve = ModulusCurve(
-            (ModulusSample(1e-3, 1e-3, "numeric"), ModulusSample(1e-2, 1e-2, "numeric"))
-        )
         with pytest.raises(DataError):
-            fit_growth_exponent(curve)
+            fit_loglog([1e-3, 1e-2], [1e-3, 1e-2])
 
 
 class TestSampleModulusCurve:
     def test_curve_is_monotone_and_tagged(self):
         f = build_function(SymmetricPower(k=2.0), D11)
-        curve = sample_modulus_curve(f, np.geomspace(1e-4, 1e-1, 8))
-        methods = {s.method for s in curve.samples}
-        assert methods == {"analytic", "numeric"}
-        numeric = [s for s in curve.samples if s.method == "numeric"]
-        assert all(
-            s2.omega >= s1.omega - 1e-12 for s1, s2 in zip(numeric, numeric[1:])
-        )
+        eps = np.geomspace(1e-4, 1e-1, 8)
+        curve = sample_modulus_curve(f, eps[::-1])
+        assert np.array_equal(curve.epsilon, eps)
+        assert np.array_equal(curve.analytic, modulus_analytic(f.spec, eps, D11))
+        assert np.array_equal(curve.numeric, modulus_numeric(f, eps))
+        assert np.all(np.diff(curve.numeric) >= -1e-12)
         assert curve.fitted_alpha == pytest.approx(1.0, abs=1e-6)
         domain_diameter = 2.0
-        assert all(s.omega <= domain_diameter for s in curve.samples)
+        assert np.all(curve.analytic <= domain_diameter)
+        assert np.all(curve.numeric <= domain_diameter)
 
     def test_absolute_has_both_methods(self):
         f = build_function(Absolute(0.0), D11)
         curve = sample_modulus_curve(f, (0.1, 0.5, 0.9))
-        assert {s.method for s in curve.samples} == {"analytic", "numeric"}
-        assert all(s.omega <= 1e-11 for s in curve.samples)
+        assert curve.analytic.shape == curve.numeric.shape == (3,)
+        assert np.all(curve.analytic <= 1e-11) and np.all(curve.numeric <= 1e-11)
         assert curve.fitted_alpha is None  # all omegas are zero
 
 

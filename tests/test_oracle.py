@@ -586,19 +586,26 @@ class TestReplicateSeeds:
             replicate_seeds(master_seed, key, 3, 0)
 
 
-def test_sgd_cell_memory_does_not_grow_with_budget():
-    # prefetching all step noise at once would add R * dT * 8 bytes (79 MB);
-    # chunked, at most two chunks of R * STEP_CHUNK values are alive at once
+def test_sgd_cell_memory_does_not_grow_with_budget(monkeypatch):
+    # prefetching all step noise at once would add R * dT * 8 bytes (7.2 MB);
+    # chunked, at most two chunks of R * STEP_CHUNK values are alive at once.
+    # STEP_CHUNK is lowered so that a tenfold budget spans many chunks.
+    monkeypatch.setattr(oracle, "STEP_CHUNK", 64)
     R, family = 100, FunctionFamily(SymmetricPower(2.0), UniformDist(-1.0, 1.0))
+
+    def run(T):
+        replicate_runs((family,), (-2.0, 2.0), 0.1, T, (SgdSpec("1/t"),), R, 3, ((),))
+
+    run(10)  # one-time allocations land outside both traced runs
     peaks = []
-    for T in (10**3, 10**5):
+    for T in (10**3, 10**4):
         tracemalloc.start()
         try:
-            replicate_runs((family,), (-2.0, 2.0), 0.1, T, (SgdSpec("1/t"),), R, 3, ((),))
+            run(T)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 2 * R * STEP_CHUNK * 8
+    assert peaks[1] - peaks[0] < 2 * R * oracle.STEP_CHUNK * 8
 
 
 def test_binary_search_cell_memory_does_not_grow_with_budget(monkeypatch):
