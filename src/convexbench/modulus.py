@@ -169,13 +169,15 @@ def modulus_numeric(f: ConvexFunction1D, epsilon):
 def fit_loglog(x, y) -> tuple[float, float, float]:
     """Least-squares line of ln y against ln x: (slope, intercept, standard
     error of the slope), by the formulas of ``scipy.stats.linregress`` in the
-    same order of operations.  Needs at least three points, all positive; a
-    constant y has no correlation, so its stderr is nan."""
+    same order of operations.  Needs at least three points, all positive, and
+    two distinct x; a constant y has no correlation, so its stderr is nan."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 3 or not (np.all(x > 0) and np.all(y > 0)):
         raise DataError(f"need >= 3 points, all positive, to fit, got {x.size} points")
     lx, ly = np.log(x), np.log(y)
     ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=True).flat
+    if ssxm == 0.0:
+        raise DataError(f"need two distinct x values to fit, got only {x[0]!r}")
     slope = ssxym / ssxm
     if ssym == 0.0:
         r = np.nan if ssxym == 0 else 0.0

@@ -323,6 +323,20 @@ def test_superefficiency_csv_file_matches_stdout(tmp_path, capsys):
     assert (tmp_path / "superefficiency.csv").read_text() == stdout
 
 
+def test_superefficiency_stderr_gives_both_reference_moduli_at_eps_t(capsys):
+    rc = cli.main(["superefficiency", "--fn", "asym-power", "--kl", "1.5", "--kr", "3",
+                   "--delta", "0.1", "--replicates", "20"])
+    assert rc == cli.EXIT_OK
+    captured = capsys.readouterr()
+    found = re.search(r"^# omega_g\+\(eps_T\)=(\S+) omega_g-\(eps_T\)=(\S+)$",
+                      captured.err, re.MULTILINE)
+    assert found, captured.err
+    plus, minus = map(float, found.groups())
+    # asymmetric sides: the two tilts see different moduli, the CSV the larger
+    assert 0.0 < min(plus, minus) < max(plus, minus)
+    assert captured.out.splitlines()[1].rsplit(",", 1)[1] == repr(max(plus, minus))
+
+
 # -- function-spec flags -----------------------------------------------------
 
 EPS_FLAG = ("--eps", "1e-3:1e-1:5")

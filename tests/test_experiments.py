@@ -48,7 +48,12 @@ from convexbench import (
     two_point_floor,
     with_x_star,
 )
-from convexbench.experiments import function_id, replicate_runs
+from convexbench.experiments import (
+    check_run_inputs,
+    check_superefficiency_inputs,
+    function_id,
+    replicate_runs,
+)
 from convexbench.modulus import _BISECTION_TOL
 from convexbench.oracle import STEP_CHUNK
 
@@ -449,6 +454,28 @@ def test_experiment_counts_must_be_integers(field, value):
     with pytest.raises(FieldError, match="needs integers") as info:
         ExperimentConfig(**config | {field: value})
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("field, value", [
+    ("replicates", 0), ("sigma", -1.0), ("sigma", float("nan")), ("master_seed", -1),
+    ("master_seed", 2**64), ("initial_interval", (1.0, 1.0)),
+    ("initial_interval", (0.0, math.inf)), ("initial_interval", (float("nan"), 1.0)),
+], ids=["replicates-0", "sigma-negative", "sigma-nan", "seed-negative", "seed-2^64",
+        "domain-empty", "domain-infinite", "domain-nan"])
+def test_run_inputs_are_refused_alike_by_experiments_and_superefficiency(field, value):
+    # one check serves both: the same field and message from each caller
+    good = dict(replicates=3, sigma=0.1, master_seed=1, initial_interval=(-1.0, 1.0))
+    inputs = good | {field: value}
+    with pytest.raises(FieldError) as direct:
+        check_run_inputs(inputs["replicates"], inputs["sigma"], inputs["master_seed"],
+                         inputs["initial_interval"])
+    assert direct.value.field == field
+    with pytest.raises(FieldError) as config:
+        ExperimentConfig(SymmetricPower(2.0), (BinarySearchSpec(r=1.5),), (100,), **inputs)
+    with pytest.raises(FieldError) as report:
+        check_superefficiency_inputs(BinarySearchSpec(r=1.5), 0.05, 100, **inputs)
+    for caught in (config, report):
+        assert (caught.value.field, str(caught.value)) == (field, str(direct.value))
 
 
 def test_experiment_binary_search_rounds_must_fit_one_block_read():

@@ -432,6 +432,11 @@ class TestFitGrowthExponent:
         with pytest.raises(DataError):
             fit_loglog([1e-3, 1e-2], [1e-3, 1e-2])
 
+    def test_equal_x_rejected(self):
+        # no slope to fit: the regression would divide 0 by 0
+        with pytest.raises(DataError, match="two distinct x"):
+            fit_loglog([1e-1, 1e-1, 1e-1], [1e-2, 1e-2, 1e-2])
+
 
 class TestSampleModulusCurve:
     def test_curve_is_monotone_and_tagged(self):
@@ -453,6 +458,12 @@ class TestSampleModulusCurve:
         assert curve.analytic.shape == curve.numeric.shape == (3,)
         assert np.all(curve.analytic <= 1e-11) and np.all(curve.numeric <= 1e-11)
         assert curve.fitted_alpha is None  # all omegas are zero
+
+    def test_repeated_epsilon_has_no_exponent(self):
+        f = build_function(SymmetricPower(k=2.0), D11)
+        curve = sample_modulus_curve(f, (0.1, 0.1, 0.1))
+        assert np.array_equal(curve.numeric, modulus_numeric(f, [0.1, 0.1, 0.1]))
+        assert curve.fitted_alpha is None  # one epsilon: no growth to fit
 
 
 class TestTiltConjugateIdentity:
