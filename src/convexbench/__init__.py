@@ -2,8 +2,9 @@
 
 Catalog of closed-form convex test functions, a budgeted seeded Gaussian
 subgradient oracle, difficulty moduli (in closed form for every catalog spec,
-with one lockstep bisection of the flat set as the cross-check; a modulus
-curve holds both as arrays over its epsilon grid), a sign-testing binary
+read off the one level-set primitive ``functions.clamped_level_set``, with
+one lockstep bisection of the flat set as the cross-check; a modulus curve
+holds both as arrays over its epsilon grid), a sign-testing binary
 search with flat-set diagnostics, projected SGD baselines, and a
 deterministic Monte-Carlo risk harness with risk-floor and superefficiency
 experiments.  One log-log least-squares fit, ``fit_loglog``, gives both the
@@ -42,12 +43,10 @@ from .experiments import (
     FunctionFamily,
     RiskRow,
     RiskTable,
-    SlopeFit,
     SuperefficiencyReport,
     UniformDist,
     estimate_risk,
     estimate_risks,
-    fit_loglog_slope,
     function_id,
     superefficiency_experiment,
     two_point_floor,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScheduleError
-from .functions import ConvexFunction1D, clamped_level_set
+from .functions import FunctionSpec, clamped_level_set, minimizer_interval
 from .oracle import OracleBatch
 
 __all__ = [
@@ -197,6 +197,14 @@ def run_sgd(
     running averages of the query points for blocks whose spec has iterate
     == "average", of the batch's shape.
     When ``trace`` is a list, each step appends (query points, readings).
+
+    SGD does not adapt to the flat set: where f' vanishes faster than linearly
+    at the minimizer, 1/t steps creep even without noise (u' = -u|u|/t on
+    sym-k3, so 1/|u| grows like ln t), and the error is bias.  On the fig2
+    families with 1/t steps the noiseless path carries nearly all of sym-k3's
+    risk and most of asym-1.5-3's, and none of sym-k2's, where the first step
+    lands on the minimizer and the error is all noise; ``tests/test_algorithms.py``
+    pins both (``test_sgd_error_is_bias_on_flat_panels_and_noise_on_the_quadratic``).
     """
     lo, hi = batch.domain
     T = batch.budget
@@ -239,33 +247,36 @@ def sign_test_binary_search(batch: OracleBatch, spec: BinarySearchSpec) -> RunRe
 
 
 def flat_set_diagnostics(
-    f: ConvexFunction1D,
+    spec: FunctionSpec,
+    domain: tuple[float, float],
     T: int,
     search: BinarySearchSpec,
     sigma: float,
 ) -> tuple[float, tuple[float, float], float]:
-    """Quantities governing where the binary search ``search`` lands.
+    """Quantities governing where ``search`` lands on ``spec`` over ``domain``.
 
     Returns (C_delta, I_delta, radius_bound): the noise-deviation constant
     C_delta = sigma * sqrt(2 ln(E/delta)), with delta = ``search.delta``;
     the interval I_delta where the subgradient magnitude is below
     C_delta/sqrt(T0), read in closed form off the level sets at -/+ that
     threshold as ``modulus.modulus_analytic`` reads the flat set; and the
-    bisection resolution 2^-E times the width of f's domain, the interval the
+    bisection resolution 2^-E times the width of the domain, the interval the
     search bisects.  With probability at least 1 - delta the search output
     lies within radius_bound of I_delta.
     """
+    a0, b0 = domain
+    if not -math.inf < a0 < b0 < math.inf:
+        raise ValueError(f"domain must be finite with a < b, got [{a0}, {b0}]")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     E, T0 = epochs_schedule(T, search.r)
     c_delta = sigma * math.sqrt(2.0 * math.log(E / search.delta))
     threshold = c_delta / math.sqrt(T0)
     if threshold > 0:
-        i_delta = (clamped_level_set(f.spec, -threshold, f.domain)[1],
-                   clamped_level_set(f.spec, threshold, f.domain)[0])
+        i_delta = (clamped_level_set(spec, -threshold, domain)[1],
+                   clamped_level_set(spec, threshold, domain)[0])
     else:  # sigma = 0 or delta -> 1 with E = 1: the ends at -/+0 would cross
-        i_delta = f.minimizer_set
-    a0, b0 = f.domain
+        i_delta = minimizer_interval(spec, domain)
     radius_bound = (b0 - a0) * 0.5**E
     return c_delta, i_delta, radius_bound
 

@@ -63,7 +63,6 @@ from .experiments import (
     check_superefficiency_inputs,
     estimate_risk,
     estimate_risks,
-    fit_loglog_slope,
     function_id,
     superefficiency_experiment,
 )
@@ -74,7 +73,7 @@ from .functions import (
     Tilt,
     build_function,
 )
-from .modulus import sample_modulus_curve
+from .modulus import fit_loglog, sample_modulus_curve
 from .oracle import usable_cores
 
 EXIT_OK = 0
@@ -115,25 +114,27 @@ def risk_csv_text(table: RiskTable) -> str:
 
 
 def slopes_csv_text(table: RiskTable) -> tuple[str, list[str]]:
-    """Slope-fit CSV plus the list of curves that could not be fitted."""
+    """Slope-fit CSV plus the list of curves that could not be fitted: each
+    (function, algorithm) curve, in first-seen order, is ``fit_loglog`` of its
+    positive mean errors against T, which needs three of them."""
+    curves: dict[tuple[str, str], tuple[list, list]] = {}
+    for r in table.rows:
+        ts, errs = curves.setdefault((r.function, r.algorithm), ([], []))
+        if r.mean_err is not None and r.mean_err > 0:
+            ts.append(r.T)
+            errs.append(r.mean_err)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["function", "algorithm", "slope", "intercept", "stderr_slope",
                 "T_min", "T_max"])
-    seen = []
-    for r in table.rows:
-        key = (r.function, r.algorithm)
-        if key not in seen:
-            seen.append(key)
     unfit = []
-    for fn, alg in seen:
+    for (fn, alg), (ts, errs) in curves.items():
         try:
-            fit = fit_loglog_slope(table, fn, alg)
+            fit = fit_loglog(ts, errs)
         except DataError:
             unfit.append(f"{fn}/{alg}")
             continue
-        w.writerow([fn, alg, repr(fit.slope), repr(fit.intercept),
-                    repr(fit.stderr_slope), fit.T_range[0], fit.T_range[1]])
+        w.writerow([fn, alg, *map(repr, fit), min(ts), max(ts)])
     return buf.getvalue(), unfit
 
 
@@ -363,8 +364,6 @@ def _parse_eps_range(parser, text: str) -> list[float]:
         parser.error(f"--eps must be lo:hi:count, got {text!r}")
     if not (0 < lo < hi and np.isfinite(hi) and count >= 1):
         parser.error(f"--eps needs finite 0 < lo < hi and count >= 1, got {text!r}")
-    if count == 1:
-        return [lo]
     try:
         return list(np.geomspace(lo, hi, count))
     except (MemoryError, ValueError) as e:  # numpy's size check, before any allocation

@@ -1,4 +1,4 @@
-"""Monte-Carlo risk estimation, rate fitting, risk floors, superefficiency.
+"""Monte-Carlo risk estimation, risk floors, superefficiency.
 
 The harness is deterministic given the master seed: replicate r of cell
 (algorithm a, budget index i) owns the seed stream
@@ -60,7 +60,7 @@ from .functions import (
     spec_id,
     with_x_star,
 )
-from .modulus import fit_loglog, modulus_analytic, modulus_numeric
+from .modulus import modulus_analytic, modulus_numeric
 from .oracle import OracleBatch, replicate_seeds
 
 __all__ = [
@@ -72,13 +72,11 @@ __all__ = [
     "ExperimentConfig",
     "RiskRow",
     "RiskTable",
-    "SlopeFit",
     "SuperefficiencyReport",
     "TiltedAlternative",
     "check_superefficiency_inputs",
     "estimate_risk",
     "estimate_risks",
-    "fit_loglog_slope",
     "replicate_runs",
     "two_point_floor",
     "superefficiency_experiment",
@@ -218,14 +216,6 @@ class RiskTable:
     rows: tuple[RiskRow, ...]
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    intercept: float
-    stderr_slope: float
-    T_range: tuple[int, int]
-
-
 # ---------------------------------------------------------------------------
 # replicate runs: one OracleBatch per unit of work
 # ---------------------------------------------------------------------------
@@ -301,20 +291,32 @@ def replicate_runs(
     function, so one draw serves every function, on the batch's functions
     axis.  Returns (estimates, minimizer draws or None), each of shape
     (functions, cells, replicates); each replicate's estimate is the one it
-    would get run alone, on one function and its own seeds.  Raises
-    ScheduleError when the budget cannot support the round schedule, and
-    ValueError when the functions mix families with fixed specs.
+    would get run alone, on one function and its own seeds.  Raises, before
+    anything is drawn, ScheduleError when the budget cannot support the round
+    schedule, and ValueError for a malformed unit: no replicate, no function,
+    a mix of algorithms other than one BinarySearchSpec or SgdSpecs only, a
+    key count that differs from the spec count, or functions that mix
+    families with fixed specs.
     """
-    if isinstance(algs[0], BinarySearchSpec):
-        (bs,) = algs  # a binary search runs on a batch of its own
-        epochs_schedule(T, bs.r)  # fail fast before drawing anything
+    search = len(algs) == 1 and isinstance(algs[0], BinarySearchSpec)
+    if replicates < 1:
+        raise ValueError(f"need at least one replicate, got {replicates}")
+    if not functions:
+        raise ValueError("need at least one function")
+    if not (search or algs and all(isinstance(a, SgdSpec) for a in algs)):
+        raise ValueError("a unit runs one BinarySearchSpec or SgdSpecs only, got "
+                         f"{[type(a).__name__ for a in algs]}")
+    if len(keys) != len(algs):
+        raise ValueError(f"need one cell key per spec, got {len(keys)} for {len(algs)}")
+    if search:  # a binary search runs on a batch of its own
+        epochs_schedule(T, algs[0].r)
     env_seeds, noise_seeds = (
         [ss for k in keys for ss in replicate_seeds(master_seed, k, replicates, stream)]
         for stream in (0, 1))
     xstar, x0 = _draw_environment(functions, algs, initial_interval, env_seeds)
     specs = tuple(f.template if isinstance(f, FunctionFamily) else f for f in functions)
     batch = OracleBatch(specs, xstar, initial_interval, sigma, T, noise_seeds)
-    if isinstance(algs[0], BinarySearchSpec):
+    if search:
         estimates = run_binary_search(batch, algs[0])
     else:
         estimates = run_sgd(batch, algs, x0)
@@ -395,18 +397,6 @@ def estimate_risk(config: ExperimentConfig, jobs: int = 1) -> RiskTable:
     config: the one-config case of ``estimate_risks``."""
     (table,) = estimate_risks((config,), jobs)
     return table
-
-
-def fit_loglog_slope(
-    table: RiskTable, function: str, algorithm: str
-) -> SlopeFit:
-    """``fit_loglog`` of one risk curve's positive mean errors against T;
-    DataError below three such points."""
-    rows = [r for r in table.rows if (r.function, r.algorithm) == (function, algorithm)
-            and r.mean_err is not None and r.mean_err > 0]
-    ts = [r.T for r in rows]
-    slope, intercept, stderr = fit_loglog(ts, [r.mean_err for r in rows])
-    return SlopeFit(slope, intercept, stderr, (min(ts), max(ts)))
 
 
 def two_point_floor(d: float, kappa: float, T: int, sigma: float) -> float:

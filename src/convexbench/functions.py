@@ -165,7 +165,7 @@ def subdiff_interval(spec: FunctionSpec, x, x_star=None):
     """Subdifferential [lo, hi] of the defining formula at ``x`` (array-safe)."""
     if isinstance(spec, Tilt):
         lo, hi = subdiff_interval(spec.base, x, x_star)
-        if lo is hi:  # keep a point interval a point, for min_norm_from_interval
+        if lo is hi:  # keep a point interval a point, for subgrad_spec
             v = lo + spec.eps
             return v, v
         return lo + spec.eps, hi + spec.eps
@@ -194,23 +194,18 @@ def subdiff_interval(spec: FunctionSpec, x, x_star=None):
     return np.where(u > 0, 1.0, -1.0), np.where(u < 0, -1.0, 1.0)  # Absolute
 
 
-def min_norm_from_interval(lo, hi, out=None):
-    """Element of [lo, hi] closest to zero (array-safe), written into ``out``
-    when it is given.
+def subgrad_spec(spec: FunctionSpec, x, x_star=None, out=None):
+    """Min-norm subgradient of the formula (no domain check; array-safe): the
+    element of the subdifferential [lo, hi] closest to zero, written into
+    ``out`` when it is given.
 
     A point interval (``lo is hi``, as power specs and their tilts return)
     is its own element; ``+ 0.0`` maps -0.0 to 0.0.
     """
+    lo, hi = subdiff_interval(spec, x, x_star)
     if lo is not hi:
         lo = np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
     return np.add(lo, 0.0, out=out)
-
-
-def subgrad_spec(spec: FunctionSpec, x, x_star=None, out=None):
-    """Min-norm subgradient of the formula (no domain check; array-safe),
-    written into ``out`` when it is given."""
-    lo, hi = subdiff_interval(spec, x, x_star)
-    return min_norm_from_interval(lo, hi, out)
 
 
 def _like(arg, value):
@@ -224,8 +219,8 @@ def _root(s, k: float):
         return _power(np.abs(s), 1.0 / (k - 1.0))
 
 
-def _level_set(spec: FunctionSpec, s: np.ndarray):
-    """``level_set`` on an array of slopes, as (lo, hi) arrays."""
+def _level_set(spec: FunctionSpec, s):
+    """``clamped_level_set`` on the whole line, as (lo, hi) arrays."""
     if isinstance(spec, SymmetricPower):
         p = spec.x_star + np.sign(s) * _root(s, spec.k)
         return p, p
@@ -250,24 +245,16 @@ def _level_set(spec: FunctionSpec, s: np.ndarray):
     return ends[first], ends[last + 1]
 
 
-def level_set(spec: FunctionSpec, s):
-    """{x in R : s in subdifferential(x)} as (lo, hi).
-
-    Endpoints may be +/-inf for specs that are eventually affine or past the
-    float range.  The set is empty for a slope below every slope of the spec,
-    given as (-inf, -inf), and for one above every slope, given as (inf,
-    inf): clamped to a domain, each lands on the end where the subgradient
-    comes nearest to s.  ``s`` may be an array, giving (lo, hi) arrays that
-    equal the scalar calls element by element; a scalar call returns Python
-    floats.
-    """
-    lo, hi = _level_set(spec, np.asarray(s, dtype=float))
-    return _like(s, lo), _like(s, hi)
-
-
 def clamped_level_set(spec: FunctionSpec, s, domain: tuple[float, float]):
-    """``level_set`` clamped to the domain: a set wholly outside the domain
-    (or empty) collapses onto the nearer end.  Array-safe as ``level_set``."""
+    """{x in domain : s in subdifferential(x)} as (lo, hi), the one level-set
+    primitive; flat sets and minimizer intervals read it.
+
+    On the domain (-inf, inf) an end may be +/-inf (an eventually affine spec,
+    or past the float range), and an empty set is (-inf, -inf) below every
+    slope of the spec, (inf, inf) above them.  Clamping collapses a set wholly
+    outside the domain, or empty, onto the end where the subgradient comes
+    nearest to s.  An array ``s`` gives (lo, hi) arrays equal to the scalar
+    calls, which return Python floats."""
     a, b = domain
     lo, hi = _level_set(spec, np.asarray(s, dtype=float))
     return _like(s, np.clip(lo, a, b)), _like(s, np.clip(hi, a, b))
@@ -284,7 +271,7 @@ def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float], x_star=N
     if x_star is None:
         return clamped_level_set(spec, 0.0, domain)
     a, b = domain
-    lo, hi = level_set(with_x_star(spec, 0.0), 0.0)
+    lo, hi = _level_set(with_x_star(spec, 0.0), 0.0)
     return np.clip(x_star + lo, a, b), np.clip(x_star + hi, a, b)
 
 

@@ -4,13 +4,13 @@ For a convex f with nondecreasing min-norm subgradient f', the modulus at
 level eps is the largest distance from the minimizer set achievable inside
 the "flat set" {y : |f'(y)| < eps}.  ``modulus_analytic`` is exact for every
 catalog spec: it reads the flat set's ends off the closed-form level sets of
-``functions.level_set``, and an array of thresholds takes one call.  The
-superefficiency reports' reference moduli are computed from it.
+``functions.clamped_level_set``, and an array of thresholds takes one call.
+The superefficiency reports' reference moduli are computed from it.
 ``modulus_numeric`` finds the same ends by monotone bisection on f'; it is
 the independent cross-check.  ``sample_modulus_curve`` puts both on one
 sorted grid, as arrays, and fits the growth exponent from the bisection's
 column with ``fit_loglog``, the one log-log least-squares fit of the package
-(the risk curves' ``experiments.fit_loglog_slope`` reads it too).
+(``cli.slopes_csv_text`` fits the risk curves with it too).
 
 The bisection runs in lockstep: ``flat_set`` and ``modulus_numeric`` take a
 scalar or an array, and every end of every threshold of one call (left and
@@ -87,6 +87,16 @@ def modulus_analytic(spec: FunctionSpec, epsilon, domain: tuple[float, float]):
     set that is empty lies at -inf or +inf, so it clamps to the correct end.
     An array ``epsilon`` gives an array equal to the scalar calls; a scalar
     gives a Python float.
+
+    At the noise level it is a computational analogue of the Fisher
+    information: where f is C^2 at its minimizer, omega_f(sigma/sqrt(T)) ->
+    sigma/(f'' sqrt(T)), the standard deviation of an efficient estimate,
+    whose risk tends to sqrt(2/pi) omega_f(sigma/sqrt(T)).  Tests in
+    ``tests/test_modulus.py`` pin the limit, the risk exactly on the quadratic,
+    and curvature-matched SGD's risk by Monte Carlo
+    (``test_modulus_is_epsilon_over_the_curvature``,
+    ``test_efficient_risk_is_the_modulus_at_the_noise_level_exactly``,
+    ``test_curvature_matched_sgd_reaches_the_efficient_risk``).
     """
     _check_epsilon(epsilon)
     eps = np.asarray(epsilon, dtype=float)

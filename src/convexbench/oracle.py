@@ -178,6 +178,8 @@ class OracleBatch:
         many = isinstance(spec, tuple)
         specs = spec if many else (spec,)
         self.n_replicates = len(seeds)
+        if self.n_replicates == 0:
+            raise ValueError("need at least one seed, one per replicate")
         self.shape = (len(specs), self.n_replicates) if many else (self.n_replicates,)
         if x_star is not None:
             x_star = np.asarray(x_star, dtype=float)

@@ -7,15 +7,20 @@ import scalar_reference as ref
 
 from convexbench import (
     Absolute,
+    AsymmetricPower,
     BinarySearchSpec,
     BudgetError,
+    ExperimentConfig,
+    FunctionFamily,
     OracleBatch,
     ScheduleError,
     SgdSpec,
     SymmetricPower,
+    UniformDist,
     build_function,
     distance,
     epochs_schedule,
+    estimate_risks,
     flat_set_diagnostics,
     sgd,
     sign_test_binary_search,
@@ -162,9 +167,9 @@ class TestBinarySearch:
 
 class TestFlatSetDiagnostics:
     def test_reference_constant(self):
-        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         c_delta, i_delta, radius = flat_set_diagnostics(
-            f, T=10000, search=BinarySearchSpec(r=0.5), sigma=0.1
+            SymmetricPower(k=2.0), (-2.0, 2.0), T=10000, search=BinarySearchSpec(r=0.5),
+            sigma=0.1
         )
         # sigma * sqrt(2 ln(E/delta)) with E = 4: 0.1 * sqrt(2 ln 80)
         assert c_delta == pytest.approx(0.1 * math.sqrt(2 * math.log(80.0)), rel=1e-12)
@@ -175,34 +180,42 @@ class TestFlatSetDiagnostics:
         assert radius == 2.0**-4 * 4.0
 
     def test_delta_near_one_shrinks_constant(self):
-        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         c_delta, _, _ = flat_set_diagnostics(
-            f, T=8, search=BinarySearchSpec(r=0.5, delta=0.999), sigma=0.1
+            SymmetricPower(k=2.0), (-2.0, 2.0), T=8,
+            search=BinarySearchSpec(r=0.5, delta=0.999), sigma=0.1
         )  # E = 1
         assert 0.0 < c_delta < 0.005
 
     def test_absolute_flat_set_is_minimizer(self):
-        f = build_function(Absolute(0.0), (-2.0, 2.0))
-        _, (lo, hi), _ = flat_set_diagnostics(f, 10000, BinarySearchSpec(r=0.5), sigma=0.1)
+        _, (lo, hi), _ = flat_set_diagnostics(Absolute(0.0), (-2.0, 2.0), 10000,
+                                              BinarySearchSpec(r=0.5), sigma=0.1)
         assert abs(lo) <= 1e-10 and abs(hi) <= 1e-10
 
     def test_custom_initial_interval_changes_radius(self):
-        f = build_function(SymmetricPower(k=2.0), (-1.0, 1.0))
         _, _, radius = flat_set_diagnostics(
-            f, T=10000, search=BinarySearchSpec(r=0.5), sigma=0.1
+            SymmetricPower(k=2.0), (-1.0, 1.0), T=10000, search=BinarySearchSpec(r=0.5),
+            sigma=0.1
         )
         assert radius == 2.0**-4 * 2.0
 
     def test_schedule_error_propagates(self):
-        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         with pytest.raises(ScheduleError):
-            flat_set_diagnostics(f, 2, BinarySearchSpec(r=0.5), sigma=0.1)
+            flat_set_diagnostics(SymmetricPower(k=2.0), (-2.0, 2.0), 2,
+                                 BinarySearchSpec(r=0.5), sigma=0.1)
+
+    @pytest.mark.parametrize("domain", [(1.0, -1.0), (0.5, 0.5), (-np.inf, 1.0),
+                                        (-1.0, np.nan)])
+    def test_domain_must_be_finite_with_a_below_b(self, domain):
+        # the domain reaches the diagnostics directly, not through build_function
+        with pytest.raises(ValueError, match="domain must be finite with a < b"):
+            flat_set_diagnostics(SymmetricPower(k=2.0), domain, 10000,
+                                 BinarySearchSpec(r=0.5), 0.1)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_sigma_must_be_finite(self, sigma):
-        f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         with pytest.raises(ValueError, match="finite"):
-            flat_set_diagnostics(f, 10000, BinarySearchSpec(r=0.5), sigma)
+            flat_set_diagnostics(SymmetricPower(k=2.0), (-2.0, 2.0), 10000,
+                                 BinarySearchSpec(r=0.5), sigma)
 
     def test_coverage_empirical(self):
         # the search lands within the resolution bound of the flat interval
@@ -218,10 +231,37 @@ class TestFlatSetDiagnostics:
                 SymmetricPower(k=2.0, x_star=x_star), sigma, T, seed=1000 + i
             )
             res = sign_test_binary_search(s, search)
-            _, (lo, hi), radius = flat_set_diagnostics(f, T, search, sigma)
+            _, (lo, hi), radius = flat_set_diagnostics(f.spec, f.domain, T, search, sigma)
             dist = max(0.0, lo - res.estimate, res.estimate - hi)
             fails += dist > radius
         assert fails / n <= delta + 3 * math.sqrt(delta * (1 - delta) / n)
+
+
+SGD_BIAS_PANELS = {"sym-k2": SymmetricPower(2.0), "sym-k3": SymmetricPower(3.0),
+                   "asym-1.5-3": AsymmetricPower(1.5, 3.0)}
+
+
+def test_sgd_error_is_bias_on_flat_panels_and_noise_on_the_quadratic():
+    # bands, fixed before the first run, for SGD(1/t) on the fig2 families at
+    # T = 1e2, 1e3, 1e4, the same seeds at sigma = 0 and sigma = 0.1:
+    # - sym-k2: the noiseless risk is float resolution, at most 4 ulps of
+    #   |x*| <= 1: the error is all noise;
+    # - sym-k3: noiseless / noisy risk in [0.9, 1.1]: it is all bias (the
+    #   noisy standard error is about 2% of the risk);
+    # - asym-1.5-3: the ratio lies in [0.75, 0.92]: mostly bias.
+    def risks(sigma):
+        configs = [ExperimentConfig(FunctionFamily(spec, UniformDist(-1.0, 1.0)),
+                                    (SgdSpec("1/t"),), (100, 1000, 10_000), 400, sigma,
+                                    20250810, (-2.0, 2.0))
+                   for spec in SGD_BIAS_PANELS.values()]
+        return {panel: [row.mean_err for row in table.rows]
+                for panel, table in zip(SGD_BIAS_PANELS, estimate_risks(configs))}
+
+    noiseless, noisy = risks(0.0), risks(0.1)
+    assert max(noiseless["sym-k2"]) <= 4 * np.spacing(1.0)
+    for panel, band in (("sym-k3", (0.9, 1.1)), ("asym-1.5-3", (0.75, 0.92))):
+        for quiet, loud in zip(noiseless[panel], noisy[panel]):
+            assert band[0] <= quiet / loud <= band[1], (panel, quiet, loud)
 
 
 class TestSgd:
@@ -325,6 +365,10 @@ class TestAdaptersOnOneReplicate:
     def test_other_sizes_rejected(self, run, alg, R):
         f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         seeds = replicate_seeds(1, (), R, 1)
+        if R == 0:  # a batch of no replicates is refused as it is built
+            with pytest.raises(ValueError, match="at least one seed"):
+                OracleBatch(f.spec, None, f.domain, 0.1, 100, seeds)
+            return
         batch = OracleBatch(f.spec, None, f.domain, 0.1, 100, seeds)
         with pytest.raises(ValueError, match="one-replicate"):
             run(batch, alg)

@@ -508,6 +508,14 @@ def test_eps_count_numpy_cannot_allocate_is_a_usage_error(count, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("lo", ["5e-324", "1e-6", "0.3"])
+def test_eps_count_one_is_the_lower_end(lo, capsys):
+    # a one-point grid is lo itself, whatever hi
+    assert cli.main(["modulus", "--fn", "sym-power", "--k", "2", "--eps", f"{lo}:2:1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[1:-1]] == [repr(float(lo))] * 2
+
+
 @pytest.mark.parametrize("flags", [["--fn", "sym-power", "--k", "1.001"],
                                    ["--fn", "asym-power", "--kl", "2", "--kr", "1.001"]])
 def test_modulus_of_a_nearly_linear_power_exits_zero(flags, capsys):

@@ -1,9 +1,13 @@
 """Risk harness: lockstep replicate runs against scalar loops, seeds, jobs,
 slope fits, the two-point risk floor."""
 import concurrent.futures
+import csv
+import io
 import math
+import re
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from convexbench import (
     ExperimentConfig,
     FieldError,
     FunctionFamily,
+    OracleBatch,
     PiecewiseLinear,
     RiskRow,
     RiskTable,
@@ -38,7 +43,6 @@ from convexbench import (
     build_function,
     estimate_risk,
     estimate_risks,
-    fit_loglog_slope,
     modulus_analytic,
     modulus_numeric,
     replicate_seed,
@@ -48,6 +52,7 @@ from convexbench import (
     two_point_floor,
     with_x_star,
 )
+from convexbench.cli import slopes_csv_text
 from convexbench.experiments import (
     check_run_inputs,
     check_superefficiency_inputs,
@@ -128,11 +133,14 @@ RANDOM_FUNCTIONS["piecewise-linear"] = piecewise_linears()
 RANDOM_FUNCTIONS["tilt"] = st.one_of(
     st.builds(Tilt, st.one_of(x_star_specs, piecewise_linears()), tilt_sizes),
     st.builds(FunctionFamily, st.builds(Tilt, x_star_specs, tilt_sizes), uniform_laws))
-random_algorithms = st.one_of(
-    st.builds(BinarySearchSpec, st.floats(0.2, 3.0)),
-    st.builds(SgdSpec, st.sampled_from(["1/t", "1/sqrt(t)"]), st.floats(0.01, 10.0),
-              st.sampled_from(["last", "average"]),
-              st.one_of(st.just("uniform"), coordinates)),
+# a unit's algorithms: one binary search, or a budget group of one to three
+# SGD specs
+random_units = st.one_of(
+    st.tuples(st.builds(BinarySearchSpec, st.floats(0.2, 3.0))),
+    st.lists(st.builds(SgdSpec, st.sampled_from(["1/t", "1/sqrt(t)"]),
+                       st.floats(0.01, 10.0), st.sampled_from(["last", "average"]),
+                       st.one_of(st.just("uniform"), coordinates)),
+             min_size=1, max_size=3).map(tuple),
 )
 
 
@@ -172,28 +180,35 @@ class TestReplicateRuns:
     @given(data=st.data())
     def test_random_units_match_scalar_sessions_bitwise(self, functions, data):
         # bound, fixed before the first run: exact equality (==) of every
-        # estimate and minimizer draw, on any domain, budget and algorithm
-        function, interval = data.draw(functions), data.draw(ordered_pairs)
-        alg, T = data.draw(random_algorithms), data.draw(st.integers(1, 200))
+        # estimate and minimizer draw, on any domain, budget and unit: one to
+        # three functions (all families or all fixed specs) on the functions
+        # axis, and one binary search or a group of one to three SGD specs
+        first, interval = data.draw(functions), data.draw(ordered_pairs)
+        family = isinstance(first, FunctionFamily)
+        more = functions.filter(lambda f: isinstance(f, FunctionFamily) == family)
+        shared = (first, *data.draw(st.lists(more, max_size=2)))
+        algs, T = data.draw(random_units), data.draw(st.integers(1, 200))
         reps, seed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**64 - 1))
-        key = data.draw(st.tuples(st.integers(0, 9), st.integers(0, 9)))
+        keys = data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                                  min_size=len(algs), max_size=len(algs), unique=True))
 
-        def scalar(rep):
+        def scalar(function, alg, key, rep):
             return scalar_run(function, alg, T, rep, seed, key, interval)
 
         try:
-            estimates, x_stars = replicate_runs((function,), interval, SIGMA, T, (alg,),
-                                                reps, seed, (key,))
+            estimates, x_stars = replicate_runs(shared, interval, SIGMA, T, algs, reps,
+                                                seed, tuple(keys))
         except ScheduleError:
             with pytest.raises(ScheduleError):
-                scalar(0)
+                scalar(first, algs[0], keys[0], 0)
             return
-        want = [scalar(rep) for rep in range(reps)]
-        assert np.array_equal(estimates[0, 0], [w[0] for w in want])
-        if x_stars is None:
-            assert not isinstance(function, FunctionFamily)
-        else:
-            assert np.array_equal(x_stars[0, 0], [w[1] for w in want])
+        assert (x_stars is None) == (not family)
+        for p, function in enumerate(shared):
+            for c, (alg, key) in enumerate(zip(algs, keys)):
+                want = [scalar(function, alg, key, rep) for rep in range(reps)]
+                assert np.array_equal(estimates[p, c], [w[0] for w in want])
+                if family:
+                    assert np.array_equal(x_stars[p, c], [w[1] for w in want])
 
     def test_direct_seeds_equal_spawned_children(self):
         for rep in range(3):
@@ -365,6 +380,43 @@ class TestFunctionsAxis:
             estimate_risks([])
 
 
+def unit(functions=(FAMILIES["sym-k1.5"],), algs=(SgdSpec("1/t"),), replicates=R,
+         keys=(KEY,)):
+    """``replicate_runs`` of a unit at T = 100, not yet called."""
+    return partial(replicate_runs, functions, INTERVAL, SIGMA, 100, algs, replicates, SEED,
+                   keys)
+
+
+BS, SGD_PAIR = BinarySearchSpec(r=1.5), (SgdSpec("1/t"), SgdSpec("1/sqrt(t)"))
+MALFORMED_UNITS = {
+    "no-replicate": (unit(replicates=0), "need at least one replicate, got 0"),
+    "no-replicate-fixed": (unit((SymmetricPower(2.0),), (BS,), 0),
+                           "need at least one replicate, got 0"),
+    "no-function": (unit(functions=()), "need at least one function"),
+    "one-key-two-specs": (unit(algs=SGD_PAIR), "need one cell key per spec, got 1 for 2"),
+    "sgd-and-search": (unit(algs=(SGD_PAIR[0], BS), keys=(KEY, (2, 2))),
+                       "one BinarySearchSpec or SgdSpecs only, got "
+                       "['SgdSpec', 'BinarySearchSpec']"),
+    "two-searches": (unit(algs=(BS, BinarySearchSpec(r=2.0)), keys=(KEY, (2, 2))),
+                     "one BinarySearchSpec or SgdSpecs only, got "
+                     "['BinarySearchSpec', 'BinarySearchSpec']"),
+    "no-algorithm": (unit(algs=(), keys=()), "SgdSpecs only, got []"),
+    "batch-without-seeds": (partial(OracleBatch, SymmetricPower(2.0), None, (-1.0, 1.0),
+                                    SIGMA, 5000, []),
+                            "need at least one seed, one per replicate"),
+}
+
+
+@pytest.mark.parametrize("run, message", MALFORMED_UNITS.values(), ids=MALFORMED_UNITS)
+def test_malformed_units_fail_before_anything_is_drawn(run, message, monkeypatch):
+    def no_seeds(*args):
+        raise AssertionError("seeds computed for a malformed unit")
+
+    monkeypatch.setattr("convexbench.experiments.replicate_seeds", no_seeds)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run()
+
+
 def test_pool_has_no_more_workers_than_units(monkeypatch):
     workers = []
 
@@ -401,9 +453,11 @@ def test_loglog_slope_matches_scipy_linregress_bitwise():
         ys = np.full(len(ts), 0.3) if case % 10 == 0 else np.exp(rng.normal(size=len(ts)))
         table = RiskTable(tuple(RiskRow("f", "a", int(t), float(y), 0.0, 1)
                                 for t, y in zip(ts, ys)))
-        fit = fit_loglog_slope(table, "f", "a")
+        text, unfit = slopes_csv_text(table)
+        (fit,) = csv.DictReader(io.StringIO(text))
         want = stats.linregress(np.log(ts.astype(float)), np.log(ys))
-        got = (fit.slope, fit.intercept, fit.stderr_slope)
+        got = tuple(float(fit[c]) for c in ("slope", "intercept", "stderr_slope"))
+        assert unfit == [] and (fit["T_min"], fit["T_max"]) == (str(ts[0]), str(ts[-1]))
         # nan == nan here: a constant curve has no correlation, so no stderr
         np.testing.assert_array_equal(got, (want.slope, want.intercept, want.stderr))
     # the modulus growth exponent is the same fit, of the bisection's omega

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import exact_law
 import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,19 +13,22 @@ from convexbench import (
     Absolute,
     AsymmetricPower,
     DataError,
+    ExperimentConfig,
     PiecewiseLinear,
+    SgdSpec,
     SymmetricPower,
     Tilt,
     build_function,
+    estimate_risk,
     fit_loglog,
     flat_set,
     modulus_analytic,
     modulus_numeric,
     sample_modulus_curve,
 )
+from convexbench.configfile import DEFAULT_T_GRID
 from convexbench.functions import (
     clamped_level_set,
-    level_set,
     minimizer_interval,
     subdiff_interval,
     subgrad_spec,
@@ -32,6 +36,8 @@ from convexbench.functions import (
 from convexbench.modulus import _conjugate_ends
 
 D11 = (-1.0, 1.0)
+D22 = (-2.0, 2.0)
+LINE = (-np.inf, np.inf)  # clamped to it, a level set keeps its infinite ends
 
 
 class TestModulusAnalytic:
@@ -216,11 +222,11 @@ class TestLevelSet:
                  (PiecewiseLinear((-0.5, 0.5), (-2.0, 0.0, 3.0)), -2.0, 3.0),
                  (Tilt(Absolute(0.3), 0.5), -0.5, 1.5))
         for spec, lowest, highest in cases:
-            assert level_set(spec, lowest - 1e-9) == (-np.inf, -np.inf)
-            assert level_set(spec, highest + 1e-9) == (np.inf, np.inf)
-            lo, hi = level_set(spec, lowest)
+            assert clamped_level_set(spec, lowest - 1e-9, LINE) == (-np.inf, -np.inf)
+            assert clamped_level_set(spec, highest + 1e-9, LINE) == (np.inf, np.inf)
+            lo, hi = clamped_level_set(spec, lowest, LINE)
             assert lo == -np.inf and np.isfinite(hi)
-            lo, hi = level_set(spec, highest)
+            lo, hi = clamped_level_set(spec, highest, LINE)
             assert np.isfinite(lo) and hi == np.inf
 
 
@@ -354,8 +360,8 @@ def spec_slopes(spec) -> list[float]:
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_array_calls_equal_scalar_calls(kind, data):
-    # bound, fixed before the first run: every end of level_set and
-    # clamped_level_set and every modulus_analytic of an array call equals
+    # bound, fixed before the first run: every end of clamped_level_set, on
+    # the whole line and on the domain, and every modulus_analytic of an array call equals
     # (==) the scalar call at that element, and each scalar call, given a
     # Python float or a numpy scalar, returns Python floats
     spec, domain = data.draw(RANDOM_SPECS[kind]), data.draw(ordered_pairs)
@@ -367,12 +373,12 @@ def test_array_calls_equal_scalar_calls(kind, data):
          *data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                              max_size=6))]
     eps = [abs(v) for v in s if v != 0.0]
-    ends = level_set(spec, np.array(s)), clamped_level_set(spec, np.array(s), domain)
+    ends = [clamped_level_set(spec, np.array(s), d) for d in (LINE, domain)]
     moduli = modulus_analytic(spec, np.array(eps), domain)
     for i, v in enumerate(s):
         for x in (v, np.float64(v)):
-            for scalar, (lo, hi) in zip((level_set(spec, x),
-                                         clamped_level_set(spec, x, domain)), ends):
+            for scalar, (lo, hi) in zip([clamped_level_set(spec, x, d) for d in (LINE, domain)],
+                                        ends):
                 assert all(type(e) is float for e in scalar)
                 assert scalar == (lo[i], hi[i])
     for i, e in enumerate(eps):
@@ -411,6 +417,37 @@ def test_modulus_is_epsilon_over_the_curvature(spec, x_f, f2, f3, epsilon):
     assert minimizer_interval(spec, D11) == pytest.approx((x_f, x_f), abs=1e-15)
     omega = modulus_analytic(spec, epsilon, D11)
     assert abs(omega * f2 / epsilon - 1.0) <= abs(f3) * epsilon / f2**2
+
+
+# sqrt(2/pi): the mean of |Z| for a standard normal Z
+HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+
+
+def test_efficient_risk_is_the_modulus_at_the_noise_level_exactly():
+    # bound, fixed before the first run: 1e-15 relative at every fig2 budget.
+    # On sym-k2 (f'' = 1) SGD(1/t) is efficient: its error after T steps is
+    # N(0, sigma^2 / T) exactly (see exact_law), and omega_f(eps) = eps
+    sigma, spec = 0.1, SymmetricPower(2.0)
+    for T in DEFAULT_T_GRID:
+        risk = exact_law.sgd_quadratic_risk("1/t", T, sigma).mean
+        efficient = HALF_NORMAL_MEAN * modulus_analytic(spec, sigma / math.sqrt(T), D22)
+        assert abs(risk / efficient - 1.0) <= 1e-15, T
+
+
+def test_curvature_matched_sgd_reaches_the_efficient_risk():
+    # band, fixed before the first run: risk / (sqrt(2/pi) omega_f(sigma /
+    # sqrt(T))) within [0.9, 1.2] for both algorithms.  f' = x|x| - 0.09 has
+    # its minimizer at 0.3 with f'' = 0.6, so the modulus there is about
+    # sigma / (0.6 sqrt(T)); SGD(1/t) scaled by 1/f'' and averaged
+    # SGD(1/sqrt(t)) are both asymptotically efficient.  One standard error
+    # of the ratio is 0.024 at R = 1000.  Dropping sqrt(2/pi) (x 0.80) or
+    # reading omega_f(sigma / T) (x 100) leaves the band.
+    spec, f2, sigma, T = Tilt(SymmetricPower(3.0), -0.09), 0.6, 0.1, 10_000
+    algorithms = (SgdSpec("1/t", scale=1.0 / f2), SgdSpec("1/sqrt(t)", iterate="average"))
+    config = ExperimentConfig(spec, algorithms, (T,), 1000, sigma, 20250810, D22)
+    efficient = HALF_NORMAL_MEAN * modulus_analytic(spec, sigma / math.sqrt(T), D22)
+    for row in estimate_risk(config).rows:
+        assert 0.9 <= row.mean_err / efficient <= 1.2, row
 
 
 class TestFitGrowthExponent:
