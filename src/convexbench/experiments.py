@@ -310,12 +310,13 @@ def replicate_runs(
         raise ValueError(f"need one cell key per spec, got {len(keys)} for {len(algs)}")
     if search:  # a binary search runs on a batch of its own
         epochs_schedule(T, algs[0].r)
-    env_seeds, noise_seeds = (
-        [ss for k in keys for ss in replicate_seeds(master_seed, k, replicates, stream)]
-        for stream in (0, 1))
-    xstar, x0 = _draw_environment(functions, algs, initial_interval, env_seeds)
+
+    def seeds(stream):  # stream 0's seeds are freed once the environment is drawn
+        return [ss for k in keys for ss in replicate_seeds(master_seed, k, replicates, stream)]
+
+    xstar, x0 = _draw_environment(functions, algs, initial_interval, seeds(0))
     specs = tuple(f.template if isinstance(f, FunctionFamily) else f for f in functions)
-    batch = OracleBatch(specs, xstar, initial_interval, sigma, T, noise_seeds)
+    batch = OracleBatch(specs, xstar, initial_interval, sigma, T, seeds(1))
     if search:
         estimates = run_binary_search(batch, algs[0])
     else:

@@ -14,11 +14,15 @@ a single run is the one-replicate batch.  A batch may also carry a functions
 axis: given a tuple of P specs it takes points of shape (P, R), and replicate
 r's one noise draw per query serves all P functions, function p adding its
 own f' at its own point (common random numbers: each function reads exactly
-what it would read in a batch of its own).  Step noise (``begin_steps``) comes
-in chunks of at most ``STEP_CHUNK`` steps and ``CHUNK_VALUES`` values.  n-query
-block noise comes in tiles, one per reading thread, each of at most
-max(``TILE_VALUES``, n) values, or max(``TILE_VALUES``, 2n) when P > 1, which
-holds the noise and the readings of one function; so noise memory is bounded
+what it would read in a batch of its own).  Step noise comes in chunks of at
+most ``CHUNK_VALUES`` values, whatever R: each replicate's next steps, drawn
+straight into its own row, so ``query_all`` reads a column.  Steps reserved by
+``begin_steps`` must all be read before the batch draws anything else: a block
+read or another reservation before then is a ValueError, so no reading depends
+on the chunk size.  n-query block noise comes in tiles, one per reading
+thread, each of at most max(``TILE_VALUES``, n) values, or
+max(``TILE_VALUES``, 2n) when P > 1, which holds the noise and the readings of
+one function; so noise memory is bounded
 whatever the budget, replicates and functions, and block reads hold at most
 threads * max(``TILE_VALUES``, 2n) values.  Sigma scales each chunk or tile
 once as it is drawn.  Rows of at least ``THREAD_MIN_ROW`` queries are read on
@@ -32,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
 from typing import TYPE_CHECKING
 
@@ -44,14 +47,12 @@ from .functions import FunctionSpec, subgrad_spec
 if TYPE_CHECKING:
     from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "STEP_CHUNK",
-           "CHUNK_VALUES", "TILE_VALUES", "THREAD_MIN_ROW", "usable_cores"]
+__all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "CHUNK_VALUES",
+           "TILE_VALUES", "THREAD_MIN_ROW", "usable_cores"]
 
-# steps of noise that OracleBatch draws at once for begin_steps, and the most
-# noise values (steps * replicates) one such chunk may hold.  STEP_CHUNK also
-# bounds the row that one standard_normal call fills when R < 512: without it
-# an R = 1 chunk and its transpose tile would each hold CHUNK_VALUES values
-STEP_CHUNK = 1024
+# the most step-noise values (steps * replicates) one chunk of begin_steps
+# holds: 4 MiB.  At 2^18, fig2's 2,000 SGD replicates drew rows of 131 steps
+# at 18.4 ns a value against 16.0 ns at 262 steps (2-core x86_64 host)
 CHUNK_VALUES = 2**19
 # the most values one thread's block tile holds (its noise and, when P > 1,
 # one function's readings) unless one row is longer: 512 KiB, well inside a
@@ -62,8 +63,6 @@ CHUNK_VALUES = 2**19
 # against 16 ns at 262 steps
 TILE_VALUES = 2**16
 
-# replicates whose chunk rows are transposed together into step-major order
-_TILE = 64
 # the shortest block row that query_block_all draws on several threads.  At
 # 512, bisect-deep's 769-query rows ran 3.5% faster (4.77 -> 4.61 s, median of
 # 6 alternating pairs on a 2-core host), inside its run-to-run spread, while
@@ -91,19 +90,24 @@ _INIT_B, _MULT_B, _MIX_R = 0x8B51F9DD, 0x58F38DED, 0x4973F715
 @cache
 def _replicate_seed_type():
     """The ISeedSequence that hands PCG64 one replicate's precomputed words,
-    defined on first use: importing this module leaves numpy.random unloaded."""
+    defined on first use: importing this module leaves numpy.random unloaded.
+    It is registered, not derived: ISeedSequence has no __slots__, so a
+    subclass would carry a __dict__ per replicate."""
     from numpy.random.bit_generator import ISeedSequence
 
-    class ReplicateSeed(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
+    class ReplicateSeed:
+        __slots__ = ("words", "row")
+
+        def __init__(self, words: np.ndarray, row: int):
+            self.words, self.row = words, row
 
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != 4 or np.dtype(dtype) != np.uint64:
                 raise ValueError("a replicate seed holds only "
                                  "generate_state(4, np.uint64)")
-            return self.words
+            return self.words[self.row]
 
+    ISeedSequence.register(ReplicateSeed)
     return ReplicateSeed
 
 
@@ -111,7 +115,10 @@ def replicate_seeds(master_seed: int, key: tuple[int, ...], replicates: int,
                     stream: int) -> list[ISeedSequence]:
     """The seeds ``SeedSequence(master_seed, spawn_key=(*key, r, stream))``
     for r < replicates, as the words PCG64 reads, hashed for every r at once
-    by numpy's entropy assembly and hash in vectorized uint32 arithmetic."""
+    by numpy's entropy assembly and hash in vectorized uint32 arithmetic.
+    Seed r is a two-slot object, (the cell's read-only (R, 4) words, r), which
+    hands PCG64 row r: a generator keeps its seed, so a replicate's seed is
+    part of what its stream holds for the whole run."""
     if min(master_seed, *key, stream) < 0:
         raise ValueError("seed entropy must be non-negative")
     run, *spawn = [[n >> b & 0xFFFFFFFF for b in range(0, max(n.bit_length(), 1), 32)]
@@ -140,7 +147,7 @@ def replicate_seeds(master_seed: int, key: tuple[int, ...], replicates: int,
     state = np.array([hashmix(pool[i % 4], _MULT_B) for i in range(8)])
     words = np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
     words.flags.writeable = False
-    return list(map(_replicate_seed_type(), words))
+    return list(map(partial(_replicate_seed_type(), words), range(replicates)))
 
 
 def _subgrads(specs: tuple[FunctionSpec, ...], x_star: np.ndarray | None,
@@ -199,9 +206,9 @@ class OracleBatch:
         x_rows = None if x_star is None else x_star.reshape(len(specs), -1)
         # a module function, not a method: the batch holds no reference to itself
         self._subgrad = partial(_subgrads, specs, x_rows)
-        self._steps = np.empty((0, self.n_replicates))  # drawn step noise, (chunk, R)
-        self._step_pos = 0  # next unread row of _steps
-        self._steps_ahead = 0  # reserved steps whose noise is not drawn yet
+        self._steps = np.empty((self.n_replicates, 0))  # drawn step noise, (R, chunk)
+        self._step_pos = 0  # next unread column of _steps
+        self._reserved = 0  # steps reserved by begin_steps and not read yet
         # every thread's tile of block noise and readings, reused: a fresh tile
         # per share read raised bisect-deep's peak RSS from 44.6 to 50.3 MB
         self._block = np.empty(0)
@@ -214,6 +221,11 @@ class OracleBatch:
                 f"budget exhausted: {self.queries_used} used of {self.budget}, "
                 f"{n} more requested"
             )
+
+    def _refuse_while_reserved(self):
+        if self._reserved:
+            raise ValueError(f"{self._reserved} steps reserved by begin_steps are "
+                             "unread; query_all must read them first")
 
     def _rows(self, x) -> np.ndarray:
         """The points x as (P, R) rows, one per function, once their shape and
@@ -234,19 +246,12 @@ class OracleBatch:
             g.standard_normal(out=row)
         return z[:len(gens)]
 
-    def _step_chunk(self, n: int) -> np.ndarray:
-        """Next n step noises per replicate, step-major: row j is step j's."""
-        z = np.empty((n, self.n_replicates))
-        for i in range(0, self.n_replicates, _TILE):
-            rows = np.empty((min(_TILE, self.n_replicates - i), n))
-            z[:, i:i + _TILE] = self._noise_rows(rows, i).T
-        return z
-
     def query_block_all(self, x: np.ndarray, n: int) -> np.ndarray:
         """n queries at the points x (of shape ``shape``); returns the means.
 
-        Checks and charges the n queries before any draw, then draws each
-        replicate's readings once for every function.  From n =
+        Refuses (ValueError) while steps reserved by ``begin_steps`` are
+        unread.  Checks and charges the n queries before any draw, then draws
+        each replicate's readings once for every function.  From n =
         THREAD_MIN_ROW on, one thread per usable core, but no more than there
         are replicates, reads a share of the replicates; below it the caller
         reads them all.  Each thread reads its share in tiles of its own, of
@@ -257,6 +262,7 @@ class OracleBatch:
         over the same C-contiguous rows as in a batch of its own, whatever
         the tile size.
         """
+        self._refuse_while_reserved()
         self._take(n)
         x = self._rows(x)
         g = self._subgrad(x)
@@ -278,6 +284,10 @@ class OracleBatch:
         if threads == 1:
             shares[0]()
         else:
+            # imported here: a run that reads no long row never loads
+            # concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(threads - 1) as pool:
                 futures = [pool.submit(share) for share in shares[1:]]
                 shares[0]()
@@ -306,36 +316,38 @@ class OracleBatch:
     def begin_steps(self, n: int):
         """Reserve the next n single-point queries per replicate.
 
-        Their noise is drawn ahead as ``query_all`` consumes it, in chunks of
-        at most STEP_CHUNK steps and CHUNK_VALUES values, so memory is
-        O(min(R * STEP_CHUNK, CHUNK_VALUES)), not O(R * n).
+        Their noise is drawn ahead as ``query_all`` consumes it, in chunks
+        that hold each replicate's next steps in its own row, at most
+        CHUNK_VALUES values in all, so memory is O(min(R * n, CHUNK_VALUES))
+        whatever R.  All n must be read before the batch draws anything else:
+        until then this call and ``query_block_all`` raise ValueError.
         """
+        self._refuse_while_reserved()
         self._take(n)  # reserve-check only; queries still counted one by one
-        self._steps = np.empty((0, self.n_replicates))
-        self._step_pos = 0
-        self._steps_ahead = n
+        self._reserved = n
 
     def query_all(self, x: np.ndarray) -> np.ndarray:
         """One query per function and replicate at the points x (of shape
         ``shape``); returns the readings, of that shape.
 
-        Replicate r's one noise value of this step is added to every
-        function's subgradient; the shared chunk of noise is left as drawn.
-        The result is the caller's own array, free to update in place.
+        Replicate r's one noise value of this step, column t of the chunk, is
+        added to every function's subgradient; the shared chunk of noise is
+        left as drawn.  The result is the caller's own array, free to update
+        in place.
         """
         self._take(1)
         g = self._subgrad(self._rows(x))
-        if self._step_pos == len(self._steps):
+        if self._step_pos == self._steps.shape[1]:
             # a query beyond the reserved steps draws for itself alone
-            cap = max(min(STEP_CHUNK, CHUNK_VALUES // self.n_replicates), 1)
-            n = min(max(self._steps_ahead, 1), cap)
+            R = self.n_replicates
+            n = min(max(self._reserved, 1), max(CHUNK_VALUES // R, 1))
             self._steps = None  # readings are fresh arrays: the spent chunk can go first
-            self._steps = self._step_chunk(n)
+            self._steps = self._noise_rows(np.empty((R, n)), 0)
             self._steps *= self.sigma
             self._step_pos = 0
-            self._steps_ahead = max(self._steps_ahead - n, 0)
-        z = self._steps[self._step_pos]
+        z = self._steps[:, self._step_pos]
         self._step_pos += 1
+        self._reserved = max(self._reserved - 1, 0)
         self.queries_used += 1
         g += z  # g is fresh: z + g, bit for bit
         return g.reshape(self.shape)

@@ -60,7 +60,6 @@ from convexbench.experiments import (
     replicate_runs,
 )
 from convexbench.modulus import _BISECTION_TOL
-from convexbench.oracle import STEP_CHUNK
 
 INTERVAL = (-2.0, 2.0)
 SIGMA = 0.1
@@ -145,10 +144,13 @@ random_units = st.one_of(
 
 
 class TestReplicateRuns:
-    @pytest.mark.parametrize("T", [1, STEP_CHUNK, STEP_CHUNK + 1])
+    # an SGD budget of one step, of one chunk of 1024 steps, and one beyond
+    @pytest.mark.parametrize("T", [1, 1024, 1025])
     @pytest.mark.parametrize("alg", ALGORITHMS.values(), ids=ALGORITHMS)
     @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES)
-    def test_matches_scalar_sessions_bitwise(self, family, alg, T):
+    def test_matches_scalar_sessions_bitwise(self, family, alg, T, monkeypatch):
+        monkeypatch.setattr("convexbench.oracle.CHUNK_VALUES", 1024 * R)
+
         def batched():
             return tuple(v[0] for v in replicate_runs((family,), INTERVAL, SIGMA, T, (alg,),
                                                       R, SEED, (KEY,)))
@@ -249,11 +251,12 @@ class TestBudgetGroups:
                              ids=["family", "fixed"])
     def test_rows_match_scalar_runs_bitwise(self, function, cap, monkeypatch):
         # T = 1 leaves the binary search a missing cell; the larger budget
-        # crosses the edge of the group's first noise chunk, which holds
-        # STEP_CHUNK steps or, with the value cap lowered, `cap` steps of
-        # the 3 * R replicates
+        # crosses the edge of the group's first noise chunk, which holds 1024
+        # steps of the 3 * R replicates exactly or, with a value cap that is
+        # no multiple of them, `cap` steps
         if cap is None:
-            T_grid = (1, STEP_CHUNK + 1)
+            monkeypatch.setattr("convexbench.oracle.CHUNK_VALUES", 3 * R * 1024)
+            T_grid = (1, 1024 + 1)
         else:
             monkeypatch.setattr("convexbench.oracle.CHUNK_VALUES", 3 * R * cap + 2)
             T_grid = (1, 2 * cap + 1)
@@ -290,12 +293,11 @@ class TestBudgetGroups:
 
     def test_memory_does_not_grow_with_budget(self, monkeypatch):
         # prefetching all step noise at once would add 2R * dT * 8 bytes
-        # (7.2 MB); chunked, at most two chunks are alive at once.  Both caps
-        # are lowered so that a tenfold budget spans many chunks, and the
-        # value cap, not STEP_CHUNK, sets the chunk size (16 steps).
-        algs, R, step_chunk = (SgdSpec("1/t"), SgdSpec("1/sqrt(t)")), 50, 64
-        chunk_values = 2 * R * step_chunk // 4
-        monkeypatch.setattr("convexbench.oracle.STEP_CHUNK", step_chunk)
+        # (7.2 MB); chunked, at most two chunks are alive at once.  The value
+        # cap is lowered so that a tenfold budget spans many chunks of 16
+        # steps of the 2R replicates.
+        algs, R = (SgdSpec("1/t"), SgdSpec("1/sqrt(t)")), 50
+        chunk_values = 2 * R * 16
         monkeypatch.setattr("convexbench.oracle.CHUNK_VALUES", chunk_values)
 
         def run(T):

@@ -356,6 +356,17 @@ def spec_slopes(spec) -> list[float]:
     return [v + tilt for v in getattr(base, "slopes", (0.0, 1.0))]
 
 
+def probe_slopes(spec, data) -> list[float]:
+    """Zeros of both signs, magnitudes whose roots overflow, slopes below and
+    above every slope of the spec, each slope with the floats beside it, and
+    up to six drawn floats."""
+    slopes = spec_slopes(spec)
+    return [0.0, -0.0, 1e300, -1e300, min(slopes) - 1.0, max(slopes) + 1.0, *slopes,
+            *np.nextafter(slopes, -np.inf).tolist(), *np.nextafter(slopes, np.inf).tolist(),
+            *data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                max_size=6))]
+
+
 @pytest.mark.parametrize("kind", RANDOM_SPECS)
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
@@ -365,13 +376,7 @@ def test_array_calls_equal_scalar_calls(kind, data):
     # (==) the scalar call at that element, and each scalar call, given a
     # Python float or a numpy scalar, returns Python floats
     spec, domain = data.draw(RANDOM_SPECS[kind]), data.draw(ordered_pairs)
-    slopes = spec_slopes(spec)
-    # zeros of both signs, magnitudes whose roots overflow, slopes below and
-    # above every slope of the spec, and each slope with the floats beside it
-    s = [0.0, -0.0, 1e300, -1e300, min(slopes) - 1.0, max(slopes) + 1.0, *slopes,
-         *np.nextafter(slopes, -np.inf).tolist(), *np.nextafter(slopes, np.inf).tolist(),
-         *data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                             max_size=6))]
+    s = probe_slopes(spec, data)
     eps = [abs(v) for v in s if v != 0.0]
     ends = [clamped_level_set(spec, np.array(s), d) for d in (LINE, domain)]
     moduli = modulus_analytic(spec, np.array(eps), domain)
@@ -385,6 +390,39 @@ def test_array_calls_equal_scalar_calls(kind, data):
         for x in (e, np.float64(e)):
             scalar = modulus_analytic(spec, x, domain)
             assert type(scalar) is float and scalar == moduli[i]
+
+
+@pytest.mark.parametrize("kind", RANDOM_SPECS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_level_set_ends_hold_the_slope(kind, data):
+    # bound, fixed before the first run: each end e of clamped_level_set(spec,
+    # s, d) is +/-inf (d the whole line only), an end of d (a domain only), or
+    # a finite point inside d at which s is a subgradient up to rounding:
+    # lo(e - dx) - ds <= s <= hi(e + dx) + ds for the subdifferential [lo, hi].
+    # ds is 4 ulps of max(|s|, |tilt|), for the tilt's subtraction and
+    # addition; dx is 4 ulps of max(|e|, |x*|), for the shift by x*, plus
+    # (4 + |ln u|) 2^-52 of u = |e - x*| for a power's root u = |s|^(1/(k-1)),
+    # whose exponent is rounded: a relative error d in it moves u by
+    # d |ln u| relatively
+    spec, domain = data.draw(RANDOM_SPECS[kind]), data.draw(ordered_pairs)
+    tilt = spec.eps if isinstance(spec, Tilt) else 0.0
+    base = spec.base if isinstance(spec, Tilt) else spec
+    for s in probe_slopes(spec, data):
+        ds = 4 * math.ulp(max(abs(s), abs(tilt)))
+        for d in (LINE, domain):
+            lo, hi = clamped_level_set(spec, s, d)
+            assert d[0] <= lo <= hi <= d[1]
+            for e in (lo, hi):
+                if e in d:  # +/-inf on the whole line, an end of a domain
+                    continue
+                x_star = getattr(base, "x_star", e)
+                u = abs(e - x_star)
+                dx = (4 * math.ulp(max(abs(e), abs(x_star)))
+                      + (4 + abs(math.log(u) if u else 0.0)) * u * 2.0**-52)
+                with np.errstate(over="ignore"):  # f' past the float range is inf
+                    assert subdiff_interval(spec, e - dx)[0] - ds <= s, (s, d, e)
+                    assert s <= subdiff_interval(spec, e + dx)[1] + ds, (s, d, e)
 
 
 # a tilt of each power moves its minimizer x_f to where f is C^2 with f'' > 0:

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from convexbench import (
 )
 from convexbench import oracle
 from convexbench.experiments import replicate_runs
-from convexbench.oracle import _TILE, CHUNK_VALUES, STEP_CHUNK, replicate_seeds
+from convexbench.oracle import CHUNK_VALUES, replicate_seeds
 from one_replicate import one_replicate, query
 
 F = build_function(SymmetricPower(k=2.0, x_star=0.0), (-2.0, 2.0))
@@ -251,6 +252,36 @@ class TestOracleBatch:
         if target.queries_used < target.budget:
             assert np.array_equal(ask(target, 0.25, 2), ask(twin, 0.25, 2))
 
+    @pytest.mark.parametrize("chunk_values", [CHUNK_VALUES, 7 * 3], ids=["default", "7-steps"])
+    @pytest.mark.parametrize("call", ["query_block_all", "begin_steps"])
+    def test_reserved_steps_are_read_before_any_other_draw(self, monkeypatch, call,
+                                                           chunk_values):
+        # with 10 of 20 reserved steps read, a block read or a new reservation
+        # would read noise that depends on the chunk size: both are refused,
+        # charging and drawing nothing.  The 20 steps read in full, a block
+        # read follows each stream, whatever the chunk size
+        monkeypatch.setattr(oracle, "CHUNK_VALUES", chunk_values)
+        R, sigma, seeds = 3, 0.3, replicate_seeds(8, (), 3, 0)
+        batch = OracleBatch(F.spec, None, F.domain, sigma, 30, seeds)
+        batch.begin_steps(20)
+        steps = [batch.query_all(np.zeros(R)) for _ in range(10)]
+        used, states = batch.queries_used, [g.bit_generator.state for g in batch._gens]
+        with pytest.raises(ValueError, match="10 steps reserved by begin_steps are unread"):
+            if call == "begin_steps":
+                batch.begin_steps(5)
+            else:
+                batch.query_block_all(np.zeros(R), 4)
+        assert batch.queries_used == used
+        assert [g.bit_generator.state for g in batch._gens] == states
+        steps += [batch.query_all(np.zeros(R)) for _ in range(10)]
+        x = np.array([-0.5, 0.0, 0.5])
+        means = batch.query_block_all(x, 4)
+        assert batch.queries_used == 24
+        for r, seed in enumerate(seeds):  # f'(0) = 0: a step at 0 reads sigma z
+            z = sigma * np.random.Generator(np.random.PCG64(seed)).standard_normal(24)
+            assert np.array_equal([v[r] for v in steps], z[:20])
+            assert means[r] == (z[20:] + x[r]).mean()
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_block_needs_a_positive_count(self, n):
         batch = OracleBatch(F.spec, None, F.domain, 0.1, 4,
@@ -259,13 +290,14 @@ class TestOracleBatch:
             batch.query_block_all(np.zeros(3), n)
         assert batch.queries_used == 0
 
-    def test_step_noise_follows_each_stream_across_chunks(self):
-        # more replicates than one transpose tile, more steps than one chunk,
+    def test_step_noise_follows_each_stream_across_chunks(self, monkeypatch):
+        # chunks of 1024 steps of 67 replicates, more steps than one chunk,
         # then one step beyond the reservation; at x = x* the answer is z
-        self.check_step_noise(_TILE + 3, STEP_CHUNK + 2)
+        monkeypatch.setattr(oracle, "CHUNK_VALUES", 1024 * 67)
+        self.check_step_noise(67, 1024 + 2)
 
     def test_step_noise_follows_each_stream_across_value_capped_chunks(self):
-        # so many replicates that CHUNK_VALUES, not STEP_CHUNK, sets the chunk
+        # so many replicates that a chunk of CHUNK_VALUES holds 299 steps
         R = CHUNK_VALUES // 300 + 1
         self.check_step_noise(R, CHUNK_VALUES // R + 2)
 
@@ -373,7 +405,7 @@ class TestThreadedBlockReads:
         def no_threads(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_threads)
         monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
         seeds = replicate_seeds(6, (2,), self.R, 0)
         batch = OracleBatch(F.spec, None, F.domain, 0.3, 2048, seeds)
@@ -588,10 +620,11 @@ class TestReplicateSeeds:
 
 def test_sgd_cell_memory_does_not_grow_with_budget(monkeypatch):
     # prefetching all step noise at once would add R * dT * 8 bytes (7.2 MB);
-    # chunked, at most two chunks of R * STEP_CHUNK values are alive at once.
-    # STEP_CHUNK is lowered so that a tenfold budget spans many chunks.
-    monkeypatch.setattr(oracle, "STEP_CHUNK", 64)
+    # chunked, at most two chunks of CHUNK_VALUES values are alive at once.
+    # CHUNK_VALUES is lowered to 64 steps of the R replicates so that a
+    # tenfold budget spans many chunks.
     R, family = 100, FunctionFamily(SymmetricPower(2.0), UniformDist(-1.0, 1.0))
+    monkeypatch.setattr(oracle, "CHUNK_VALUES", R * 64)
 
     def run(T):
         replicate_runs((family,), (-2.0, 2.0), 0.1, T, (SgdSpec("1/t"),), R, 3, ((),))
@@ -605,7 +638,7 @@ def test_sgd_cell_memory_does_not_grow_with_budget(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 2 * R * oracle.STEP_CHUNK * 8
+    assert peaks[1] - peaks[0] < 2 * oracle.CHUNK_VALUES * 8
 
 
 def test_binary_search_cell_memory_does_not_grow_with_budget(monkeypatch):
@@ -630,3 +663,54 @@ def test_binary_search_cell_memory_does_not_grow_with_budget(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2 * oracle.TILE_VALUES * 8
+
+
+# six fig2-like families on one batch's functions axis
+SIX_FAMILIES = tuple(FunctionFamily(spec, UniformDist(-1.0, 1.0)) for spec in (
+    SymmetricPower(1.5), SymmetricPower(2.0), SymmetricPower(3.0),
+    AsymmetricPower(1.5, 3.0), AsymmetricPower(2.0, 3.0), AsymmetricPower(1.5, 2.0)))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("functions, alg, T, T0", [
+    (SIX_FAMILIES[1:2], SgdSpec("1/t"), 1, 0),
+    (SIX_FAMILIES, BinarySearchSpec(1.5), 100, 16),
+], ids=["sgd-1-function", "binary-search-6-functions"])
+def test_a_unit_holds_little_per_replicate(functions, alg, T, T0):
+    # bound, derived before the first run from what a replicate must hold:
+    # its Generator, PCG64 and lock, as building them into a list traces; one
+    # slot seed, a two-slot object with its row index (an int past the
+    # small-int cache), 4 words and a list pointer; and 8 B per array element
+    # it owns: 8 per function (minimizer, iterate or left end, query point,
+    # reading or mean, subgradient and up to three numpy temporaries), 8 more
+    # (start, step size, step noise, the environment's draws), and 2 T0 in a
+    # binary search's tile (a row of noise and one of readings).  Measured
+    # as the slope of the traced peak of replicate_runs from R = 1,000 to 3,000
+    class TwoSlots:
+        __slots__ = ("words", "row")
+
+    seeds = replicate_seeds(1, (2,), 1000, 1)
+    tracemalloc.start()
+    try:
+        generators = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        generator = tracemalloc.get_traced_memory()[0] / len(generators)
+    finally:
+        tracemalloc.stop()
+    del generators
+    slot_seed = sys.getsizeof(TwoSlots()) + sys.getsizeof(2**20) + 4 * 8 + 8
+    bound = generator + slot_seed + 8 * (8 * len(functions) + 8 + 2 * T0)
+
+    def run(R):
+        replicate_runs(functions, (-2.0, 2.0), 0.1, T, (alg,), R, 3, ((0, 0),))
+
+    run(10)  # one-time allocations land outside the traced runs
+    peaks = [_traced_peak(partial(run, R)) for R in (1000, 3000)]
+    assert (peaks[1] - peaks[0]) / 2000 <= bound
