@@ -9,7 +9,7 @@ Each is written once, as ``run_binary_search`` and ``run_sgd``, over an
 of the batch's ``shape``: (R,), or (P, R) when P functions share the batch's
 noise.  The experiment harness calls them with R replicates;
 ``sign_test_binary_search`` and ``sgd`` run them on a one-replicate batch and
-turn the optional trace into ``RoundRecord``s.  ``BinarySearchSpec`` and
+turn the trace into ``RoundRecord``s.  ``BinarySearchSpec`` and
 ``SgdSpec`` are the only parameter types.  The search and projection interval
 is the batch's domain, which ``OracleBatch`` has checked (finite, a < b) and
 stored as floats.
@@ -62,18 +62,14 @@ def _id_number(x: float) -> str:
 @dataclass(frozen=True)
 class BinarySearchSpec:
     r: float  # round-count coefficient: E = floor(r ln T) rounds
-    delta: float = 0.05  # failure probability used by the diagnostics
 
     def __post_init__(self):
         if not (self.r > 0 and math.isfinite(self.r)):
             raise ValueError(f"r must be positive and finite, got {self.r}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
 
     @property
     def algorithm_id(self) -> str:
-        delta = "" if self.delta == 0.05 else f";delta={_id_number(self.delta)}"
-        return f"binary-search(r={_id_number(self.r)}{delta})"
+        return f"binary-search(r={_id_number(self.r)})"
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,9 @@ class SgdSpec:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.iterate not in ("last", "average"):
             raise ValueError(f"iterate must be 'last' or 'average', got {self.iterate!r}")
-        if isinstance(self.x0, str) and self.x0 != UNIFORM_START:
-            raise ValueError(f"x0 must be a number or {UNIFORM_START!r}, got {self.x0!r}")
+        if not (self.x0 == UNIFORM_START if isinstance(self.x0, str)
+                else math.isfinite(self.x0)):
+            raise ValueError(f"x0 must be finite or {UNIFORM_START!r}, got {self.x0!r}")
 
     @property
     def algorithm_id(self) -> str:
@@ -252,25 +249,28 @@ def flat_set_diagnostics(
     T: int,
     search: BinarySearchSpec,
     sigma: float,
+    delta: float,
 ) -> tuple[float, tuple[float, float], float]:
     """Quantities governing where ``search`` lands on ``spec`` over ``domain``.
 
-    Returns (C_delta, I_delta, radius_bound): the noise-deviation constant
-    C_delta = sigma * sqrt(2 ln(E/delta)), with delta = ``search.delta``;
-    the interval I_delta where the subgradient magnitude is below
-    C_delta/sqrt(T0), read in closed form off the level sets at -/+ that
-    threshold as ``modulus.modulus_analytic`` reads the flat set; and the
-    bisection resolution 2^-E times the width of the domain, the interval the
-    search bisects.  With probability at least 1 - delta the search output
-    lies within radius_bound of I_delta.
+    Returns (C_delta, I_delta, radius_bound) for the caller's failure
+    probability delta in (0, 1): the noise-deviation constant C_delta =
+    sigma * sqrt(2 ln(E/delta)); the interval I_delta where the subgradient
+    magnitude is below C_delta/sqrt(T0), read in closed form off the level
+    sets at -/+ that threshold as ``modulus.modulus_analytic`` reads the flat
+    set; and the bisection resolution 2^-E times the width of the domain, the
+    interval the search bisects.  With probability at least 1 - delta the
+    search output lies within radius_bound of I_delta.
     """
     a0, b0 = domain
     if not -math.inf < a0 < b0 < math.inf:
         raise ValueError(f"domain must be finite with a < b, got [{a0}, {b0}]")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0,1), got {delta}")
     E, T0 = epochs_schedule(T, search.r)
-    c_delta = sigma * math.sqrt(2.0 * math.log(E / search.delta))
+    c_delta = sigma * math.sqrt(2.0 * math.log(E / delta))
     threshold = c_delta / math.sqrt(T0)
     if threshold > 0:
         i_delta = (clamped_level_set(spec, -threshold, domain)[1],
@@ -281,9 +281,9 @@ def flat_set_diagnostics(
     return c_delta, i_delta, radius_bound
 
 
-def sgd(batch: OracleBatch, spec: SgdSpec, record_trace: bool = False) -> RunResult:
+def sgd(batch: OracleBatch, spec: SgdSpec) -> RunResult:
     """``run_sgd`` on a one-replicate batch from the numeric start ``spec.x0``;
-    with ``record_trace`` the trace has one entry per step."""
+    the trace has one entry per step."""
     if batch.n_replicates != 1:
         raise ValueError(f"need a one-replicate batch, got {batch.n_replicates} replicates")
     used = batch.queries_used
@@ -292,12 +292,12 @@ def sgd(batch: OracleBatch, spec: SgdSpec, record_trace: bool = False) -> RunRes
             "spec.x0 must be a number before calling sgd(); draw the uniform "
             "start in the harness"
         )
-    steps = [] if record_trace else None
+    steps = []
     estimate = run_sgd(batch, (spec,), np.array([float(spec.x0)]), trace=steps)
     lo, hi = batch.domain
     records = tuple(
         RoundRecord(round=t, query_point=float(x[0]), mean_gradient=float(v[0]),
                     interval=(lo, hi), width=hi - lo)
-        for t, (x, v) in enumerate(steps or (), start=1)
+        for t, (x, v) in enumerate(steps, start=1)
     )
     return RunResult(float(estimate[0]), batch.queries_used - used, records)

@@ -515,8 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "on --domain), 'constant x_hat=0.3' (in --domain), or the "
                             "body of a config algorithm line, e.g. 'binary-search r=1.5' "
                             "or 'sgd schedule=1/sqrt(t) scale=0.5'; config lines do not "
-                            "take constant; delta= in the line sets "
-                            "BinarySearchSpec.delta, not --delta")
+                            "take constant")
     p_sup.add_argument("--seed", type=int, default=20250810)
     p_sup.add_argument("--out", help="also write superefficiency.csv here")
     return parser

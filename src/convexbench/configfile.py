@@ -17,7 +17,7 @@ Example::
     master_seed = 20250810
 
     [algorithms]
-    algorithm = binary-search r=1.5 delta=0.05
+    algorithm = binary-search r=1.5
     algorithm = sgd schedule=1/t
 
     [grid]
@@ -44,9 +44,9 @@ minimizer is drawn per replicate.
 
 Algorithm lines follow the same grammar on one line, read off
 ``BinarySearchSpec`` and ``SgdSpec``: ``algorithm = <name> key=value ...``
-with name ``binary-search`` (keys r, delta) or ``sgd`` (schedule, scale,
-iterate, x0).  Each key is given at most once and is required unless its
-field has a default.  A value is read by its field's type: a finite number,
+with name ``binary-search`` (key r) or ``sgd`` (schedule, scale, iterate,
+x0).  Each key is given at most once and is required unless its field has a
+default.  A value is read by its field's type: a finite number,
 text as written, or for x0 and x_hat a finite number when it reads as one
 and otherwise a word its class checks (``uniform``, ``midpoint``).
 ``parse_algorithm`` reads one line body, the text after ``algorithm =``;

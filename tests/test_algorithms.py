@@ -169,7 +169,7 @@ class TestFlatSetDiagnostics:
     def test_reference_constant(self):
         c_delta, i_delta, radius = flat_set_diagnostics(
             SymmetricPower(k=2.0), (-2.0, 2.0), T=10000, search=BinarySearchSpec(r=0.5),
-            sigma=0.1
+            sigma=0.1, delta=0.05
         )
         # sigma * sqrt(2 ln(E/delta)) with E = 4: 0.1 * sqrt(2 ln 80)
         assert c_delta == pytest.approx(0.1 * math.sqrt(2 * math.log(80.0)), rel=1e-12)
@@ -182,26 +182,27 @@ class TestFlatSetDiagnostics:
     def test_delta_near_one_shrinks_constant(self):
         c_delta, _, _ = flat_set_diagnostics(
             SymmetricPower(k=2.0), (-2.0, 2.0), T=8,
-            search=BinarySearchSpec(r=0.5, delta=0.999), sigma=0.1
+            search=BinarySearchSpec(r=0.5), sigma=0.1, delta=0.999
         )  # E = 1
         assert 0.0 < c_delta < 0.005
 
     def test_absolute_flat_set_is_minimizer(self):
         _, (lo, hi), _ = flat_set_diagnostics(Absolute(0.0), (-2.0, 2.0), 10000,
-                                              BinarySearchSpec(r=0.5), sigma=0.1)
+                                              BinarySearchSpec(r=0.5), sigma=0.1,
+                                              delta=0.05)
         assert abs(lo) <= 1e-10 and abs(hi) <= 1e-10
 
     def test_custom_initial_interval_changes_radius(self):
         _, _, radius = flat_set_diagnostics(
             SymmetricPower(k=2.0), (-1.0, 1.0), T=10000, search=BinarySearchSpec(r=0.5),
-            sigma=0.1
+            sigma=0.1, delta=0.05
         )
         assert radius == 2.0**-4 * 2.0
 
     def test_schedule_error_propagates(self):
         with pytest.raises(ScheduleError):
             flat_set_diagnostics(SymmetricPower(k=2.0), (-2.0, 2.0), 2,
-                                 BinarySearchSpec(r=0.5), sigma=0.1)
+                                 BinarySearchSpec(r=0.5), sigma=0.1, delta=0.05)
 
     @pytest.mark.parametrize("domain", [(1.0, -1.0), (0.5, 0.5), (-np.inf, 1.0),
                                         (-1.0, np.nan)])
@@ -209,20 +210,27 @@ class TestFlatSetDiagnostics:
         # the domain reaches the diagnostics directly, not through build_function
         with pytest.raises(ValueError, match="domain must be finite with a < b"):
             flat_set_diagnostics(SymmetricPower(k=2.0), domain, 10000,
-                                 BinarySearchSpec(r=0.5), 0.1)
+                                 BinarySearchSpec(r=0.5), 0.1, 0.05)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_sigma_must_be_finite(self, sigma):
         with pytest.raises(ValueError, match="finite"):
             flat_set_diagnostics(SymmetricPower(k=2.0), (-2.0, 2.0), 10000,
-                                 BinarySearchSpec(r=0.5), sigma)
+                                 BinarySearchSpec(r=0.5), sigma, 0.05)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.05, float("nan")])
+    def test_delta_must_lie_in_the_open_unit_interval(self, delta):
+        # delta is the caller's failure probability, not a field of the search
+        with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
+            flat_set_diagnostics(SymmetricPower(k=2.0), (-2.0, 2.0), 10000,
+                                 BinarySearchSpec(r=0.5), 0.1, delta)
 
     def test_coverage_empirical(self):
         # the search lands within the resolution bound of the flat interval
         # in all but a delta-fraction of replicates (small pilot; the
         # acceptance suite runs the full-size version)
         n, T, delta, sigma = 200, 10000, 0.05, 0.1
-        search = BinarySearchSpec(r=0.5, delta=delta)
+        search = BinarySearchSpec(r=0.5)
         rng = np.random.default_rng(42)
         fails = 0
         for i in range(n):
@@ -231,7 +239,8 @@ class TestFlatSetDiagnostics:
                 SymmetricPower(k=2.0, x_star=x_star), sigma, T, seed=1000 + i
             )
             res = sign_test_binary_search(s, search)
-            _, (lo, hi), radius = flat_set_diagnostics(f.spec, f.domain, T, search, sigma)
+            _, (lo, hi), radius = flat_set_diagnostics(f.spec, f.domain, T, search, sigma,
+                                                       delta)
             dist = max(0.0, lo - res.estimate, res.estimate - hi)
             fails += dist > radius
         assert fails / n <= delta + 3 * math.sqrt(delta * (1 - delta) / n)
@@ -269,20 +278,20 @@ class TestSgd:
         # eta(1) = 1 and the subgradient at x equals x - x_star
         s, f = batch_for(SymmetricPower(k=2.0, x_star=0.0), 0.0, 2)
         spec = SgdSpec(schedule="1/t", x0=0.7)
-        res = sgd(s, spec, record_trace=True)
+        res = sgd(s, spec)
         assert res.trace[0].query_point == 0.7
         assert res.trace[1].query_point == 0.0
 
     def test_start_point_projected_before_first_query(self):
         s, f = batch_for(SymmetricPower(k=2.0), 0.0, 1)
         spec = SgdSpec(schedule="1/t", x0=-3.0)
-        res = sgd(s, spec, record_trace=True)
+        res = sgd(s, spec)
         assert res.trace[0].query_point == -2.0
 
     def test_every_query_inside_projection_interval(self):
         s, f = batch_for(SymmetricPower(k=3.0), 0.5, 400)
         spec = SgdSpec(schedule="1/sqrt(t)", x0=1.9)
-        res = sgd(s, spec, record_trace=True)
+        res = sgd(s, spec)
         assert len(res.trace) == 400
         for rec in res.trace:
             assert -2.0 <= rec.query_point <= 2.0
@@ -296,7 +305,7 @@ class TestSgd:
     def test_average_iterate(self):
         s, f = batch_for(SymmetricPower(k=2.0), 0.0, 3)
         spec = SgdSpec(schedule="1/t", iterate="average", x0=0.9)
-        res = sgd(s, spec, record_trace=True)
+        res = sgd(s, spec)
         pts = [rec.query_point for rec in res.trace]
         assert res.estimate == pytest.approx(np.mean(pts), rel=1e-15)
 
@@ -312,14 +321,12 @@ class TestSgd:
             SgdSpec(schedule="1/t", scale=0.0)
         with pytest.raises(ValueError):
             BinarySearchSpec(r=-1.0)
-        with pytest.raises(ValueError):
-            BinarySearchSpec(r=1.0, delta=1.5)
 
 
 class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"iterate": "averge"}, {"scale": -1.0}, {"scale": math.inf},
-        {"x0": "middle"},
+        {"x0": "middle"}, {"x0": math.inf}, {"x0": -math.inf}, {"x0": math.nan},
     ])
     def test_sgd_spec_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -348,7 +355,7 @@ class TestAdaptersMatchScalarReference:
             s, f = batch_for(SymmetricPower(k=3.0, x_star=-0.2), 0.1, 1500,
                                seed=seed)
             spec = SgdSpec(schedule, scale=0.5, iterate=iterate, x0=1.2)
-            got = sgd(s, spec, record_trace=True)
+            got = sgd(s, spec)
             oracle = ref.ReferenceOracle(f, 0.1, np.random.SeedSequence(seed))
             assert got.estimate == ref.sgd(oracle, 1500, schedule, 0.5, iterate,
                                            1.2, (-2.0, 2.0))

@@ -203,6 +203,7 @@ def test_superefficiency_bad_input_creates_no_directory(flags, tmp_path, capsys)
      "algorithm must be one of binary-search, sgd, constant, got 'newton'"),
     ("sgd schedule=1/t x_hat=0.7", "x_hat does not apply to algorithm sgd"),
     ("constant x_hat=middle", "x_hat must be finite or 'midpoint', got 'middle'"),
+    ("binary-search r=1.5 delta=0.1", "delta does not apply to algorithm binary-search"),
 ])
 def test_superefficiency_estimator_line_errors_as_a_config_line(estimator, message,
                                                                 tmp_path, capsys):
@@ -216,7 +217,7 @@ def test_superefficiency_estimator_line_errors_as_a_config_line(estimator, messa
 
 @pytest.mark.parametrize("estimator,spec", [
     ("binary-search r=1.5", BinarySearchSpec(1.5)),
-    ("binary-search delta=0.2 r=2", BinarySearchSpec(2.0, delta=0.2)),
+    ("binary-search r=2", BinarySearchSpec(2.0)),
     ("sgd schedule=1/sqrt(t) scale=0.5 iterate=average",
      SgdSpec("1/sqrt(t)", scale=0.5, iterate="average")),
     ("sgd schedule=1/t x0=0.25", SgdSpec("1/t", x0=0.25)),

@@ -140,13 +140,12 @@ class TestLineNumbers:
         ids = [a.algorithm_id for a in parse_config(text).config.algorithms]
         assert ids == ["binary-search(r=1.5)", "sgd(1/t)", "sgd(1/t;x0=0.5)"]
 
-    def test_exact_r_and_delta_are_part_of_the_id(self):
+    def test_exact_r_is_part_of_the_id(self):
         bs = "algorithm = binary-search r=1.5"
-        text = CONFIG.replace(bs, f"{bs}\n{bs}000001\n{bs} delta=0.1")
+        text = CONFIG.replace(bs, f"{bs}\n{bs}000001")
         config = parse_config(text).config
         assert [a.algorithm_id for a in config.algorithms] == [
-            "binary-search(r=1.5)", "binary-search(r=1.5000001)",
-            "binary-search(r=1.5;delta=0.1)", "sgd(1/t)"]
+            "binary-search(r=1.5)", "binary-search(r=1.5000001)", "sgd(1/t)"]
         assert parse_config(serialize_config(config)).config == config
 
 
@@ -198,7 +197,9 @@ BAD_ALGORITHM_LINES = [
     ("algorithm = constant x_hat=0.1", "algorithm must be one of binary-search, sgd, "
                                        "got 'constant'"),
     ("algorithm = sgd schedule=1/t step=2", "step does not apply to algorithm sgd"),
-    ("algorithm = binary-search delta=0.1", "binary-search requires r"),
+    ("algorithm = binary-search", "binary-search requires r"),
+    ("algorithm = binary-search r=1.5 delta=0.05",
+     "delta does not apply to algorithm binary-search"),
     ("algorithm = sgd scale=2", "sgd requires schedule"),
     ("algorithm = sgd schedule=1/t 0.5", "'0.5' is not key=value"),
     ("algorithm = sgd schedule=1/t x0=nan", "x0: value must be finite"),
@@ -318,7 +319,7 @@ sigma = 0.1
 master_seed = 7
 
 [algorithms]
-algorithm = binary-search r=1.5 delta=0.05
+algorithm = binary-search r=1.5
 algorithm = sgd schedule=1/sqrt(t) scale=2.0 iterate=average x0=0.5
 
 [grid]
@@ -372,8 +373,6 @@ def test_serialized_text_is_unchanged(function, lines):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 exponent = st.floats(min_value=1.0, max_value=1e6, exclude_min=True)
 positive = st.floats(min_value=0.0, max_value=1e12, exclude_min=True)
-unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
-                      exclude_max=True)
 
 
 @st.composite
@@ -403,7 +402,7 @@ families = st.builds(
     ordered_pair().map(lambda p: UniformDist(*p)),
 )
 algorithm_specs = st.one_of(
-    st.builds(BinarySearchSpec, positive, unit_open),
+    st.builds(BinarySearchSpec, positive),
     st.builds(SgdSpec, st.sampled_from(["1/t", "1/sqrt(t)"]), positive,
               st.sampled_from(["last", "average"]),
               st.one_of(st.just("uniform"), finite)),

@@ -6,7 +6,7 @@ import io
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -563,14 +563,37 @@ def test_experiment_algorithm_ids_must_differ():
 
 @pytest.mark.parametrize("a, b", [
     (BinarySearchSpec(r=1.5), BinarySearchSpec(r=1.5000001)),
-    (BinarySearchSpec(r=1.5), BinarySearchSpec(r=1.5, delta=0.1)),
     (SgdSpec("1/t", scale=2.0), SgdSpec("1/t", scale=2.0000001)),
     (SgdSpec("1/t", x0=0.1), SgdSpec("1/t", x0=0.1000001)),
     (ConstantEstimator(0.1), ConstantEstimator(0.1000001)),
 ])
 def test_distinct_specs_have_distinct_ids(a, b):
-    # six significant digits, or an id without delta, would merge these
+    # six significant digits would merge these
     assert a.algorithm_id != b.algorithm_id
+
+
+# a second valid value for every field of an algorithm spec: a field missing
+# here fails the test below, so each new field must show that it moves a run
+SECOND_VALUES = {
+    BinarySearchSpec: {"r": 2.0},
+    SgdSpec: {"schedule": "1/sqrt(t)", "scale": 2.0, "iterate": "average", "x0": 0.25},
+}
+
+
+@pytest.mark.parametrize("spec", [BinarySearchSpec(r=1.5), SgdSpec("1/t")],
+                         ids=["binary-search", "sgd"])
+def test_every_field_of_an_algorithm_spec_changes_its_run(spec):
+    # a field whose change leaves every risk row the same sets nothing
+    def rows(alg):
+        config = ExperimentConfig(FunctionFamily(SymmetricPower(3.0), UniformDist(-1.0, 1.0)),
+                                  (alg,), (100, 1000), R, SIGMA, 7, INTERVAL)
+        return [(row.mean_err, row.stderr) for row in estimate_risk(config).rows]
+
+    base, second = rows(spec), SECOND_VALUES[type(spec)]
+    for field in fields(spec):
+        assert field.name in second, f"no second value for {field.name}"
+        changed = replace(spec, **{field.name: second[field.name]})
+        assert changed != spec and rows(changed) != base, field.name
 
 
 def test_family_ids_write_exact_bounds():

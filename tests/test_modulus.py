@@ -1,4 +1,5 @@
 """Modulus computations: closed forms, conjugate intervals, flat sets, fits."""
+import bisect
 import math
 
 import numpy as np
@@ -7,7 +8,13 @@ import exact_law
 import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from random_specs import X_STAR_SPECS, ordered_pairs, piecewise_linears, tilt_sizes
+from random_specs import (
+    X_STAR_SPECS,
+    coordinates,
+    ordered_pairs,
+    piecewise_linears,
+    tilt_sizes,
+)
 
 from convexbench import (
     Absolute,
@@ -423,6 +430,42 @@ def test_level_set_ends_hold_the_slope(kind, data):
                 with np.errstate(over="ignore"):  # f' past the float range is inf
                     assert subdiff_interval(spec, e - dx)[0] - ds <= s, (s, d, e)
                     assert s <= subdiff_interval(spec, e + dx)[1] + ds, (s, d, e)
+
+
+@st.composite
+def kinked_specs(draw):
+    """Absolute, or a PiecewiseLinear whose slopes often repeat, with the
+    breakpoints and slopes of its pieces."""
+    if draw(st.booleans()):
+        x_star = draw(coordinates)
+        return Absolute(x_star), (x_star,), (-1.0, 1.0)
+    n = draw(st.integers(1, 4))
+    breakpoints = tuple(sorted(draw(st.lists(coordinates, min_size=n, max_size=n,
+                                             unique=True))))
+    slopes = tuple(sorted(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]) | coordinates,
+                                        min_size=n + 1, max_size=n + 1))))
+    return PiecewiseLinear(breakpoints, slopes), breakpoints, slopes
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kinked=kinked_specs(), domain=ordered_pairs, data=st.data())
+def test_level_set_ends_are_maximal_on_kinked_specs(kinked, domain, data):
+    # exact, fixed before the first run: piece i runs from ends[i] to
+    # ends[i + 1]; at a slope value s the level set is the whole run of pieces
+    # of slope s, strictly between two slopes the breakpoint between them, and
+    # below or above every slope (-inf, -inf) or (inf, inf); a domain clips it
+    spec, breakpoints, slopes = kinked
+    ends = (-math.inf, *breakpoints, math.inf)
+    for s in probe_slopes(spec, data):
+        if s in slopes:
+            first, last = slopes.index(s), len(slopes) - 1 - slopes[::-1].index(s)
+            expected = (ends[first], ends[last + 1])
+        else:
+            i = bisect.bisect(slopes, s)  # slopes[i - 1] < s < slopes[i]
+            expected = (ends[i], ends[i])
+        for a, b in (LINE, domain):
+            clipped = tuple(min(max(e, a), b) for e in expected)
+            assert clamped_level_set(spec, s, (a, b)) == clipped, (s, (a, b))
 
 
 # a tilt of each power moves its minimizer x_f to where f is C^2 with f'' > 0:
