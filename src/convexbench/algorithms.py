@@ -11,8 +11,8 @@ noise.  The experiment harness calls them with R replicates;
 ``sign_test_binary_search`` and ``sgd`` run them on a one-replicate batch and
 turn the trace into ``RoundRecord``s.  ``BinarySearchSpec`` and
 ``SgdSpec`` are the only parameter types.  The search and projection interval
-is the batch's domain, which ``OracleBatch`` has checked (finite, a < b) and
-stored as floats.
+is the batch's domain, which ``OracleBatch`` has checked with
+``functions.check_domain`` (finite, a < b) and stored as floats.
 
 The binary search stores its interval as (left endpoint, width) and halves
 the width each round with an exact multiply by 0.5, so the width after round
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError
-from .functions import FunctionSpec, clamped_level_set, minimizer_interval
-from .oracle import OracleBatch
+from .errors import FieldError, ScheduleError
+from .functions import FunctionSpec, check_domain, clamped_level_set, minimizer_interval
+from .oracle import OracleBatch, check_budget, check_sigma
 
 __all__ = [
     "BinarySearchSpec",
@@ -59,13 +59,22 @@ def _id_number(x: float) -> str:
     return repr(float(x)).removesuffix(".0")  # shortest round trip; 1.0 as 1
 
 
+def _check_positive(name: str, value: float):
+    if not (value > 0 and math.isfinite(value)):
+        raise FieldError(name, f"{name} must be positive and finite, got {value}")
+
+
+def _check_number_or_word(name: str, value: float | str, word: str):
+    if not (value == word if isinstance(value, str) else math.isfinite(value)):
+        raise FieldError(name, f"{name} must be finite or {word!r}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BinarySearchSpec:
     r: float  # round-count coefficient: E = floor(r ln T) rounds
 
     def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError(f"r must be positive and finite, got {self.r}")
+        _check_positive("r", self.r)
 
     @property
     def algorithm_id(self) -> str:
@@ -82,13 +91,10 @@ class SgdSpec:
     def __post_init__(self):
         if self.schedule not in ("1/t", "1/sqrt(t)"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        _check_positive("scale", self.scale)
         if self.iterate not in ("last", "average"):
             raise ValueError(f"iterate must be 'last' or 'average', got {self.iterate!r}")
-        if not (self.x0 == UNIFORM_START if isinstance(self.x0, str)
-                else math.isfinite(self.x0)):
-            raise ValueError(f"x0 must be finite or {UNIFORM_START!r}, got {self.x0!r}")
+        _check_number_or_word("x0", self.x0, UNIFORM_START)
 
     @property
     def algorithm_id(self) -> str:
@@ -124,12 +130,10 @@ def epochs_schedule(T: int, r: float) -> tuple[int, int]:
 
     E = floor(r * ln T), T0 = floor(T / E).  Natural logarithm; r absorbs the
     base.  Raises ScheduleError when T is too small for this r, and
-    ValueError when T0 exceeds MAX_T0.
+    ValueError when ``check_budget`` refuses T or T0 exceeds MAX_T0.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError(f"r must be positive and finite, got {r}")
+    T = check_budget(T)
+    _check_positive("r", r)
     E = math.floor(r * math.log(T))
     if E < 1:
         raise ScheduleError(f"floor(r*ln T) = 0 for T={T}, r={r}: budget too small")
@@ -228,19 +232,23 @@ def run_sgd(
     return x
 
 
-def sign_test_binary_search(batch: OracleBatch, spec: BinarySearchSpec) -> RunResult:
-    """``run_binary_search`` on one replicate; the trace has one entry per round."""
+def _one_replicate(batch: OracleBatch, record, run, *args) -> RunResult:
+    """One-replicate ``run(batch, *args, trace=...)``; ``record(n, *entry)`` per entry."""
     if batch.n_replicates != 1:
         raise ValueError(f"need a one-replicate batch, got {batch.n_replicates} replicates")
     used = batch.queries_used
-    rounds = []
-    estimate = run_binary_search(batch, spec, trace=rounds)
-    records = tuple(
-        RoundRecord(round=e, query_point=float(x[0]), mean_gradient=float(z_bar[0]),
-                    interval=(float(a[0]), float(a[0]) + width), width=width)
-        for e, (x, z_bar, a, width) in enumerate(rounds, start=1)
-    )
-    return RunResult(float(estimate[0]), batch.queries_used - used, records)
+    trace = []
+    estimate = run(batch, *args, trace=trace)
+    return RunResult(float(estimate[0]), batch.queries_used - used,
+                     tuple(record(n, *entry) for n, entry in enumerate(trace, start=1)))
+
+
+def sign_test_binary_search(batch: OracleBatch, spec: BinarySearchSpec) -> RunResult:
+    """``run_binary_search`` on one replicate; the trace has one entry per round."""
+    def record(e, x, z_bar, a, width):
+        return RoundRecord(round=e, query_point=float(x[0]), mean_gradient=float(z_bar[0]),
+                           interval=(float(a[0]), float(a[0]) + width), width=width)
+    return _one_replicate(batch, record, run_binary_search, spec)
 
 
 def flat_set_diagnostics(
@@ -262,11 +270,8 @@ def flat_set_diagnostics(
     interval the search bisects.  With probability at least 1 - delta the
     search output lies within radius_bound of I_delta.
     """
-    a0, b0 = domain
-    if not -math.inf < a0 < b0 < math.inf:
-        raise ValueError(f"domain must be finite with a < b, got [{a0}, {b0}]")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    a0, b0 = domain = check_domain(domain)
+    check_sigma(sigma)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     E, T0 = epochs_schedule(T, search.r)
@@ -284,20 +289,12 @@ def flat_set_diagnostics(
 def sgd(batch: OracleBatch, spec: SgdSpec) -> RunResult:
     """``run_sgd`` on a one-replicate batch from the numeric start ``spec.x0``;
     the trace has one entry per step."""
-    if batch.n_replicates != 1:
-        raise ValueError(f"need a one-replicate batch, got {batch.n_replicates} replicates")
-    used = batch.queries_used
     if isinstance(spec.x0, str):
-        raise ValueError(
-            "spec.x0 must be a number before calling sgd(); draw the uniform "
-            "start in the harness"
-        )
-    steps = []
-    estimate = run_sgd(batch, (spec,), np.array([float(spec.x0)]), trace=steps)
+        raise ValueError("spec.x0 must be a number before calling sgd(); draw the uniform "
+                         "start in the harness")
     lo, hi = batch.domain
-    records = tuple(
-        RoundRecord(round=t, query_point=float(x[0]), mean_gradient=float(v[0]),
-                    interval=(lo, hi), width=hi - lo)
-        for t, (x, v) in enumerate(steps, start=1)
-    )
-    return RunResult(float(estimate[0]), batch.queries_used - used, records)
+
+    def record(t, x, v):
+        return RoundRecord(round=t, query_point=float(x[0]), mean_gradient=float(v[0]),
+                           interval=(lo, hi), width=hi - lo)
+    return _one_replicate(batch, record, run_sgd, (spec,), np.array([float(spec.x0)]))

@@ -210,8 +210,8 @@ def _guide_rate(function) -> float | None:
     return -1.0 / (2.0 * (k - 1.0))
 
 
-def _manifest(config_text: str, jobs: int, artifacts: list[str],
-              missing_cells: list[dict], unfit_curves: list[str]) -> dict:
+def _manifest(config_text: str, artifacts: list[str], missing_cells: list[dict],
+              unfit_curves: list[str]) -> dict:
     return {
         "kind": "convexbench-run",
         "config_text": config_text,
@@ -221,7 +221,6 @@ def _manifest(config_text: str, jobs: int, artifacts: list[str],
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-        "jobs_hint": jobs,
         "artifacts": artifacts,
         "status": "partial" if (missing_cells or unfit_curves) else "complete",
         "missing_cells": missing_cells,
@@ -247,7 +246,7 @@ def _make_dirs(*dirs: Path) -> bool:
     return True
 
 
-def _write_run(settings: RunSettings, table: RiskTable, out_dir: Path, jobs: int) -> int:
+def _write_run(settings: RunSettings, table: RiskTable, out_dir: Path) -> int:
     """Write a run's risk table, slopes, plot script and manifest; the exit code."""
     config = settings.config
     (out_dir / "risk.csv").write_text(risk_csv_text(table))
@@ -262,8 +261,7 @@ def _write_run(settings: RunSettings, table: RiskTable, out_dir: Path, jobs: int
         if r.mean_err is None
     ]
     config_text = serialize_config(config, settings.output_dir)
-    manifest = _manifest(config_text, jobs, ["risk.csv", "slopes.csv", "plot.py"],
-                         missing, unfit)
+    manifest = _manifest(config_text, ["risk.csv", "slopes.csv", "plot.py"], missing, unfit)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
@@ -297,8 +295,7 @@ def cmd_run(args) -> int:
     out_dir = _resolve_out(args.out, settings.output_dir)
     if not _make_dirs(out_dir):
         return EXIT_USAGE
-    return _write_run(settings, estimate_risk(settings.config, jobs=args.jobs), out_dir,
-                      args.jobs)
+    return _write_run(settings, estimate_risk(settings.config, jobs=args.jobs), out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +411,7 @@ def cmd_reproduce_fig2(parser, args) -> int:
     tables = estimate_risks([settings.config for settings in panels], jobs=args.jobs)
     status = EXIT_OK
     for settings, table, out_dir in zip(panels, tables, out_dirs):
-        status = max(status, _write_run(settings, table, out_dir, args.jobs))
+        status = max(status, _write_run(settings, table, out_dir))
         print(f"panel {settings.output_dir}: artifacts in {out_dir}", file=sys.stderr)
     return status
 

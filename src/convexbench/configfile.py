@@ -40,7 +40,7 @@ A tilt's base is any other kind, its keys spelled with the ``base_`` prefix.
 Numbers must be finite; breakpoints and slopes are space-separated.  A key
 of another kind (``k_r`` under ``kind = sym-power``) is an error on its line.
 ``x_star_distribution = uniform <lo> <hi>`` makes the spec a family whose
-minimizer is drawn per replicate.
+minimizer is drawn per replicate; the spec takes no ``x_star`` other than 0.
 
 Algorithm lines follow the same grammar on one line, read off
 ``BinarySearchSpec`` and ``SgdSpec``: ``algorithm = <name> key=value ...``
@@ -104,9 +104,6 @@ __all__ = [
     "default_t_grid",
     "DEFAULT_T_GRID",
 ]
-
-# seven log-spaced budgets between 100 and 10000 (floored geometric steps)
-DEFAULT_T_GRID = (100, 215, 464, 1000, 2154, 4641, 10000)
 
 
 @dataclass(frozen=True)
@@ -198,6 +195,9 @@ def default_t_grid(lo: int = 100, hi: int = 10000, count: int = 7) -> tuple[int,
         out.append(t)
     out[-1] = hi
     return tuple(out)
+
+
+DEFAULT_T_GRID = default_t_grid()
 
 
 def _parse_lines(text: str):

@@ -43,6 +43,7 @@ from .algorithms import (
     UNIFORM_START,
     BinarySearchSpec,
     SgdSpec,
+    _check_number_or_word,
     _id_number,
     epochs_schedule,
     run_binary_search,
@@ -55,13 +56,14 @@ from .functions import (
     FunctionSpec,
     Tilt,
     build_function,
+    check_domain,
     distance,
     minimizer_interval,
     spec_id,
     with_x_star,
 )
 from .modulus import modulus_analytic, modulus_numeric
-from .oracle import OracleBatch, replicate_seeds
+from .oracle import OracleBatch, check_budget, check_sigma, replicate_seeds
 
 __all__ = [
     "UniformDist",
@@ -98,13 +100,14 @@ class UniformDist:
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """A spec template whose minimizer location is drawn per replicate."""
+    """A spec template, its x_star at 0, whose minimizer is drawn per replicate."""
 
     template: FunctionSpec
     x_star: UniformDist
 
     def __post_init__(self):
-        with_x_star(self.template, 0.0)  # ValueError when it has no x_star
+        if with_x_star(self.template, 0.0) != self.template:  # ValueError if no x_star
+            raise ValueError(f"a family's template needs x_star = 0, got {self.template}")
 
 
 AlgorithmSpec = BinarySearchSpec | SgdSpec
@@ -119,10 +122,7 @@ class ConstantEstimator:
     x_hat: float | str = MINIMIZER_MIDPOINT
 
     def __post_init__(self):
-        if not (self.x_hat == MINIMIZER_MIDPOINT if isinstance(self.x_hat, str)
-                else math.isfinite(self.x_hat)):
-            raise ValueError(f"x_hat must be finite or {MINIMIZER_MIDPOINT!r}, "
-                             f"got {self.x_hat!r}")
+        _check_number_or_word("x_hat", self.x_hat, MINIMIZER_MIDPOINT)
 
     @property
     def algorithm_id(self) -> str:
@@ -143,15 +143,11 @@ def check_run_inputs(replicates: int, sigma: float, master_seed: int,
     seeds a manifest can rerun, or a domain that is not finite with a < b."""
     if replicates < 1:
         raise FieldError("replicates", f"replicates must be >= 1, got {replicates}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise FieldError("sigma", f"sigma must be finite and >= 0, got {sigma}")
+    check_sigma(sigma)
     if not 0 <= master_seed < 2**64:
         raise FieldError("master_seed",
                          f"master_seed must fit in 64 unsigned bits, got {master_seed}")
-    a, b = domain
-    if not -math.inf < a < b < math.inf:
-        raise FieldError("initial_interval",
-                         f"domain must be finite with a < b, got [{a}, {b}]")
+    check_domain(domain)
 
 
 @dataclass(frozen=True)
@@ -174,8 +170,7 @@ class ExperimentConfig:
             raise FieldError("T_grid", "T_grid must be strictly increasing")
         if len(self.T_grid) == 0:
             raise FieldError("T_grid", "T_grid must be nonempty")
-        if self.T_grid[0] < 1:
-            raise FieldError("T_grid", f"budgets must be >= 1, got {self.T_grid[0]}")
+        check_budget(self.T_grid[0])
         if len(self.algorithms) == 0:
             raise FieldError("algorithms", "need at least one algorithm")
         if not all(isinstance(a, AlgorithmSpec) for a in self.algorithms):
@@ -481,16 +476,15 @@ def check_superefficiency_inputs(estimator, delta: float, T: int, sigma: float,
                                  replicates: int, master_seed: int,
                                  initial_interval: tuple[float, float] = (-2.0, 2.0)):
     """Raise ValueError for inputs ``superefficiency_experiment`` cannot run,
-    before anything is drawn: a delta outside (0, DELTA_MAX), a budget below
-    1 or past the float range, a run input that ``check_run_inputs``
-    refuses, a constant estimate outside the domain, or a budget too small
-    for a binary search's rounds."""
+    before anything is drawn: a delta outside (0, DELTA_MAX), a budget that
+    ``check_budget`` refuses or one past the float range, a run input that
+    ``check_run_inputs`` refuses, a constant estimate outside the domain, or
+    a budget too small for a binary search's rounds."""
     if not 0.0 < delta < DELTA_MAX:
         raise ValueError(
             f"delta must lie in (0, {DELTA_MAX:.6f}), got {delta}"
         )
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    check_budget(T)
     if T > sys.float_info.max:  # eps_T divides by T as a float
         raise ValueError(f"T must be at most {sys.float_info.max!r}")
     check_run_inputs(replicates, sigma, master_seed, initial_interval)

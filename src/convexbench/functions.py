@@ -17,15 +17,18 @@ rounded, and ``np.power`` returns that same value, so every output byte is
 unchanged (``tests/test_functions.py`` pins it).  Other powers are
 ``np.power`` ufunc calls, not ``**``: on a numpy scalar ``**`` takes the C
 library's ``pow``, which can differ from the array loop in the last bit.
+A level-set reader's domain needs a < b (``_check_ordered``; the whole line
+is allowed), a run's domain finite ends too (``check_domain``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FieldError
 
 __all__ = [
     "SymmetricPower",
@@ -40,6 +43,22 @@ __all__ = [
     "spec_id",
     "with_x_star",
 ]
+
+
+def _check_ordered(domain) -> tuple[float, float]:
+    a, b = float(domain[0]), float(domain[1])
+    if not a < b:
+        raise FieldError("initial_interval", f"domain must have a < b, got [{a}, {b}]")
+    return a, b
+
+
+def check_domain(domain) -> tuple[float, float]:
+    """The ends of a run's domain as floats; FieldError unless finite with a < b."""
+    a, b = float(domain[0]), float(domain[1])
+    if not -math.inf < a < b < math.inf:
+        raise FieldError("initial_interval",
+                         f"domain must be finite with a < b, got [{a}, {b}]")
+    return a, b
 
 
 def _check_finite(spec, *names):
@@ -254,8 +273,8 @@ def clamped_level_set(spec: FunctionSpec, s, domain: tuple[float, float]):
     slope of the spec, (inf, inf) above them.  Clamping collapses a set wholly
     outside the domain, or empty, onto the end where the subgradient comes
     nearest to s.  An array ``s`` gives (lo, hi) arrays equal to the scalar
-    calls, which return Python floats."""
-    a, b = domain
+    calls, which return Python floats.  The domain needs a < b."""
+    a, b = _check_ordered(domain)
     lo, hi = _level_set(spec, np.asarray(s, dtype=float))
     return _like(s, np.clip(lo, a, b)), _like(s, np.clip(hi, a, b))
 
@@ -270,22 +289,18 @@ def minimizer_interval(spec: FunctionSpec, domain: tuple[float, float], x_star=N
     """
     if x_star is None:
         return clamped_level_set(spec, 0.0, domain)
-    a, b = domain
+    a, b = _check_ordered(domain)
     lo, hi = _level_set(with_x_star(spec, 0.0), 0.0)
     return np.clip(x_star + lo, a, b), np.clip(x_star + hi, a, b)
 
 
 def with_x_star(spec: FunctionSpec, v: float) -> FunctionSpec:
     """Copy of ``spec`` with its minimizer location moved to ``v``."""
-    if isinstance(spec, SymmetricPower):
-        return SymmetricPower(spec.k, v)
-    if isinstance(spec, AsymmetricPower):
-        return AsymmetricPower(spec.k_l, spec.k_r, v)
-    if isinstance(spec, Absolute):
-        return Absolute(v)
     if isinstance(spec, Tilt):
         return Tilt(with_x_star(spec.base, v), spec.eps)
-    raise ValueError(f"{type(spec).__name__} has no x_star parameter")
+    if isinstance(spec, PiecewiseLinear):
+        raise ValueError(f"{type(spec).__name__} has no x_star parameter")
+    return replace(spec, x_star=v)
 
 
 def _fmt(v: float) -> str:
@@ -338,9 +353,7 @@ class ConvexFunction1D:
 
 
 def build_function(spec: FunctionSpec, domain: tuple[float, float]) -> ConvexFunction1D:
-    a, b = float(domain[0]), float(domain[1])
-    if not (a < b and np.isfinite([a, b]).all()):
-        raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
+    a, b = check_domain(domain)
     ml, mr = minimizer_interval(spec, (a, b))
     return ConvexFunction1D(spec=spec, domain=(a, b), minimizer_set=(float(ml), float(mr)))
 

@@ -1,35 +1,36 @@
 """Budgeted, seeded Gaussian first-order oracle.
 
-An oracle answers queries at points x with ``f'(x) + sigma * z`` where f'
-is the function's min-norm subgradient and z is a standard normal draw from
-a private stream.  The budget is enforced here, not trusted to the
-algorithms, so query accounting in experiments is trustworthy.
+An oracle answers queries at points x with ``f'(x) + sigma * z`` where f' is
+the function's min-norm subgradient and z is a standard normal draw from a
+private stream.  The budget is enforced here, not trusted to the algorithms,
+so query accounting in experiments is trustworthy.  Input rules have one
+owner each: ``check_sigma``, ``check_budget``, ``functions.check_domain``.
 
 There is one oracle, ``OracleBatch``: R independent replicates advanced in
-lockstep, replicate r answering from its own stream seeded by a pure
-function of (master_seed, replicate index) via ``numpy.random.SeedSequence``
-spawn keys, whose words ``replicate_seeds`` computes for a whole cell at
-once.  Sigma, budget, domain and NaN checks and noise draws live there only;
-a single run is the one-replicate batch.  A batch may also carry a functions
-axis: given a tuple of P specs it takes points of shape (P, R), and replicate
-r's one noise draw per query serves all P functions, function p adding its
-own f' at its own point (common random numbers: each function reads exactly
-what it would read in a batch of its own).  Step noise comes in chunks of at
-most ``CHUNK_VALUES`` values, whatever R: each replicate's next steps, drawn
+lockstep, replicate r answering from its own stream seeded by a pure function
+of (master_seed, replicate index) via ``numpy.random.SeedSequence`` spawn
+keys, whose words ``replicate_seeds`` computes for a whole cell at once.
+Noise draws and the checks of query points live there only; a single run is
+the one-replicate batch.  A batch may also carry a functions axis: given a
+tuple of P specs it takes points of shape (P, R), and replicate r's one noise
+draw per query serves all P functions, function p adding its own f' at its own
+point (common random numbers: each function reads exactly what it would read
+in a batch of its own).  Step noise comes in chunks of at most
+``CHUNK_VALUES`` values, whatever R: each replicate's next steps, drawn
 straight into its own row, so ``query_all`` reads a column.  Steps reserved by
 ``begin_steps`` must all be read before the batch draws anything else: a block
 read or another reservation before then is a ValueError, so no reading depends
 on the chunk size.  n-query block noise comes in tiles, one per reading
 thread, each of at most max(``TILE_VALUES``, n) values, or
 max(``TILE_VALUES``, 2n) when P > 1, which holds the noise and the readings of
-one function; so noise memory is bounded
-whatever the budget, replicates and functions, and block reads hold at most
-threads * max(``TILE_VALUES``, 2n) values.  Sigma scales each chunk or tile
-once as it is drawn.  Rows of at least ``THREAD_MIN_ROW`` queries are read on
-one thread per usable core (no more threads than replicates), each filling
-its own tile (numpy drops the GIL as it draws); results do not depend on the
-thread count or the tile size.  On two cores, two threads drew rows of 262
-values at 0.6x the speed of one, of 769 at 1.5x and of 2,048 at 1.7x.
+one function; so noise memory is bounded whatever the budget, replicates and
+functions, and block reads hold at most threads * max(``TILE_VALUES``, 2n)
+values.  Sigma scales each chunk or tile once as it is drawn.  Rows of at
+least ``THREAD_MIN_ROW`` queries are read on one thread per usable core (no
+more threads than replicates), each filling its own tile (numpy drops the GIL
+as it draws); results do not depend on the thread count or the tile size.  On
+two cores, two threads drew rows of 262 values at 0.6x the speed of one, of
+769 at 1.5x and of 2,048 at 1.7x.
 """
 from __future__ import annotations
 
@@ -41,14 +42,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .functions import FunctionSpec, subgrad_spec
+from .errors import BudgetError, DomainError, FieldError
+from .functions import FunctionSpec, check_domain, subgrad_spec
 
 if TYPE_CHECKING:
     from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "CHUNK_VALUES",
-           "TILE_VALUES", "THREAD_MIN_ROW", "usable_cores"]
+__all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "check_budget",
+           "check_sigma", "CHUNK_VALUES", "TILE_VALUES", "THREAD_MIN_ROW", "usable_cores"]
 
 # the most step-noise values (steps * replicates) one chunk of begin_steps
 # holds: 4 MiB.  At 2^18, fig2's 2,000 SGD replicates drew rows of 131 steps
@@ -75,6 +76,20 @@ def usable_cores() -> int:
     """The cores this process may run on: its CPU affinity, else the count."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def check_sigma(sigma: float) -> float:
+    """The noise level as a float; FieldError unless finite and >= 0."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise FieldError("sigma", f"sigma must be finite and >= 0, got {sigma}")
+    return float(sigma)
+
+
+def check_budget(budget) -> int:
+    """A query budget as an int; FieldError unless an integer >= 1."""
+    if not (budget >= 1 and budget % 1 == 0):  # false on NaN, inf and 2.5
+        raise FieldError("T_grid", f"budget must be an integer >= 1, got {budget}")
+    return int(budget)
 
 
 def replicate_seed(master_seed: int, *indices: int) -> np.random.SeedSequence:
@@ -192,15 +207,9 @@ class OracleBatch:
             x_star = np.asarray(x_star, dtype=float)
             if x_star.shape != self.shape:
                 raise ValueError(f"x_star needs shape {self.shape}, got {x_star.shape}")
-        a, b = self.domain = (float(domain[0]), float(domain[1]))
-        if not -math.inf < a < b < math.inf:
-            raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
-        self.sigma = float(sigma)
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-        if not (budget >= 1 and budget % 1 == 0):  # false on NaN, inf and 2.5
-            raise ValueError(f"budget must be an integer >= 1, got {budget}")
-        self.budget = int(budget)
+        self.domain = check_domain(domain)
+        self.sigma = check_sigma(sigma)
+        self.budget = check_budget(budget)
         self.queries_used = 0
         self._gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         x_rows = None if x_star is None else x_star.reshape(len(specs), -1)

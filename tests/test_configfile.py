@@ -21,6 +21,7 @@ from convexbench import (
     Tilt,
     UniformDist,
     epochs_schedule,
+    with_x_star,
 )
 from convexbench.configfile import (
     DEFAULT_T_GRID,
@@ -290,6 +291,18 @@ class TestFunctionErrors:
         assert info.value.line == line_of(text, "x_star_distribution")
         assert "x_star" in str(info.value)
 
+    @pytest.mark.parametrize("new", [
+        "kind = asym-power\nk_l = 1.5\nk_r = 3\nx_star = 0.7\n",
+        "kind = tilt\neps = 0.1\nbase_kind = sym-power\nbase_k = 2\nbase_x_star = 0.7\n",
+    ], ids=["asym-power", "tilt"])
+    def test_family_template_takes_no_x_star_but_0(self, new):
+        # the draw replaces the template's x_star: 0.7 would change only the id
+        text = CONFIG.replace("kind = asym-power\nk_l = 1.5\nk_r = 3\n", new)
+        with pytest.raises(ConfigError, match="template needs x_star = 0") as info:
+            parse_config(text)
+        assert info.value.line == line_of(text, "x_star_distribution")
+        parse_config(text.replace("0.7", "0.0"))  # the template at 0 is a family
+
 
 class TestInitialInterval:
     @pytest.mark.parametrize("interval", [(2.0, -2.0), (1.0, 1.0),
@@ -396,9 +409,11 @@ x_star_specs = st.one_of(
 )
 base_specs = st.one_of(x_star_specs, piecewise_linear())
 function_specs = st.one_of(base_specs, st.builds(Tilt, base_specs, finite))
+# a family's template has its minimizer at 0, which the draw replaces
+templates = x_star_specs.map(lambda s: with_x_star(s, 0.0))
 families = st.builds(
     FunctionFamily,
-    st.one_of(x_star_specs, st.builds(Tilt, x_star_specs, finite)),
+    st.one_of(templates, st.builds(Tilt, templates, finite)),
     ordered_pair().map(lambda p: UniformDist(*p)),
 )
 algorithm_specs = st.one_of(

@@ -41,8 +41,10 @@ from convexbench import (
     Tilt,
     UniformDist,
     build_function,
+    epochs_schedule,
     estimate_risk,
     estimate_risks,
+    flat_set_diagnostics,
     modulus_analytic,
     modulus_numeric,
     replicate_seed,
@@ -60,6 +62,7 @@ from convexbench.experiments import (
     replicate_runs,
 )
 from convexbench.modulus import _BISECTION_TOL
+from convexbench.oracle import replicate_seeds
 
 INTERVAL = (-2.0, 2.0)
 SIGMA = 0.1
@@ -124,14 +127,19 @@ def scalar_row(config, a, t):
 
 
 uniform_laws = ordered_pairs.map(lambda p: UniformDist(*p))
+# a family's template has its minimizer at 0, which the draw replaces
+templates = {kind: specs.map(lambda s: with_x_star(s, 0.0))
+             for kind, specs in X_STAR_SPECS.items()}
 # every catalog kind, as fixed specs and as families whose minimizer law is
 # random too; a piecewise-linear spec has no x_star, so no family
-RANDOM_FUNCTIONS = {kind: st.one_of(specs, st.builds(FunctionFamily, specs, uniform_laws))
+RANDOM_FUNCTIONS = {kind: st.one_of(specs, st.builds(FunctionFamily, templates[kind],
+                                                     uniform_laws))
                     for kind, specs in X_STAR_SPECS.items()}
 RANDOM_FUNCTIONS["piecewise-linear"] = piecewise_linears()
 RANDOM_FUNCTIONS["tilt"] = st.one_of(
     st.builds(Tilt, st.one_of(x_star_specs, piecewise_linears()), tilt_sizes),
-    st.builds(FunctionFamily, st.builds(Tilt, x_star_specs, tilt_sizes), uniform_laws))
+    st.builds(FunctionFamily, st.builds(Tilt, st.one_of(*templates.values()), tilt_sizes),
+              uniform_laws))
 # a unit's algorithms: one binary search, or a budget group of one to three
 # SGD specs
 random_units = st.one_of(
@@ -512,26 +520,54 @@ def test_experiment_counts_must_be_integers(field, value):
     assert info.value.field == field
 
 
+# run inputs that every door takes, by the field a refusal names; "T_grid" is
+# the one budget a door runs
+GOOD_RUN_INPUTS = dict(replicates=3, sigma=0.1, master_seed=1, initial_interval=(-1.0, 1.0),
+                       T_grid=100)
+RUN = ("replicates", "sigma", "master_seed", "initial_interval")
+# every door a run input passes: (the fields it reads, a call on the inputs)
+RUN_INPUT_DOORS = {
+    "check_run_inputs": (RUN, lambda i: check_run_inputs(*(i[k] for k in RUN))),
+    "ExperimentConfig": (RUN, lambda i: ExperimentConfig(
+        SymmetricPower(2.0), (BinarySearchSpec(r=1.5),), (100,), *(i[k] for k in RUN))),
+    "check_superefficiency_inputs": ((*RUN, "T_grid"), lambda i: check_superefficiency_inputs(
+        BinarySearchSpec(r=1.5), 0.05, i["T_grid"], i["sigma"], i["replicates"],
+        i["master_seed"], i["initial_interval"])),
+    "superefficiency_experiment": ((*RUN, "T_grid"), lambda i: superefficiency_experiment(
+        SymmetricPower(2.0), ConstantEstimator(), 0.05, i["T_grid"], i["sigma"],
+        i["replicates"], i["master_seed"], i["initial_interval"])),
+    "OracleBatch": (("sigma", "initial_interval", "T_grid"), lambda i: OracleBatch(
+        SymmetricPower(2.0), None, i["initial_interval"], i["sigma"], i["T_grid"],
+        replicate_seeds(1, (), 1, 1))),
+    "build_function": (("initial_interval",),
+                       lambda i: build_function(SymmetricPower(2.0), i["initial_interval"])),
+    "flat_set_diagnostics": (
+        ("sigma", "initial_interval", "T_grid"),
+        lambda i: flat_set_diagnostics(SymmetricPower(2.0), i["initial_interval"], i["T_grid"],
+                                       BinarySearchSpec(1.5), i["sigma"], 0.05)),
+    "epochs_schedule": (("T_grid",), lambda i: epochs_schedule(i["T_grid"], 1.5)),
+}
+
+
 @pytest.mark.parametrize("field, value", [
     ("replicates", 0), ("sigma", -1.0), ("sigma", float("nan")), ("master_seed", -1),
     ("master_seed", 2**64), ("initial_interval", (1.0, 1.0)),
     ("initial_interval", (0.0, math.inf)), ("initial_interval", (float("nan"), 1.0)),
+    ("T_grid", 2.5), ("T_grid", 1000.5), ("T_grid", 0),
 ], ids=["replicates-0", "sigma-negative", "sigma-nan", "seed-negative", "seed-2^64",
-        "domain-empty", "domain-infinite", "domain-nan"])
+        "domain-empty", "domain-infinite", "domain-nan", "budget-2.5", "budget-1000.5",
+        "budget-0"])
 def test_run_inputs_are_refused_alike_by_experiments_and_superefficiency(field, value):
-    # one check serves both: the same field and message from each caller
-    good = dict(replicates=3, sigma=0.1, master_seed=1, initial_interval=(-1.0, 1.0))
-    inputs = good | {field: value}
-    with pytest.raises(FieldError) as direct:
-        check_run_inputs(inputs["replicates"], inputs["sigma"], inputs["master_seed"],
-                         inputs["initial_interval"])
-    assert direct.value.field == field
-    with pytest.raises(FieldError) as config:
-        ExperimentConfig(SymmetricPower(2.0), (BinarySearchSpec(r=1.5),), (100,), **inputs)
-    with pytest.raises(FieldError) as report:
-        check_superefficiency_inputs(BinarySearchSpec(r=1.5), 0.05, 100, **inputs)
-    for caught in (config, report):
-        assert (caught.value.field, str(caught.value)) == (field, str(direct.value))
+    # one owner per rule serves every door: the same field and message from each
+    for reads, door in RUN_INPUT_DOORS.values():
+        door(GOOD_RUN_INPUTS)  # the good inputs pass
+    refusals = set()
+    doors = [door for reads, door in RUN_INPUT_DOORS.values() if field in reads]
+    for door in doors:
+        with pytest.raises(FieldError) as info:
+            door(GOOD_RUN_INPUTS | {field: value})
+        refusals.add((info.value.field, str(info.value)))
+    assert len(doors) >= 3 and len(refusals) == 1 and refusals.pop()[0] == field
 
 
 def test_experiment_binary_search_rounds_must_fit_one_block_read():

@@ -480,6 +480,22 @@ CURVATURE_CASES = {
 }
 
 
+@pytest.mark.parametrize("domain", [(1.0, -1.0), (0.5, 0.5), (math.nan, 1.0),
+                                    (np.inf, -np.inf)],
+                         ids=["reversed", "empty", "nan", "reversed-line"])
+def test_level_set_readers_refuse_a_domain_without_a_below_b(domain):
+    # a reversed domain read a modulus of 0.0 and a minimizer interval at b;
+    # the whole line (LINE) stays allowed
+    spec = SymmetricPower(2.0)
+    reads = [lambda: clamped_level_set(spec, 0.1, domain),
+             lambda: minimizer_interval(spec, domain),
+             lambda: minimizer_interval(spec, domain, np.zeros(3)),
+             lambda: modulus_analytic(spec, 0.1, domain)]
+    for read in reads:
+        with pytest.raises(ValueError, match=r"domain must have a < b, got \["):
+            read()
+
+
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-4, 1e-6])
 @pytest.mark.parametrize("spec, x_f, f2, f3", CURVATURE_CASES.values(),
                          ids=CURVATURE_CASES)
@@ -498,6 +514,40 @@ def test_modulus_is_epsilon_over_the_curvature(spec, x_f, f2, f3, epsilon):
     assert minimizer_interval(spec, D11) == pytest.approx((x_f, x_f), abs=1e-15)
     omega = modulus_analytic(spec, epsilon, D11)
     assert abs(omega * f2 / epsilon - 1.0) <= abs(f3) * epsilon / f2**2
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(asym=st.booleans(), ks=st.tuples(*[st.one_of(st.sampled_from([1.5, 2.0, 3.0]),
+                                                  st.floats(1.25, 4.0))] * 2),
+       e=st.floats(1e-3, 4.0), e_sign=st.sampled_from([-1.0, 1.0]), c=st.floats(1e-8, 1e-4))
+def test_modulus_is_epsilon_over_the_curvature_at_random_tilts(asym, ks, e, e_sign, c):
+    """The limit above over random C^2 minimizers: a tilt e != 0 of a power
+    moves the minimizer to x_f = -sign(e) |e|^(1/(k-1)), k the exponent on
+    the side e selects, where f'' = (k-1) |x_f|^(k-2) and f''' = (k-1)(k-2)
+    sign(x_f) |x_f|^(k-3).  eps = c f'' |x_f| keeps eps / f'' <= 1e-4 |x_f|,
+    so the flat set stays off the power's kink at 0.
+
+    Bound, fixed before the first run: |omega f'' / eps - 1| <= |f'''| eps /
+    f''^2 + 16 (1 + 1/(k-1)) 2^-52 (1 + |x_f| f'' / eps).  The first term
+    is twice the leading term of the expansion; the next one is smaller by a
+    factor of order (k-1) eps / (f'' |x_f|) <= 3e-4.  The second is rounding:
+    each flat-set end and the minimizer is the root |s - e|^(1/(k-1)) of a
+    rounded difference, off by at most (1/(k-1) + 1) ulps of |x_f|, and the
+    test's own f'' and products add a few ulps; 16 leaves four times that.
+    At k = 2, f''' vanishes and only rounding remains.
+    """
+    e *= e_sign
+    k_l, k_r = ks
+    spec = AsymmetricPower(k_l, k_r) if asym else SymmetricPower(k_l)
+    k = k_l if e > 0 or not asym else k_r
+    x_f = -math.copysign(abs(e) ** (1.0 / (k - 1.0)), e)
+    f2 = (k - 1.0) * abs(x_f) ** (k - 2.0)
+    f3 = (k - 1.0) * abs(k - 2.0) * abs(x_f) ** (k - 3.0)
+    eps = c * f2 * abs(x_f)
+    assert minimizer_interval(Tilt(spec, e), LINE) == pytest.approx((x_f, x_f), rel=1e-14)
+    omega = modulus_analytic(Tilt(spec, e), eps, LINE)
+    rounding = 16.0 * (1.0 + 1.0 / (k - 1.0)) * 2.0**-52 * (1.0 + abs(x_f) * f2 / eps)
+    assert abs(omega * f2 / eps - 1.0) <= f3 * eps / f2**2 + rounding
 
 
 # sqrt(2/pi): the mean of |Z| for a standard normal Z
