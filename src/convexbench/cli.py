@@ -60,7 +60,6 @@ from .experiments import (
     SgdSpec,
     SuperefficiencyReport,
     UniformDist,
-    check_superefficiency_inputs,
     estimate_risk,
     estimate_risks,
     function_id,
@@ -433,11 +432,6 @@ def cmd_superefficiency(parser, args) -> int:
     domain = _parse_domain(parser, args.domain)
     try:
         estimator = parse_algorithm(args.estimator, ESTIMATOR_KINDS)
-        check_superefficiency_inputs(estimator, args.delta, args.T, args.sigma,
-                                     args.replicates, args.seed, domain)
-        # the directory before the run, and only once the inputs are known good
-        if args.out and not _make_dirs(Path(args.out)):
-            return EXIT_USAGE
         report = superefficiency_experiment(
             spec,
             estimator,
@@ -450,6 +444,9 @@ def cmd_superefficiency(parser, args) -> int:
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    # the directory once the experiment, which checks its inputs, has run
+    if args.out and not _make_dirs(Path(args.out)):
         return EXIT_USAGE
     text = superefficiency_csv_text(report)
     sys.stdout.write(text)

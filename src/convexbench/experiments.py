@@ -63,7 +63,8 @@ from .functions import (
     with_x_star,
 )
 from .modulus import modulus_analytic, modulus_numeric
-from .oracle import OracleBatch, check_budget, check_sigma, replicate_seeds
+from .oracle import (OracleBatch, check_budget, check_replicates, check_sigma,
+                     replicate_seeds)
 
 __all__ = [
     "UniformDist",
@@ -141,8 +142,7 @@ def check_run_inputs(replicates: int, sigma: float, master_seed: int,
     """Raise FieldError, a ValueError, for a run input out of range: no
     replicate, a sigma not finite and >= 0, a master_seed outside the 64-bit
     seeds a manifest can rerun, or a domain that is not finite with a < b."""
-    if replicates < 1:
-        raise FieldError("replicates", f"replicates must be >= 1, got {replicates}")
+    check_replicates(replicates)
     check_sigma(sigma)
     if not 0 <= master_seed < 2**64:
         raise FieldError("master_seed",
@@ -294,8 +294,7 @@ def replicate_runs(
     families with fixed specs.
     """
     search = len(algs) == 1 and isinstance(algs[0], BinarySearchSpec)
-    if replicates < 1:
-        raise ValueError(f"need at least one replicate, got {replicates}")
+    check_replicates(replicates)
     if not functions:
         raise ValueError("need at least one function")
     if not (search or algs and all(isinstance(a, SgdSpec) for a in algs)):

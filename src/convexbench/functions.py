@@ -19,6 +19,15 @@ unchanged (``tests/test_functions.py`` pins it).  Other powers are
 library's ``pow``, which can differ from the array loop in the last bit.
 A level-set reader's domain needs a < b (``_check_ordered``; the whole line
 is allowed), a run's domain finite ends too (``check_domain``).
+
+A power spec's slope is one formula, ``power_slope``, of the shift u = x -
+x_star and the exponents (e_l, e_r) of ``power_terms``: sign(u) |u|^e when
+e_l = e_r = e, else max(u, 0)^e_r - (-min(u, 0))^e_l.  Each form keeps the
+bits of -|u|^e_l left of the minimizer and |u|^e_r right of it: the
+symmetric forms are correctly rounded and odd; in the other, the side that u
+is not on reads a zero, and y - 0 = y and 0 - y = -y exactly; ``+ 0.0`` then
+clears a zero's sign.  ``subgrad_spec`` and the oracle's functions-axis
+kernel both call it.
 """
 from __future__ import annotations
 
@@ -170,14 +179,30 @@ def _power(au, e: float):
     return np.sqrt(au) if e == 0.5 else np.power(au, e)
 
 
-def _signed_power(u, e: float):
-    """sign(u) |u|^e, a zero's sign aside: u |u| when e = 2, else ``_power``
-    with the sign of u copied on."""
-    if e == 1.0:
-        return u
-    if e == 2.0:
-        return u * np.abs(u)
-    return np.copysign(_power(np.abs(u), e), u)
+def power_terms(spec: FunctionSpec) -> tuple[float, float, float, float] | None:
+    """(x_star, e_l, e_r, eps) of a power spec or its tilt, whose min-norm
+    subgradient at x is power_slope(x - x_star, e_l, e_r) + eps + 0.0, the
+    exponents k - 1 left and right of the minimizer; None for other kinds."""
+    base, eps = (spec.base, spec.eps) if isinstance(spec, Tilt) else (spec, 0.0)
+    if isinstance(base, SymmetricPower):
+        return base.x_star, base.k - 1.0, base.k - 1.0, eps
+    if isinstance(base, AsymmetricPower):
+        return base.x_star, base.k_l - 1.0, base.k_r - 1.0, eps
+    return None
+
+
+def power_slope(u, e_l: float, e_r: float, out=None):
+    """The slope of a power spec at the shift u = x - x_star, the one power
+    formula (see the module docstring), written into ``out`` when it is
+    given; ``out`` may be u.  A zero's sign is left for ``+ 0.0``."""
+    if e_l != e_r:
+        right = _power(np.maximum(u, 0.0), e_r)
+        return np.subtract(right, _power(-np.minimum(u, 0.0), e_l), out=out)
+    if e_l == 1.0:
+        return np.positive(u, out=out)
+    if e_l == 2.0:
+        return np.multiply(u, np.abs(u), out=out)
+    return np.copysign(_power(np.abs(u), e_l), u, out=out)
 
 
 def subdiff_interval(spec: FunctionSpec, x, x_star=None):
@@ -203,14 +228,11 @@ def subdiff_interval(spec: FunctionSpec, x, x_star=None):
     if not isinstance(spec, (SymmetricPower, AsymmetricPower, Absolute)):
         raise TypeError(f"unknown spec type {type(spec)!r}")
     u = np.asarray(x) - (spec.x_star if x_star is None else x_star)
-    if isinstance(spec, SymmetricPower):
-        v = _signed_power(u, spec.k - 1.0)
-        return v, v
-    if isinstance(spec, AsymmetricPower):
-        au = np.abs(u)
-        v = np.where(u < 0, -_power(au, spec.k_l - 1.0), _power(au, spec.k_r - 1.0))
-        return v, v
-    return np.where(u > 0, 1.0, -1.0), np.where(u < 0, -1.0, 1.0)  # Absolute
+    if isinstance(spec, Absolute):
+        return np.where(u > 0, 1.0, -1.0), np.where(u < 0, -1.0, 1.0)
+    _, e_l, e_r, _ = power_terms(spec)
+    v = power_slope(u, e_l, e_r)
+    return v, v
 
 
 def subgrad_spec(spec: FunctionSpec, x, x_star=None, out=None):

@@ -4,7 +4,8 @@ An oracle answers queries at points x with ``f'(x) + sigma * z`` where f' is
 the function's min-norm subgradient and z is a standard normal draw from a
 private stream.  The budget is enforced here, not trusted to the algorithms,
 so query accounting in experiments is trustworthy.  Input rules have one
-owner each: ``check_sigma``, ``check_budget``, ``functions.check_domain``.
+owner each: ``check_replicates``, ``check_sigma``, ``check_budget``,
+``functions.check_domain``.
 
 There is one oracle, ``OracleBatch``: R independent replicates advanced in
 lockstep, replicate r answering from its own stream seeded by a pure function
@@ -15,22 +16,26 @@ the one-replicate batch.  A batch may also carry a functions axis: given a
 tuple of P specs it takes points of shape (P, R), and replicate r's one noise
 draw per query serves all P functions, function p adding its own f' at its own
 point (common random numbers: each function reads exactly what it would read
-in a batch of its own).  Step noise comes in chunks of at most
-``CHUNK_VALUES`` values, whatever R: each replicate's next steps, drawn
-straight into its own row, so ``query_all`` reads a column.  Steps reserved by
-``begin_steps`` must all be read before the batch draws anything else: a block
-read or another reservation before then is a ValueError, so no reading depends
-on the chunk size.  n-query block noise comes in tiles, one per reading
-thread, each of at most max(``TILE_VALUES``, n) values, or
-max(``TILE_VALUES``, 2n) when P > 1, which holds the noise and the readings of
-one function; so noise memory is bounded whatever the budget, replicates and
-functions, and block reads hold at most threads * max(``TILE_VALUES``, 2n)
-values.  Sigma scales each chunk or tile once as it is drawn.  Rows of at
-least ``THREAD_MIN_ROW`` queries are read on one thread per usable core (no
-more threads than replicates), each filling its own tile (numpy drops the GIL
-as it draws); results do not depend on the thread count or the tile size.  On
-two cores, two threads drew rows of 262 values at 0.6x the speed of one, of
-769 at 1.5x and of 2,048 at 1.7x.
+in a batch of its own).  The P subgradients are one pass over the functions
+axis: the shifts x - x_star of all rows at once, one ``functions.power_slope``
+call per power row, ``subgrad_spec`` per row of another kind, and one add of
+the tilts and ``+ 0.0``, bit for bit ``subgrad_spec`` row by row.  Step noise
+comes in chunks of at most ``CHUNK_VALUES`` values (2^18, 2 MiB), whatever R:
+each replicate's next steps, drawn straight into its own row by one
+``standard_normal`` call (0.66 us plus 13.4 ns a value), so ``query_all``
+reads a column.  Steps reserved by ``begin_steps`` must all be read before the
+batch draws anything else: a block read or another reservation before then is
+a ValueError, so no reading depends on the chunk size.  n-query block noise
+comes in tiles, one per reading thread, each of at most max(``TILE_VALUES``,
+n) values, or max(``TILE_VALUES``, 2n) when P > 1, which holds the noise and
+the readings of one function; so noise memory is bounded whatever the budget,
+replicates and functions, and block reads hold at most threads *
+max(``TILE_VALUES``, 2n) values.  Sigma scales each chunk or tile once as it
+is drawn.  Rows of at least ``THREAD_MIN_ROW`` queries are read on one thread
+per usable core (no more threads than replicates), each filling its own tile
+(numpy drops the GIL as it draws); results do not depend on the thread count
+or the tile size.  On two cores, two threads drew rows of 262 values at 0.6x
+the speed of one, of 769 at 1.5x and of 2,048 at 1.7x.
 """
 from __future__ import annotations
 
@@ -43,21 +48,25 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BudgetError, DomainError, FieldError
-from .functions import FunctionSpec, check_domain, subgrad_spec
+from .functions import FunctionSpec, check_domain, power_slope, power_terms, subgrad_spec
 
 if TYPE_CHECKING:
     from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["OracleBatch", "replicate_seed", "replicate_seeds", "check_budget",
-           "check_sigma", "CHUNK_VALUES", "TILE_VALUES", "THREAD_MIN_ROW", "usable_cores"]
+           "check_replicates", "check_sigma", "CHUNK_VALUES", "TILE_VALUES",
+           "THREAD_MIN_ROW", "usable_cores"]
 
 # the most step-noise values (steps * replicates) one chunk of begin_steps
-# holds: 4 MiB.  At 2^18, fig2's 2,000 SGD replicates drew rows of 131 steps
-# at 18.4 ns a value against 16.0 ns at 262 steps (2-core x86_64 host)
-CHUNK_VALUES = 2**19
+# holds: 2 MiB, so fig2's 2,000 SGD replicates draw rows of 131 steps.  Each
+# standard_normal call costs 0.66 us plus 13.4 ns a value, so against 2^19
+# (rows of 262 steps, 4 MiB) the half chunk adds about 0.09 s over fig2's 37 M
+# step draws, which the one-pass power kernel of _subgrads more than repays
+# (2-core x86_64 host)
+CHUNK_VALUES = 2**18
 # the most values one thread's block tile holds (its noise and, when P > 1,
 # one function's readings) unless one row is longer: 512 KiB, well inside a
-# core's 2 MiB L2.  Against one 4 MiB tile of CHUNK_VALUES shared by the
+# core's 2 MiB L2.  Against one 4 MiB tile of 2^19 values shared by the
 # threads, bisect-deep's rows drew no slower at 2^15, 2^16 or 2^17 (2-core
 # x86_64 host).  Step chunks keep CHUNK_VALUES: at fig2's 2,000 SGD
 # replicates, 2^16 values make rows of 32 steps, drawn at 34 ns a value
@@ -83,6 +92,13 @@ def check_sigma(sigma: float) -> float:
     if not (math.isfinite(sigma) and sigma >= 0):
         raise FieldError("sigma", f"sigma must be finite and >= 0, got {sigma}")
     return float(sigma)
+
+
+def check_replicates(replicates: int) -> int:
+    """The replicate count; FieldError unless it is at least 1."""
+    if replicates < 1:
+        raise FieldError("replicates", f"replicates must be >= 1, got {replicates}")
+    return replicates
 
 
 def check_budget(budget) -> int:
@@ -165,14 +181,40 @@ def replicate_seeds(master_seed: int, key: tuple[int, ...], replicates: int,
     return list(map(partial(_replicate_seed_type(), words), range(replicates)))
 
 
-def _subgrads(specs: tuple[FunctionSpec, ...], x_star: np.ndarray | None,
-              x: np.ndarray) -> np.ndarray:
-    """Row p: spec p's min-norm subgradient at row p of x, its minimizer moved
-    to row p of x_star when x_star is given.  Each ``subgrad_spec`` call
-    writes its row straight into one new (P, R) array, which is returned."""
-    g = np.empty_like(x)
+def _plan(specs: tuple[FunctionSpec, ...]):
+    """What ``_subgrads`` reads of the specs: a (P, 1) column of their fixed
+    minimizers and one of eps + 0.0 per power spec or its tilt (0.0 in any
+    other row), the power rows (p, e_l, e_r) and the other rows (p, spec)."""
+    x_col, tilt = np.zeros((len(specs), 1)), np.zeros((len(specs), 1))
+    powers, others = [], []
     for p, spec in enumerate(specs):
+        terms = power_terms(spec)
+        if terms is None:
+            others.append((p, spec))
+        else:
+            x_star, e_l, e_r, eps = terms
+            x_col[p], tilt[p] = x_star, eps + 0.0
+            powers.append((p, e_l, e_r))
+    return x_col, tilt, powers, others
+
+
+def _subgrads(plan, x_star: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """Row p: spec p's min-norm subgradient at row p of x, its minimizer moved
+    to row p of x_star when x_star is given, in one new (P, R) array.
+
+    The shifts u = x - x_star of every row are formed at once, from x_star or
+    the plan's column of fixed minimizers; each power row's slope is written
+    over its shifts, each other row by ``subgrad_spec``.  One add of the tilt
+    column then tilts the power rows and maps their -0.0 to 0.0, as
+    ``subgrad_spec``'s ``+ 0.0`` does: (v + eps) + 0.0 = v + (eps + 0.0).
+    """
+    x_col, tilt, powers, others = plan
+    g = np.subtract(x, x_col if x_star is None else x_star)
+    for p, e_l, e_r in powers:
+        power_slope(g[p], e_l, e_r, out=g[p])
+    for p, spec in others:
         subgrad_spec(spec, x[p], None if x_star is None else x_star[p], out=g[p])
+    g += tilt
     return g
 
 
@@ -199,9 +241,7 @@ class OracleBatch:
     ):
         many = isinstance(spec, tuple)
         specs = spec if many else (spec,)
-        self.n_replicates = len(seeds)
-        if self.n_replicates == 0:
-            raise ValueError("need at least one seed, one per replicate")
+        self.n_replicates = check_replicates(len(seeds))  # one seed per replicate
         self.shape = (len(specs), self.n_replicates) if many else (self.n_replicates,)
         if x_star is not None:
             x_star = np.asarray(x_star, dtype=float)
@@ -214,7 +254,7 @@ class OracleBatch:
         self._gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         x_rows = None if x_star is None else x_star.reshape(len(specs), -1)
         # a module function, not a method: the batch holds no reference to itself
-        self._subgrad = partial(_subgrads, specs, x_rows)
+        self._subgrad = partial(_subgrads, _plan(specs), x_rows)
         self._steps = np.empty((self.n_replicates, 0))  # drawn step noise, (R, chunk)
         self._step_pos = 0  # next unread column of _steps
         self._reserved = 0  # steps reserved by begin_steps and not read yet

@@ -373,7 +373,7 @@ class TestAdaptersOnOneReplicate:
         f = build_function(SymmetricPower(k=2.0), (-2.0, 2.0))
         seeds = replicate_seeds(1, (), R, 1)
         if R == 0:  # a batch of no replicates is refused as it is built
-            with pytest.raises(ValueError, match="at least one seed"):
+            with pytest.raises(ValueError, match="replicates must be >= 1"):
                 OracleBatch(f.spec, None, f.domain, 0.1, 100, seeds)
             return
         batch = OracleBatch(f.spec, None, f.domain, 0.1, 100, seeds)

@@ -21,6 +21,7 @@ from convexbench import (
     Tilt,
     build_function,
     cli,
+    experiments,
     oracle,
     sample_modulus_curve,
     superefficiency_experiment,
@@ -164,18 +165,40 @@ SUPEREFFICIENCY = ["superefficiency", "--fn", "sym-power", "--k", "2", "--delta"
                    "--replicates", "2", "--T", "100"]
 
 
-def test_superefficiency_unusable_output_directory_fails_before_the_run(tmp_path,
-                                                                       monkeypatch, capsys):
-    def no_run(*args, **kwargs):
-        raise AssertionError("the report was computed")
+def test_superefficiency_unusable_output_directory_fails_after_the_run(tmp_path,
+                                                                      monkeypatch, capsys):
+    # the directory is made once the report is computed: exit 2, an error
+    # line, nothing on stdout and no file
+    runs = []
 
-    monkeypatch.setattr(cli, "superefficiency_experiment", no_run)
+    def run(*args, **kwargs):
+        runs.append(args)
+        return superefficiency_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "superefficiency_experiment", run)
     (tmp_path / "file").write_text("")
     blocked = tmp_path / "file" / "sub"
     assert cli.main([*SUPEREFFICIENCY, "--out", str(blocked)]) == cli.EXIT_USAGE
+    assert len(runs) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot create {blocked}: ")
     assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_superefficiency_checks_its_inputs_once(tmp_path, monkeypatch, capsys):
+    # check_superefficiency_inputs calls check_run_inputs once: one call of
+    # the latter is one check of every input
+    calls = []
+    check = experiments.check_run_inputs
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(experiments, "check_run_inputs", counting)
+    assert cli.main([*SUPEREFFICIENCY, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(calls) == 1 and (tmp_path / "out" / "superefficiency.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scalar_reference as ref
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from random_specs import (
     X_STAR_SPECS,
@@ -88,6 +88,12 @@ SEEDINGS = {
     "seed-2^128+1": (2**128 + 1, KEY),
     "key-2^32+7": (SEED, (2**32 + 7, 2)),
 }
+
+
+# hypothesis's phases but shrink and explain: a property that runs the scalar
+# reference on every example reports its first failing example as drawn,
+# where shrinking it took minutes
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def scalar_run(function, alg, T, rep, seed=SEED, key=KEY, interval=INTERVAL):
@@ -186,7 +192,7 @@ class TestReplicateRuns:
         assert np.array_equal(estimates, [w[0] for w in want])
 
     @pytest.mark.parametrize("functions", RANDOM_FUNCTIONS.values(), ids=RANDOM_FUNCTIONS)
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(derandomize=True, max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_random_units_match_scalar_sessions_bitwise(self, functions, data):
         # bound, fixed before the first run: exact equality (==) of every
@@ -399,9 +405,9 @@ def unit(functions=(FAMILIES["sym-k1.5"],), algs=(SgdSpec("1/t"),), replicates=R
 
 BS, SGD_PAIR = BinarySearchSpec(r=1.5), (SgdSpec("1/t"), SgdSpec("1/sqrt(t)"))
 MALFORMED_UNITS = {
-    "no-replicate": (unit(replicates=0), "need at least one replicate, got 0"),
+    "no-replicate": (unit(replicates=0), "replicates must be >= 1, got 0"),
     "no-replicate-fixed": (unit((SymmetricPower(2.0),), (BS,), 0),
-                           "need at least one replicate, got 0"),
+                           "replicates must be >= 1, got 0"),
     "no-function": (unit(functions=()), "need at least one function"),
     "one-key-two-specs": (unit(algs=SGD_PAIR), "need one cell key per spec, got 1 for 2"),
     "sgd-and-search": (unit(algs=(SGD_PAIR[0], BS), keys=(KEY, (2, 2))),
@@ -413,7 +419,7 @@ MALFORMED_UNITS = {
     "no-algorithm": (unit(algs=(), keys=()), "SgdSpecs only, got []"),
     "batch-without-seeds": (partial(OracleBatch, SymmetricPower(2.0), None, (-1.0, 1.0),
                                     SIGMA, 5000, []),
-                            "need at least one seed, one per replicate"),
+                            "replicates must be >= 1, got 0"),
 }
 
 
@@ -525,6 +531,7 @@ def test_experiment_counts_must_be_integers(field, value):
 GOOD_RUN_INPUTS = dict(replicates=3, sigma=0.1, master_seed=1, initial_interval=(-1.0, 1.0),
                        T_grid=100)
 RUN = ("replicates", "sigma", "master_seed", "initial_interval")
+BATCH = ("replicates", "sigma", "initial_interval")  # the run inputs a batch reads
 # every door a run input passes: (the fields it reads, a call on the inputs)
 RUN_INPUT_DOORS = {
     "check_run_inputs": (RUN, lambda i: check_run_inputs(*(i[k] for k in RUN))),
@@ -536,9 +543,12 @@ RUN_INPUT_DOORS = {
     "superefficiency_experiment": ((*RUN, "T_grid"), lambda i: superefficiency_experiment(
         SymmetricPower(2.0), ConstantEstimator(), 0.05, i["T_grid"], i["sigma"],
         i["replicates"], i["master_seed"], i["initial_interval"])),
-    "OracleBatch": (("sigma", "initial_interval", "T_grid"), lambda i: OracleBatch(
+    "OracleBatch": ((*BATCH, "T_grid"), lambda i: OracleBatch(
         SymmetricPower(2.0), None, i["initial_interval"], i["sigma"], i["T_grid"],
-        replicate_seeds(1, (), 1, 1))),
+        replicate_seeds(1, (), i["replicates"], 1))),
+    "replicate_runs": ((*BATCH, "T_grid"), lambda i: replicate_runs(
+        (SymmetricPower(2.0),), i["initial_interval"], i["sigma"], i["T_grid"],
+        (BinarySearchSpec(r=1.5),), i["replicates"], i["master_seed"], ((0, 0),))),
     "build_function": (("initial_interval",),
                        lambda i: build_function(SymmetricPower(2.0), i["initial_interval"])),
     "flat_set_diagnostics": (

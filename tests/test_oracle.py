@@ -34,6 +34,7 @@ from convexbench import (
 )
 from convexbench import oracle
 from convexbench.experiments import replicate_runs
+from convexbench.functions import subgrad_spec
 from convexbench.oracle import CHUNK_VALUES, replicate_seeds
 from one_replicate import one_replicate, query
 
@@ -579,6 +580,63 @@ def test_random_function_batches_equal_one_function_batches(data):
             assert states == joint_states
 
 
+# points and minimizers: at x_star = +0.0 the shift u = x - x_star is x, so
+# u runs over zeros of both signs (-0.0 - 0.0 is -0.0), subnormals and
+# magnitudes whose powers overflow
+KERNEL_POINTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2e-308,
+                                 1e-300, -1e-160, 1e300, -1e300]) | st.floats(-3.0, 3.0)
+KERNEL_MINIMIZERS = st.sampled_from([0.0, 0.0, -0.0, 5e-324, 0.5]) | st.floats(-2.0, 2.0)
+# k - 1 outside {1/2, 1, 2} takes np.power, inside it one exact operation
+KERNEL_K = st.floats(1.05, 4.5) | st.sampled_from([1.5, 2.0, 3.0])
+
+
+@st.composite
+def kernel_specs(draw, moved):
+    """A power spec, k_l = k_r at times, an Absolute or (at fixed minimizers
+    only) a PiecewiseLinear, tilted at times, eps = -0.0 among the tilts."""
+    kinds = ["sym", "asym", "asym-equal", "absolute"] + ([] if moved else ["pl"])
+    kind = draw(st.sampled_from(kinds))
+    x_star = draw(KERNEL_MINIMIZERS)
+    if kind == "sym":
+        spec = SymmetricPower(draw(KERNEL_K), x_star)
+    elif kind.startswith("asym"):
+        k_l = draw(KERNEL_K)
+        spec = AsymmetricPower(k_l, k_l if kind == "asym-equal" else draw(KERNEL_K), x_star)
+    elif kind == "absolute":
+        spec = Absolute(x_star)
+    else:
+        spec = draw(piecewise_linears())
+    eps = draw(st.sampled_from([None, 0.0, -0.0, -0.0, 0.25, -5e-324, -1e300]) | tilt_sizes)
+    return spec if eps is None else Tilt(spec, eps)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_power_kernel_readings_equal_per_row_subgradients_bit_for_bit(data):
+    # the functions-axis kernel against one subgrad_spec call per row: at
+    # sigma = 0 a reading is f'(x) + 0 z, so every byte of a one-query block
+    # mean and of a step reading must equal the row's own subgradient
+    moved = data.draw(st.booleans())
+    specs = tuple(data.draw(st.lists(kernel_specs(moved), min_size=1, max_size=4)))
+    P, R = len(specs), data.draw(st.integers(1, 3))
+
+    def grid(values):
+        return np.array(data.draw(st.lists(values, min_size=P * R, max_size=P * R)))
+
+    x = grid(KERNEL_POINTS).reshape(P, R)
+    x_star = grid(KERNEL_MINIMIZERS).reshape(P, R) if moved else None
+    with np.errstate(over="ignore"):  # |u|^e past the float range is inf in both
+        want = np.array([subgrad_spec(spec, x[p], None if x_star is None else x_star[p])
+                         for p, spec in enumerate(specs)])
+        batch = OracleBatch(specs, x_star, (-2e300, 2e300), 0.0, 2,
+                            replicate_seeds(0, (), R, 1))
+        block = batch.query_block_all(x, 1)
+        batch.begin_steps(1)
+        step = batch.query_all(x)
+    assert block.tobytes() == want.tobytes()
+    assert step.tobytes() == want.tobytes()
+
+
 class TestReplicateSeeds:
     # 2**128 + 1 is run entropy longer than SeedSequence's four-word pool
     @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5,
@@ -671,6 +729,24 @@ SIX_FAMILIES = tuple(FunctionFamily(spec, UniformDist(-1.0, 1.0)) for spec in (
     AsymmetricPower(1.5, 3.0), AsymmetricPower(2.0, 3.0), AsymmetricPower(1.5, 2.0)))
 
 
+def _replicate_state() -> float:
+    """Bytes of a replicate's noise generator and slot seed: its Generator,
+    PCG64 and lock, as building them into a list traces; a two-slot object
+    with its row index (an int past the small-int cache), 4 words and a list
+    pointer."""
+    class TwoSlots:
+        __slots__ = ("words", "row")
+
+    seeds = replicate_seeds(1, (2,), 1000, 1)
+    tracemalloc.start()
+    try:
+        generators = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        generator = tracemalloc.get_traced_memory()[0] / len(generators)
+    finally:
+        tracemalloc.stop()
+    return generator + sys.getsizeof(TwoSlots()) + sys.getsizeof(2**20) + 4 * 8 + 8
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -694,19 +770,7 @@ def test_a_unit_holds_little_per_replicate(functions, alg, T, T0):
     # (start, step size, step noise, the environment's draws), and 2 T0 in a
     # binary search's tile (a row of noise and one of readings).  Measured
     # as the slope of the traced peak of replicate_runs from R = 1,000 to 3,000
-    class TwoSlots:
-        __slots__ = ("words", "row")
-
-    seeds = replicate_seeds(1, (2,), 1000, 1)
-    tracemalloc.start()
-    try:
-        generators = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-        generator = tracemalloc.get_traced_memory()[0] / len(generators)
-    finally:
-        tracemalloc.stop()
-    del generators
-    slot_seed = sys.getsizeof(TwoSlots()) + sys.getsizeof(2**20) + 4 * 8 + 8
-    bound = generator + slot_seed + 8 * (8 * len(functions) + 8 + 2 * T0)
+    bound = _replicate_state() + 8 * (8 * len(functions) + 8 + 2 * T0)
 
     def run(R):
         replicate_runs(functions, (-2.0, 2.0), 0.1, T, (alg,), R, 3, ((0, 0),))
@@ -714,3 +778,25 @@ def test_a_unit_holds_little_per_replicate(functions, alg, T, T0):
     run(10)  # one-time allocations land outside the traced runs
     peaks = [_traced_peak(partial(run, R)) for R in (1000, 3000)]
     assert (peaks[1] - peaks[0]) / 2000 <= bound
+
+
+def test_fig2s_largest_sgd_group_holds_one_half_size_chunk():
+    # fig2's largest SGD budget group: T = 10^4, six families, two SgdSpecs of
+    # R = 1,000 replicates each.  Bound, derived before the first run, of
+    # three terms: one chunk of step noise, CHUNK_VALUES * 8 B at 2^18 values,
+    # 2 MiB (written as a number, so that a chunk of 2^19 values, 4 MiB, fails);
+    # each of the 2,000 replicates' own state as
+    # test_a_unit_holds_little_per_replicate states it, its generator, slot
+    # seed and 8 values (start, step size, step noise, environment draws);
+    # and the (P, R) arrays of one step, 8 values per function and replicate
+    # (minimizers, iterates, query points, readings, subgradients and three
+    # numpy temporaries)
+    R, P, algs = 1000, len(SIX_FAMILIES), (SgdSpec("1/t"), SgdSpec("1/sqrt(t)"))
+    bound = 2**18 * 8 + 2 * R * (_replicate_state() + 8 * 8) + 8 * (8 * P * 2 * R)
+
+    def run(T):
+        replicate_runs(SIX_FAMILIES, (-2.0, 2.0), 0.1, T, algs, R, 0,
+                       ((1, 6), (2, 6)))
+
+    run(10)  # one-time allocations land outside the traced run
+    assert _traced_peak(partial(run, 10**4)) <= bound
